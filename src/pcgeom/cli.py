@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import __version__, io
 from .coupling import build_M, diagnose, regularize
@@ -25,7 +26,12 @@ from .embedding import (
     planar_pair_subspaces,
     scores_to_coefficients,
 )
-from .errors import DegeneratePairWarning, PCGeomError
+from .errors import (
+    DegeneratePairWarning,
+    DivergentStepError,
+    NonFiniteResultError,
+    PCGeomError,
+)
 from .exterior import is_decomposable, plucker_residuals, wedge
 from .pc_core import (
     AdditiveMatrix,
@@ -106,12 +112,16 @@ def _read_additive(config: RunConfig) -> AdditiveMatrix:
 
 
 def _emit(config: RunConfig, writer) -> None:
-    if config.output_path:
-        ctx = open(config.output_path, "w")
-    else:
-        ctx = nullcontext(sys.stdout)
-    with ctx as dest:
-        writer(dest)
+    if not config.output_path:
+        writer(sys.stdout)
+        return
+    try:
+        with open(config.output_path, "w") as dest:
+            writer(dest)
+    except NonFiniteResultError:
+        # Leave no truncated document behind.
+        os.remove(config.output_path)
+        raise
 
 
 def _base_report(config: RunConfig, **extra) -> dict:
@@ -297,10 +307,19 @@ def _cmd_diagnose(config: RunConfig) -> int:
 
 def _cmd_reduce(config: RunConfig) -> int:
     matrix = _read_additive(config)
+    eta = config.eta if config.eta is not None else 1.0 / matrix.n
+    # Each step scales the residual by 1 - eta(n + lambda); refuse a step
+    # that cannot contract instead of iterating into overflow.
+    if abs(1.0 - eta * (matrix.n + config.lam)) >= 1.0:
+        raise DivergentStepError(
+            f"eta={eta:g} does not contract for n={matrix.n}, "
+            f"lambda={config.lam:g}: need 0 < eta < 2/(n+lambda) = "
+            f"{2.0 / (matrix.n + config.lam):g}"
+        )
     trajectory = reduce_iterative(
         matrix,
         lam=config.lam,
-        eta=config.eta,
+        eta=eta,
         max_steps=config.max_steps,
         tol=config.tol,
     )
@@ -317,7 +336,7 @@ def _cmd_reduce(config: RunConfig) -> int:
     report = _base_report(
         config,
         n=matrix.n,
-        eta=config.eta if config.eta is not None else 1.0 / matrix.n,
+        eta=eta,
         max_steps=config.max_steps,
         tol=config.tol,
         converged=trajectory.converged,
@@ -333,13 +352,15 @@ def _cmd_twoform(config: RunConfig) -> int:
     matrix = _read_additive(config)
     rows = evaluation_table(matrix)
     max_err = max((r["abs_error"] for r in rows), default=0.0)
+    # Discrete closedness is the consistency predicate; scan triads once.
+    closed = is_closed_discrete(matrix, config.tol)
     report = _base_report(
         config,
         n=matrix.n,
         rows=rows,
         max_abs_error=max_err,
-        closed=is_closed_discrete(matrix, config.tol),
-        consistent=all_triad_deviations(matrix).max_abs() <= config.tol,
+        closed=closed,
+        consistent=closed,
     )
     _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
     return 0
@@ -363,7 +384,17 @@ def run(config: RunConfig) -> int:
     """Execute one command; never raises for input problems (exit 2)."""
     try:
         config.validate()
-        return _DISPATCH[config.command](config)
+        # Overflow raises instead of warning, so no inf or nan reaches a
+        # report and no numpy warning reaches stderr.
+        with np.errstate(over="raise", invalid="raise"):
+            return _DISPATCH[config.command](config)
+    except FloatingPointError as exc:
+        print(
+            f"pcgeom: error: result is not finite ({exc}); "
+            "input entries are too large",
+            file=sys.stderr,
+        )
+        return 2
     except (ValueError, OverflowError, OSError) as exc:
         # PCGeomError subclasses ValueError, so one clause covers both
         # domain validation and malformed numeric input.

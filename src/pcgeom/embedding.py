@@ -31,7 +31,7 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .exterior import TwoVector, wedge
-from .pc_core import AdditiveMatrix, _as_score_array
+from .pc_core import AdditiveMatrix, _as_score_array, algebraic_inconsistency
 
 ORTHOGONAL = "orthogonal"
 PLANAR = "planar"
@@ -230,16 +230,26 @@ def planar_matrix_inconsistency(
 
     All coordinates of the per-pair wedges other than the leading one
     vanish identically, so the triad sums reduce to scalar combinations of
-    the entries; under the cyclic convention this equals the sum of
-    squared triad deviations.
+    the entries u = a.upper, and both conventions have O(n^2) closed
+    forms. The cyclic sum of (u_ij + u_jk - u_ik)^2 is the sum of squared
+    triad deviations, i.e. the algebraic inconsistency. The anticyclic sum
+    of (u_ij + u_jk + u_ik)^2 counts every pair in n - 2 triads and every
+    two pairs sharing an alternative in exactly one, which gives
+    (n - 4) |u|^2 + |X 1|^2 for the symmetric matrix X with X_ij = X_ji =
+    u_ij and zero diagonal.
     """
     _check_convention(convention)
     if a.n < 3:
         return 0.0
-    ij, jk, ik = indexing.triad_pair_positions(a.n)
-    u = a.upper
     if convention == "cyclic":
-        lead = u[ij] + u[jk] - u[ik]
-    else:
-        lead = u[ij] + u[jk] + u[ik]
-    return float(np.dot(lead, lead))
+        return algebraic_inconsistency(a)
+    u = a.upper
+    rows, cols = np.triu_indices(a.n, k=1)
+    row_sums = np.bincount(rows, weights=u, minlength=a.n) + np.bincount(
+        cols, weights=u, minlength=a.n
+    )
+    u_sq = float(np.dot(u, u))
+    value = (a.n - 4) * u_sq + float(np.dot(row_sums, row_sums))
+    # At n = 3 the first term is negative; rounding must not push the
+    # single squared lead below zero.
+    return max(value, 0.0)

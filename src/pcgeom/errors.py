@@ -62,6 +62,14 @@ class NonPositiveStepError(PCGeomError):
     """Descent step size must be strictly positive."""
 
 
+class DivergentStepError(PCGeomError):
+    """Descent step size too large for the residual to contract."""
+
+
+class NonFiniteResultError(PCGeomError):
+    """A computed result overflowed and cannot be reported."""
+
+
 class UnsupportedSizeError(PCGeomError):
     """Operation only implemented for small sizes."""
 

@@ -35,12 +35,11 @@ class TwoVector:
 
     def coord(self, k: int, l: int) -> float:
         """Coordinate p_kl for 1-based k < l."""
-        pos = indexing.pair_position(self.n)
         if not (1 <= k < l <= self.n):
             raise DimensionMismatchError(
                 f"pair ({k},{l}) invalid for dimension {self.n}"
             )
-        return float(self.coords[pos[(k - 1, l - 1)]])
+        return float(self.coords[indexing.pair_index(self.n, k - 1, l - 1)])
 
     def pair_labels(self) -> tuple[tuple[int, int], ...]:
         return tuple((k + 1, l + 1) for k, l in indexing.pairs(self.n))
@@ -129,9 +128,8 @@ def wedge(u, v) -> TwoVector:
         raise DimensionMismatchError(
             f"vectors have different dimensions ({uu.size} vs {vv.size})"
         )
-    minors = np.outer(uu, vv) - np.outer(vv, uu)
     rows, cols = np.triu_indices(uu.size, k=1)
-    return _new(uu.size, minors[rows, cols])
+    return _new(uu.size, uu[rows] * vv[cols] - uu[cols] * vv[rows])
 
 
 def _residual_values(p: TwoVector) -> np.ndarray:
@@ -147,11 +145,8 @@ def plucker_residuals(p: TwoVector) -> PluckerResidualSet:
     Empty for n < 4, where the relations are vacuous.
     """
     quads, _ = indexing.quad_pair_positions(p.n)
-    values = _residual_values(p)
-    residuals = {
-        (k + 1, l + 1, m + 1, o + 1): float(values[idx])
-        for idx, (k, l, m, o) in enumerate(quads)
-    }
+    labels = map(tuple, (quads + 1).tolist())
+    residuals = dict(zip(labels, _residual_values(p).tolist()))
     return PluckerResidualSet(n=p.n, residuals=residuals)
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from pathlib import Path
 from typing import Any, TextIO
 
 import numpy as np
 
 from .embedding import Embedding, custom_embedding
-from .errors import PCGeomError
+from .errors import NonFiniteResultError, PCGeomError
 from .exterior import TwoVector, new_two_vector
 from .pc_core import (
     AdditiveMatrix,
@@ -144,7 +145,7 @@ def write_matrix(
     version: str | None = None,
 ) -> None:
     if fmt == "json":
-        json.dump(matrix_to_dict(m, version=version), dest, indent=2)
+        _dump_json(matrix_to_dict(m, version=version), dest, indent=2)
         dest.write("\n")
     elif fmt == "csv":
         entries = (
@@ -155,9 +156,26 @@ def write_matrix(
         raise FormatError(f"unsupported matrix format {fmt!r}")
 
 
+def _not_finite() -> NonFiniteResultError:
+    return NonFiniteResultError(
+        "a result is not finite (overflow); refusing to write inf or nan"
+    )
+
+
+def _dump_json(doc: Any, dest: TextIO, **kwargs) -> None:
+    """Stream doc as JSON without the non-standard NaN / Infinity tokens."""
+    try:
+        json.dump(doc, dest, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise _not_finite() from exc
+
+
 def write_grid_csv(entries: np.ndarray, dest: TextIO) -> None:
+    entries = np.asarray(entries)
+    if not np.all(np.isfinite(entries)):
+        raise _not_finite()
     writer = csv.writer(dest)
-    for row in np.asarray(entries):
+    for row in entries:
         writer.writerow([repr(float(v)) for v in row])
 
 
@@ -217,14 +235,18 @@ def read_embedding(path: str | Path) -> Embedding:
 def write_report(report: dict, dest: TextIO, fmt: str = "json") -> None:
     """Write a report as a JSON document or as key,value CSV rows."""
     if fmt == "json":
-        json.dump(report, dest, indent=2)
+        _dump_json(report, dest, indent=2)
         dest.write("\n")
     elif fmt == "csv":
         writer = csv.writer(dest)
         for key, value in report.items():
             if isinstance(value, (list, dict)):
-                value = json.dumps(value)
+                buf = _io.StringIO()
+                _dump_json(value, buf)
+                value = buf.getvalue()
             elif isinstance(value, float):
+                if not math.isfinite(value):
+                    raise _not_finite()
                 value = repr(value)
             writer.writerow([key, value])
     else:
@@ -236,7 +258,7 @@ def write_trajectory_jsonl(
 ) -> None:
     """One JSON record per descent step: {"step", "I_alg", "I_geom"}."""
     for record in trajectory.records():
-        dest.write(json.dumps(record))
+        _dump_json(record, dest)
         dest.write("\n")
 
 

@@ -2,12 +2,16 @@
 
 The consistent matrices form the linear subspace of score differences;
 the Frobenius-nearest consistent matrix is obtained by differencing the
-row-mean scores. The iterative route descends on the upper-triangle
-entries, pushing each entry against the signed sum of the deviations of
-the triads containing it. On the complete comparison structure that
-update contracts the inconsistent component by the factor 1 - eta*n per
-step, so eta = 1/n lands exactly on the projection in a single step and
-any 0 < eta < 2/n descends monotonically.
+row-mean scores, and what is left over is the residual r = a - (s_i -
+s_j). The iterative route descends on the upper-triangle entries, pushing
+each entry against the signed sum of the deviations of the triads
+containing it. On the complete comparison structure the signed
+triad-to-pair incidence C satisfies C C^T = n (I - P), P the projection
+onto consistent matrices, so that sum is n times the residual entry and
+the whole step is computed in O(n^2) from r alone. The step contracts the
+residual by the factor 1 - eta*n, so eta = 1/n lands exactly on the
+projection in a single step and any 0 < eta < 2/n descends
+monotonically.
 
 A brute-force grid search over score vectors is included as an
 independent optimality check for small n; it is meant for tests, not for
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMap, coupling_coefficients
 from .errors import NonPositiveLambdaError, NonPositiveStepError, UnsupportedSizeError
 from .pc_core import (
     AdditiveMatrix,
@@ -74,15 +77,6 @@ def project_consistent(
     return from_scores(scores), scores
 
 
-def _deviation_state(cmap: CouplingMap | None, upper: np.ndarray):
-    """(deviations, i_alg, i_geom) for the current upper triangle."""
-    if cmap is None:
-        return np.zeros(0), 0.0, 0.0
-    d = cmap.apply_transpose(upper)
-    image = cmap.apply(d)
-    return d, float(np.dot(d, d)), float(np.dot(image, image))
-
-
 def reduce_iterative(
     a: AdditiveMatrix,
     lam: float = 0.0,
@@ -99,6 +93,12 @@ def reduce_iterative(
     lam = 0 reproduces the plain update; the minimizers coincide either
     way, only the contraction factor changes from 1 - eta*n to
     1 - eta*(n + lam).
+
+    Both updates are evaluated in closed form from the residual r of the
+    row-mean scores: with d = C^T a the triad deviations, C d = n r and
+    (eta/n) C (C^T C d + lam d) = eta (n + lam) r, so a step is
+    a <- a - eta (n + lam) r. Each snapshot records i_alg = |d|^2 =
+    n |r|^2 and i_geom = |C d|^2 = n^2 |r|^2, and a step costs O(n^2).
 
     eta defaults to 1/n, which reaches the exact projection in one step.
     Failure to converge within max_steps is reported through the
@@ -118,23 +118,18 @@ def reduce_iterative(
     if not tol > 0:
         raise ValueError("tolerance must be positive")
 
-    cmap = coupling_coefficients(n) if n >= 3 else None
-    upper = a.upper.copy()
-    d, i_alg, i_geom = _deviation_state(cmap, upper)
-    steps = [ReductionStep(0, _from_upper(n, upper), i_alg, i_geom)]
-    converged = i_alg <= tol
-    taken = 0
-    while not converged and taken < max_steps:
-        if lam == 0.0:
-            upper = upper - eta * cmap.apply(d)
-        else:
-            # (M + lam I) d without materializing M: M d = C^T (C d).
-            md = cmap.apply_transpose(cmap.apply(d)) + lam * d
-            upper = upper - (eta / n) * cmap.apply(md)
-        taken += 1
-        d, i_alg, i_geom = _deviation_state(cmap, upper)
-        steps.append(ReductionStep(taken, _from_upper(n, upper), i_alg, i_geom))
-        converged = i_alg <= tol
+    rate = eta * (n + lam)
+    matrix = a
+    steps = []
+    while True:
+        _, residual = recover_scores(matrix)
+        r = residual.upper
+        r_sq = float(np.dot(r, r))
+        steps.append(ReductionStep(len(steps), matrix, n * r_sq, n * n * r_sq))
+        converged = n * r_sq <= tol
+        if converged or len(steps) > max_steps:
+            break
+        matrix = _from_upper(n, matrix.upper - rate * r)
     return ReductionTrajectory(steps=tuple(steps), converged=converged)
 
 

@@ -1,0 +1,156 @@
+"""Exit-2 contract for runs whose results could not be finite: a step size
+that makes the descent diverge, and entries so large the indices overflow.
+Either way the CLI prints one diagnostic line and writes no output."""
+
+import csv
+import json
+import math
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+
+from pcgeom import NonFiniteResultError
+from pcgeom import io as pio
+from pcgeom.cli import RunConfig, _emit, main
+
+INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
+
+
+def write_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
+
+
+@pytest.fixture
+def inconsistent_csv(tmp_path):
+    return write_csv(tmp_path / "inconsistent.csv", INCONSISTENT_3)
+
+
+@pytest.fixture
+def huge_csv(tmp_path):
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=6) * 1e200
+    a = np.subtract.outer(s, s)
+    a[0, 1] += 3e199
+    a[1, 0] -= 3e199
+    rows = [[repr(float(v)) for v in row] for row in a]
+    return write_csv(tmp_path / "huge.csv", rows)
+
+
+def run_failing(capsys, argv):
+    # Any numpy RuntimeWarning becomes an exception and fails the test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("pcgeom: error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--eta", "1"],
+        ["--eta", "0.6666666666666667"],  # exactly at 2/n
+        ["--eta", "0.5", "--lambda", "1"],  # 2/(n+lambda) = 0.5
+        ["--eta", "0.3", "--lambda", "5", "-o", "steps.jsonl"],
+    ],
+)
+def test_reduce_rejects_divergent_step(
+    capsys, tmp_path, monkeypatch, inconsistent_csv, extra
+):
+    monkeypatch.chdir(tmp_path)
+    err = run_failing(capsys, ["reduce", inconsistent_csv, *extra])
+    assert "0 < eta < 2/(n+lambda)" in err
+    assert not (tmp_path / "steps.jsonl").exists()
+
+
+def test_reduce_accepts_step_just_inside_bound(capsys, inconsistent_csv):
+    argv = ["reduce", inconsistent_csv, "--eta", "0.66", "--max-steps", "5000"]
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["converged"] is True
+
+
+def test_divergent_reduce_writes_no_infinity_via_module(tmp_path, inconsistent_csv):
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgeom", "reduce", inconsistent_csv,
+         "--eta", "1", "-o", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["indices"],
+        ["indices", "--convention", "anticyclic"],
+        ["reduce"],
+        ["reduce", "--format", "jsonl"],
+        ["check", "--format", "csv"],
+    ],
+)
+def test_overflowing_results_exit_two(capsys, huge_csv, argv):
+    err = run_failing(capsys, [argv[0], huge_csv, *argv[1:]])
+    assert "not finite" in err
+
+
+def test_overflowing_check_via_module_is_one_clean_line(tmp_path, huge_csv):
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgeom", "check", huge_csv, "-o", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("pcgeom: error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_large_but_finite_results_still_report(capsys, huge_csv):
+    # Deviations themselves stay finite, so the listing succeeds.
+    code = main(["deviations", huge_csv])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert all(math.isfinite(v) for v in report["values"])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_writer_refuses_non_finite(value, fmt):
+    with pytest.raises(NonFiniteResultError):
+        pio.dumps_report({"I_alg": value}, fmt=fmt)
+    with pytest.raises(NonFiniteResultError):
+        pio.dumps_report({"steps": [{"I_alg": value}]}, fmt=fmt)
+
+
+def test_grid_writer_refuses_non_finite():
+    with pytest.raises(NonFiniteResultError):
+        pio.write_grid_csv(np.array([[0.0, math.inf], [-math.inf, 0.0]]), None)
+
+
+def test_output_file_with_non_finite_value_is_removed(tmp_path):
+    # The first key streams out before the writer meets the infinity.
+    out = tmp_path / "report.json"
+    config = RunConfig(command="check", input_path="in.csv", output_path=str(out))
+    report = {"ok": 1.0, "bad": math.inf}
+    with pytest.raises(NonFiniteResultError):
+        _emit(config, lambda dest: pio.write_report(report, dest))
+    assert not out.exists()
