@@ -17,22 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, io
-from .coupling import build_M, diagnose, regularize
+from .coupling import build_M, closed_form_diagnosis, regularize
 from .embedding import (
+    Embedding,
     geometric_inconsistency,
     orthogonal_embedding,
-    pair_subspace,
+    pair_wedges,
     planar_matrix_inconsistency,
-    planar_pair_subspaces,
+    planar_pair_wedges,
     scores_to_coefficients,
 )
-from .errors import (
-    DegeneratePairWarning,
-    DivergentStepError,
-    NonFiniteResultError,
-    PCGeomError,
-)
-from .exterior import is_decomposable, plucker_residuals, wedge
+from .errors import DivergentStepError, NonFiniteResultError, PCGeomError
+from .exterior import quad_residuals, residuals_decomposable, wedge
 from .pc_core import (
     AdditiveMatrix,
     DEFAULT_TOLERANCE,
@@ -163,13 +159,14 @@ def _cmd_convert(config: RunConfig) -> int:
     return 0
 
 
-def _geometric_index(config: RunConfig, matrix: AdditiveMatrix) -> float:
+def _embedding(config: RunConfig, matrix: AdditiveMatrix) -> Embedding | None:
+    """The orthogonal or custom embedding the config names; None for the
+    planar family, which is built pair by pair from the matrix entries."""
     if config.embedding_kind == "planar":
-        return planar_matrix_inconsistency(matrix, config.convention)
+        return None
     if config.embedding_kind == "orthogonal":
         scores, _ = recover_scores(matrix)
-        emb = orthogonal_embedding(scores_to_coefficients(scores))
-        return geometric_inconsistency(emb, config.convention)
+        return orthogonal_embedding(scores_to_coefficients(scores))
     if config.embedding_kind == "custom":
         if not config.embedding_file:
             raise PCGeomError("custom embedding requires --embedding-file")
@@ -178,8 +175,15 @@ def _geometric_index(config: RunConfig, matrix: AdditiveMatrix) -> float:
             raise PCGeomError(
                 f"embedding is for n={emb.n}, matrix has n={matrix.n}"
             )
-        return geometric_inconsistency(emb, config.convention)
+        return emb
     raise PCGeomError(f"unknown embedding kind {config.embedding_kind!r}")
+
+
+def _geometric_index(config: RunConfig, matrix: AdditiveMatrix) -> float:
+    emb = _embedding(config, matrix)
+    if emb is None:
+        return planar_matrix_inconsistency(matrix, config.convention)
+    return geometric_inconsistency(emb, config.convention)
 
 
 def _cmd_indices(config: RunConfig) -> int:
@@ -203,50 +207,27 @@ def _cmd_deviations(config: RunConfig) -> int:
         config,
         n=matrix.n,
         triads=[list(t) for t in devs.triad_labels()],
-        values=[float(v) for v in devs.values],
+        values=devs.values.tolist(),
     )
     _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
     return 0
 
 
 def _cmd_embed(config: RunConfig) -> int:
-    import warnings
-
     matrix = _read_additive(config)
-    pairs = matrix.pair_labels()
-    if config.embedding_kind == "planar":
-        subspaces = planar_pair_subspaces(matrix)
-    else:
-        if config.embedding_kind == "orthogonal":
-            scores, _ = recover_scores(matrix)
-            emb = orthogonal_embedding(scores_to_coefficients(scores))
-        elif config.embedding_kind == "custom":
-            if not config.embedding_file:
-                raise PCGeomError("custom embedding requires --embedding-file")
-            emb = io.read_embedding(config.embedding_file)
-            if emb.n != matrix.n:
-                raise PCGeomError(
-                    f"embedding is for n={emb.n}, matrix has n={matrix.n}"
-                )
-        else:
-            raise PCGeomError(
-                f"unknown embedding kind {config.embedding_kind!r}"
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegeneratePairWarning)
-            subspaces = [pair_subspace(emb, i, j) for i, j in pairs]
+    emb = _embedding(config, matrix)
+    w = planar_pair_wedges(matrix) if emb is None else pair_wedges(emb.vectors)
     report = _base_report(
         config,
         n=matrix.n,
         embedding=config.embedding_kind,
         pairs=[
-            {
-                "i": i,
-                "j": j,
-                "coords": [float(v) for v in w.coords],
-                "degenerate": w.is_zero(),
-            }
-            for (i, j), w in zip(pairs, subspaces)
+            {"i": i, "j": j, "coords": coords, "degenerate": degenerate}
+            for (i, j), coords, degenerate in zip(
+                matrix.pair_labels(),
+                w.tolist(),
+                np.all(w == 0.0, axis=1).tolist(),
+            )
         ],
     )
     _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
@@ -260,7 +241,7 @@ def _cmd_wedge(config: RunConfig) -> int:
         config,
         n=w.n,
         pairs=[list(p) for p in w.pair_labels()],
-        coords=[float(c) for c in w.coords],
+        coords=w.coords.tolist(),
     )
     _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
     return 0
@@ -272,17 +253,17 @@ def _cmd_plucker(config: RunConfig) -> int:
     except io.FormatError:
         u, v = io.read_vector_pair(config.input_path)
         p = wedge(u, v)
-    residuals = plucker_residuals(p)
+    quads, values = quad_residuals(p)
     report = _base_report(
         config,
         n=p.n,
         norm_squared=p.norm_squared(),
-        max_abs_residual=residuals.max_abs(),
-        decomposable=is_decomposable(p, config.tol),
+        max_abs_residual=float(np.max(np.abs(values), initial=0.0)),
+        decomposable=residuals_decomposable(p, values, config.tol),
         tolerance=config.tol,
         residuals=[
-            {"quad": list(quad), "value": value}
-            for quad, value in residuals.residuals.items()
+            {"quad": quad, "value": value}
+            for quad, value in zip(quads.tolist(), values.tolist())
         ],
     )
     _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
@@ -291,15 +272,16 @@ def _cmd_plucker(config: RunConfig) -> int:
 
 def _cmd_diagnose(config: RunConfig) -> int:
     matrix = _read_additive(config)
-    m = build_M(matrix.n)
-    if config.lam > 0:
-        m = regularize(m, config.lam)
-    result = diagnose(m, rank_tol=config.tol)
     out_fmt = _resolved_format(config)
     if out_fmt == "csv":
+        # The matrix itself is the output, so only this path builds it.
+        m = build_M(matrix.n)
+        if config.lam > 0:
+            m = regularize(m, config.lam)
         _emit(config, lambda dest: io.write_grid_csv(m.values, dest))
         return 0
-    report = _base_report(config, n=matrix.n, **result.to_dict())
+    spectrum = closed_form_diagnosis(matrix.n, config.lam, config.tol)
+    report = _base_report(config, n=matrix.n, **spectrum)
     report["lambda"] = config.lam
     _emit(config, lambda dest: io.write_report(report, dest, out_fmt))
     return 0

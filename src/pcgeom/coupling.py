@@ -28,7 +28,8 @@ from .errors import (
 )
 from .pc_core import DeviationVector
 
-#: Largest n for which a dense T-by-T Gram matrix is built (T = C(n,3)).
+#: Largest n for which a dense T-by-T Gram matrix is built (T = C(n,3)),
+#: or a spectral report listing all T eigenvalues is written.
 MAX_DENSE_N = 64
 
 
@@ -123,7 +124,7 @@ class SpectralDiagnosis:
             "rank": int(self.rank),
             "T": int(self.eigenvalues.size),
             "degenerate": bool(self.degenerate),
-            "eigenvalues": [float(v) for v in self.eigenvalues],
+            "eigenvalues": self.eigenvalues.tolist(),
             "kernel_dim": int(self.kernel_dim),
         }
 
@@ -216,6 +217,48 @@ def diagnose(m: CouplingMatrix, rank_tol: float = 1e-9) -> SpectralDiagnosis:
         kernel_basis=kernel,
         degenerate=rank < m.size,
     )
+
+
+def closed_form_diagnosis(
+    n: int, lam: float = 0.0, rank_tol: float = 1e-9
+) -> dict:
+    """The report ``diagnose(M).to_dict()`` of M = build_M(n), shifted by
+    ``regularize(M, lam)`` when lam > 0, without building M.
+
+    M = C^T C for the pair-by-triad incidence C, and C C^T = n (I - P) on
+    the complete comparison structure, with P the projection onto
+    consistent matrices of rank n - 1. So M has eigenvalue n with
+    multiplicity (n-1)(n-2)/2 and 0 on the rest of its T = C(n,3)
+    entries; the shift adds lam to both. Rank counts the eigenvalues
+    above rank_tol times the largest, as :func:`diagnose` does.
+    """
+    if n < 3:
+        raise TooSmallError(f"need at least 3 alternatives, got {n}")
+    if n > MAX_DENSE_N:
+        raise ValueError(
+            f"spectral report capped at n={MAX_DENSE_N} "
+            f"(it would list C({n},3) = {indexing.triad_count(n)} eigenvalues)"
+        )
+    if lam < 0:
+        raise NonPositiveLambdaError(
+            f"regularization weight must be nonnegative, got {lam!r}"
+        )
+    if not rank_tol > 0:
+        raise ValueError("rank tolerance must be positive")
+    t_count = indexing.triad_count(n)
+    image = (n - 1) * (n - 2) // 2
+    top, rest = float(n + lam), float(lam)
+    threshold = rank_tol * top
+    rank = (image if top > threshold else 0) + (
+        t_count - image if rest > threshold else 0
+    )
+    return {
+        "rank": rank,
+        "T": t_count,
+        "degenerate": rank < t_count,
+        "eigenvalues": [top] * image + [rest] * (t_count - image),
+        "kernel_dim": t_count - rank,
+    }
 
 
 def regularize(m: CouplingMatrix, lam: float) -> CouplingMatrix:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import indexing
 from .errors import (
     DegeneratePairWarning,
     DimensionMismatchError,
@@ -30,7 +29,7 @@ from .errors import (
     NonFiniteEntryError,
     ZeroCoefficientError,
 )
-from .exterior import TwoVector, wedge
+from .exterior import TwoVector, new_two_vector, wedge, wedge_rows
 from .pc_core import AdditiveMatrix, _as_score_array, algebraic_inconsistency
 
 ORTHOGONAL = "orthogonal"
@@ -156,16 +155,12 @@ def pair_subspace(e: Embedding, i: int, j: int) -> TwoVector:
     return w
 
 
-def _pair_wedges(e: Embedding) -> np.ndarray:
-    """Matrix of all pair wedges, row p = coords of v_i ^ v_j for pair p."""
-    upper = np.triu_indices(e.n, k=1)
-    out = np.empty((upper[0].size, indexing.pair_count(e.n)))
-    for p, (i, j) in enumerate(zip(*upper)):
-        minors = np.outer(e.vectors[i], e.vectors[j]) - np.outer(
-            e.vectors[j], e.vectors[i]
-        )
-        out[p] = minors[upper]
-    return out
+def pair_wedges(vectors) -> np.ndarray:
+    """Matrix of all pair wedges: row p holds v_i ^ v_j for the p-th pair
+    i < j, bit-identical to ``wedge(v_i, v_j).coords``."""
+    v = np.asarray(vectors, dtype=float)
+    i, j = np.triu_indices(v.shape[0], k=1)
+    return wedge_rows(v[i], v[j])
 
 
 def geometric_deviation(
@@ -190,19 +185,45 @@ def geometric_deviation(
 
 
 def geometric_inconsistency(e: Embedding, convention: str = "cyclic") -> float:
-    """Sum of squared deviation norms over lexicographic triads."""
+    """Sum of squared deviation norms over lexicographic triads.
+
+    Computed without enumerating triads. Each coordinate column of the
+    pair-wedge matrix W is pair data, so C C^T = n (I - P) applies to it
+    column by column (see :func:`~pcgeom.pc_core.algebraic_inconsistency`).
+    Read as a skew matrix, a column has row means v_i ^ m for the mean
+    vector m, hence the residual (I - P) W is exactly the pair-wedge
+    matrix of the centred vectors v_i - m, and the cyclic sum is
+    n |W(v - m)|^2. The anticyclic sum of |w_ij + w_jk + w_ik|^2 counts
+    every pair in n - 2 triads and every two pairs sharing an alternative
+    in exactly one, which gives (n - 4) |W|^2 + |B W|^2 for the unsigned
+    alternative-by-pair incidence B; row i of B W is
+    v_i ^ (sum_{j>i} v_j - sum_{j<i} v_j).
+    """
     _check_convention(convention)
     if e.n < 3:
         return 0.0
-    w = _pair_wedges(e)
-    ij, jk, ik = indexing.triad_pair_positions(e.n)
-    # wedge(v_k, v_i) = -wedge(v_i, v_k), so the cyclic +w_ki becomes -W_ik
-    # on the lexicographic pair rows.
+    v = e.vectors
     if convention == "cyclic":
-        devs = w[ij] + w[jk] - w[ik]
-    else:
-        devs = w[ij] + w[jk] + w[ik]
-    return float(np.sum(devs * devs))
+        r = pair_wedges(v - v.mean(axis=0))
+        return e.n * float(np.vdot(r, r))
+    w = pair_wedges(v)
+    sums = np.cumsum(v, axis=0)
+    bw = wedge_rows(v, (sums[-1] - sums) - (sums - v))
+    value = (e.n - 4) * float(np.vdot(w, w)) + float(np.vdot(bw, bw))
+    # At n = 3 the first term is negative; rounding must not push the
+    # single squared deviation below zero.
+    return max(value, 0.0)
+
+
+def planar_pair_wedges(a: AdditiveMatrix) -> np.ndarray:
+    """Coordinates of every pairwise planar 2-vector, one row per pair;
+    see :func:`planar_pair_subspaces`."""
+    base = np.zeros(a.n)
+    base[1] = 1.0
+    u = np.zeros((a.upper.size, a.n))
+    u[:, 0] = a.upper
+    u[:, 1] = 1.0
+    return wedge_rows(u, base)
 
 
 def planar_pair_subspaces(a: AdditiveMatrix) -> list[TwoVector]:
@@ -213,14 +234,7 @@ def planar_pair_subspaces(a: AdditiveMatrix) -> list[TwoVector]:
     (1, 2). Unlike a single global embedding, this pairwise family
     represents an inconsistent matrix faithfully.
     """
-    out = []
-    base = np.zeros(a.n)
-    base[1] = 1.0
-    for value in a.upper:
-        u = base.copy()
-        u[0] = value
-        out.append(wedge(u, base))
-    return out
+    return [new_two_vector(a.n, row) for row in planar_pair_wedges(a)]
 
 
 def planar_matrix_inconsistency(

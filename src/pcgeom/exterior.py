@@ -128,15 +128,32 @@ def wedge(u, v) -> TwoVector:
         raise DimensionMismatchError(
             f"vectors have different dimensions ({uu.size} vs {vv.size})"
         )
-    rows, cols = np.triu_indices(uu.size, k=1)
-    return _new(uu.size, uu[rows] * vv[cols] - uu[cols] * vv[rows])
+    return _new(uu.size, wedge_rows(uu, vv))
 
 
-def _residual_values(p: TwoVector) -> np.ndarray:
-    """Vector of quadratic-relation residuals, one per 4-subset."""
-    _, (a, b, c, d, e, f) = indexing.quad_pair_positions(p.n)
+def wedge_rows(x, y) -> np.ndarray:
+    """Wedge products row by row: row p holds the coordinates of x[p] ^ y[p].
+
+    This is the kernel behind :func:`wedge`, so row p is bit-identical to
+    ``wedge(x[p], y[p]).coords``. Leading axes broadcast, so a single row
+    is paired with every row of the other argument.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rows, cols = np.triu_indices(x.shape[-1], k=1)
+    return x[..., rows] * y[..., cols] - x[..., cols] * y[..., rows]
+
+
+def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
+    """Every 4-subset and its quadratic-relation residual.
+
+    Returns the 1-based subsets k < l < m < o as the rows of a (Q, 4)
+    array and the aligned residuals p_kl p_mo - p_km p_lo + p_ko p_lm;
+    both are empty for n < 4, where the relations are vacuous.
+    """
+    quads, (a, b, c, d, e, f) = indexing.quad_pair_positions(p.n)
     q = p.coords
-    return q[a] * q[b] - q[c] * q[d] + q[e] * q[f]
+    return quads + 1, q[a] * q[b] - q[c] * q[d] + q[e] * q[f]
 
 
 def plucker_residuals(p: TwoVector) -> PluckerResidualSet:
@@ -144,10 +161,22 @@ def plucker_residuals(p: TwoVector) -> PluckerResidualSet:
 
     Empty for n < 4, where the relations are vacuous.
     """
-    quads, _ = indexing.quad_pair_positions(p.n)
-    labels = map(tuple, (quads + 1).tolist())
-    residuals = dict(zip(labels, _residual_values(p).tolist()))
+    quads, values = quad_residuals(p)
+    residuals = dict(zip(map(tuple, quads.tolist()), values.tolist()))
     return PluckerResidualSet(n=p.n, residuals=residuals)
+
+
+def residuals_decomposable(
+    p: TwoVector, values: np.ndarray, tol: float = 1e-9
+) -> bool:
+    """Scale-aware verdict on residuals already computed by
+    :func:`quad_residuals`; see :func:`is_decomposable`."""
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    if values.size == 0:
+        return True
+    bound = tol * max(1.0, p.norm_squared())
+    return bool(np.max(np.abs(values)) <= bound)
 
 
 def is_decomposable(p: TwoVector, tol: float = 1e-9) -> bool:
@@ -157,13 +186,7 @@ def is_decomposable(p: TwoVector, tol: float = 1e-9) -> bool:
     tol * max(1, |p|^2); a raw absolute threshold would make the verdict
     depend on an arbitrary overall scale.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    values = _residual_values(p)
-    if values.size == 0:
-        return True
-    bound = tol * max(1.0, p.norm_squared())
-    return bool(np.max(np.abs(values)) <= bound)
+    return residuals_decomposable(p, quad_residuals(p)[1], tol)
 
 
 def normalize_grassmann(p: TwoVector) -> TwoVector:

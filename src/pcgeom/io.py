@@ -4,7 +4,8 @@ CSV matrices are a plain n-by-n numeric grid with no header. JSON
 matrices are {"n": ..., "mode": "additive"|"multiplicative", "entries":
 [[...], ...]}. Numbers are serialized at full round-trip precision (the
 shortest decimal that reparses to the same double), so write-then-read is
-exact.
+exact. Every JSON document, matrix or report, is written compactly on a
+single line followed by a newline.
 """
 
 from __future__ import annotations
@@ -77,19 +78,26 @@ def _as_float_array(values, source: str, what: str) -> np.ndarray:
         raise FormatError(f"{source}: {what} is not a numeric array") from exc
 
 
+def _load_json_object(path: str | Path, keys: tuple[str, ...]) -> dict:
+    """Parse a JSON file that must hold an object with every one of keys."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or not all(key in doc for key in keys):
+        wanted = " and ".join(f'"{key}"' for key in keys)
+        raise FormatError(f"{path}: expected an object with {wanted}")
+    return doc
+
+
 def _load_matrix_doc(path: str | Path, fmt: str, declared_mode: str | None):
     if fmt == "csv":
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh)]
         return _parse_grid(rows, str(path)), declared_mode or ADDITIVE
     if fmt == "json":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(doc, dict) or "entries" not in doc:
-            raise FormatError(f'{path}: expected an object with "entries"')
+        doc = _load_json_object(path, ("entries",))
         mode = doc.get("mode", declared_mode or ADDITIVE)
         if declared_mode and doc.get("mode") and doc["mode"] != declared_mode:
             raise FormatError(
@@ -131,7 +139,7 @@ def matrix_to_dict(
     doc: dict[str, Any] = {
         "n": int(m.n),
         "mode": mode,
-        "entries": [[float(v) for v in row] for row in entries],
+        "entries": entries.tolist(),
     }
     if version:
         doc["version"] = version
@@ -145,8 +153,7 @@ def write_matrix(
     version: str | None = None,
 ) -> None:
     if fmt == "json":
-        _dump_json(matrix_to_dict(m, version=version), dest, indent=2)
-        dest.write("\n")
+        _dump_json(matrix_to_dict(m, version=version), dest)
     elif fmt == "csv":
         entries = (
             m.to_array() if isinstance(m, AdditiveMatrix) else m.entries
@@ -162,12 +169,23 @@ def _not_finite() -> NonFiniteResultError:
     )
 
 
-def _dump_json(doc: Any, dest: TextIO, **kwargs) -> None:
-    """Stream doc as JSON without the non-standard NaN / Infinity tokens."""
+def _json_text(doc: Any) -> str:
+    """Compact JSON text of doc without the non-standard NaN / Infinity
+    tokens.
+
+    ``json.dumps`` without ``indent`` runs the C encoder over the whole
+    document; floats still go through ``float.__repr__``, so every value
+    reparses to the same double.
+    """
     try:
-        json.dump(doc, dest, allow_nan=False, **kwargs)
+        return json.dumps(doc, allow_nan=False)
     except ValueError as exc:
         raise _not_finite() from exc
+
+
+def _dump_json(doc: Any, dest: TextIO) -> None:
+    """Write doc as one line of JSON, in a single write."""
+    dest.write(_json_text(doc) + "\n")
 
 
 def write_grid_csv(entries: np.ndarray, dest: TextIO) -> None:
@@ -182,7 +200,7 @@ def write_grid_csv(entries: np.ndarray, dest: TextIO) -> None:
 def two_vector_to_dict(p: TwoVector, version: str | None = None) -> dict:
     doc: dict[str, Any] = {
         "n": int(p.n),
-        "coords": [float(v) for v in p.coords],
+        "coords": p.coords.tolist(),
     }
     if version:
         doc["version"] = version
@@ -190,25 +208,13 @@ def two_vector_to_dict(p: TwoVector, version: str | None = None) -> dict:
 
 
 def read_two_vector(path: str | Path) -> TwoVector:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "n" not in doc or "coords" not in doc:
-        raise FormatError(f'{path}: expected an object with "n" and "coords"')
+    doc = _load_json_object(path, ("n", "coords"))
     return new_two_vector(int(doc["n"]), _as_float_array(doc["coords"], str(path), "coords"))
 
 
 def read_vector_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read {"u": [...], "v": [...]} for wedge-style commands."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "u" not in doc or "v" not in doc:
-        raise FormatError(f'{path}: expected an object with "u" and "v"')
+    doc = _load_json_object(path, ("u", "v"))
     return (
         _as_float_array(doc["u"], str(path), "u"),
         _as_float_array(doc["v"], str(path), "v"),
@@ -217,13 +223,7 @@ def read_vector_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 def read_embedding(path: str | Path) -> Embedding:
     """Read a custom embedding {"n": ..., "vectors": [[...], ...]}."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "vectors" not in doc:
-        raise FormatError(f'{path}: expected an object with "vectors"')
+    doc = _load_json_object(path, ("vectors",))
     vectors = _as_float_array(doc["vectors"], str(path), "vectors")
     if "n" in doc and vectors.shape[0] != doc["n"]:
         raise FormatError(
@@ -235,15 +235,12 @@ def read_embedding(path: str | Path) -> Embedding:
 def write_report(report: dict, dest: TextIO, fmt: str = "json") -> None:
     """Write a report as a JSON document or as key,value CSV rows."""
     if fmt == "json":
-        _dump_json(report, dest, indent=2)
-        dest.write("\n")
+        _dump_json(report, dest)
     elif fmt == "csv":
         writer = csv.writer(dest)
         for key, value in report.items():
             if isinstance(value, (list, dict)):
-                buf = _io.StringIO()
-                _dump_json(value, buf)
-                value = buf.getvalue()
+                value = _json_text(value)
             elif isinstance(value, float):
                 if not math.isfinite(value):
                     raise _not_finite()
@@ -257,9 +254,7 @@ def write_trajectory_jsonl(
     trajectory: ReductionTrajectory, dest: TextIO
 ) -> None:
     """One JSON record per descent step: {"step", "I_alg", "I_geom"}."""
-    for record in trajectory.records():
-        _dump_json(record, dest)
-        dest.write("\n")
+    dest.write("".join(_json_text(r) + "\n" for r in trajectory.records()))
 
 
 def dumps_report(report: dict, fmt: str = "json") -> str:

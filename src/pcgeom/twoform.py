@@ -99,18 +99,21 @@ def matrix_form(a: AdditiveMatrix) -> tuple[TwoForm, Embedding]:
 
 
 def evaluation_table(a: AdditiveMatrix) -> list[dict]:
-    """Per-pair comparison of form evaluation against the stored entry."""
+    """Per-pair comparison of form evaluation against the stored entry.
+
+    Evaluation is u^T P v (see :func:`evaluate`), so the whole table is
+    the upper triangle of one product V P V^T over the embedding rows V.
+    """
     form, emb = matrix_form(a)
-    rows = []
-    for (i, j), entry in zip(a.pair_labels(), a.upper):
-        omega = evaluate(form, emb.vector(i), emb.vector(j))
-        rows.append(
-            {
-                "i": i,
-                "j": j,
-                "omega": float(omega),
-                "entry": float(entry),
-                "abs_error": abs(float(omega) - float(entry)),
-            }
+    v = emb.vectors
+    rows, cols = np.triu_indices(a.n, k=1)
+    omega = (v @ form.matrix_view @ v.T)[rows, cols]
+    return [
+        {"i": i, "j": j, "omega": o, "entry": e, "abs_error": err}
+        for (i, j), o, e, err in zip(
+            a.pair_labels(),
+            omega.tolist(),
+            a.upper.tolist(),
+            np.abs(omega - a.upper).tolist(),
         )
-    return rows
+    ]

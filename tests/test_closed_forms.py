@@ -1,6 +1,9 @@
 """Differential tests: each closed-form or arithmetic kernel against the
 enumerative path it replaced, written out here as the oracle."""
 
+import csv
+import json
+import math
 from itertools import combinations
 
 import numpy as np
@@ -9,14 +12,33 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcgeom import (
+    TooSmallError,
     algebraic_inconsistency,
     all_triad_deviations,
+    build_M,
+    closed_form_diagnosis,
     coupling_coefficients,
+    custom_embedding,
+    diagnose,
+    evaluate,
+    evaluation_table,
+    geometric_inconsistency,
+    is_decomposable,
+    matrix_form,
     new_additive,
+    new_two_vector,
+    orthogonal_embedding,
+    pair_wedges,
     planar_matrix_inconsistency,
+    planar_pair_wedges,
+    plucker_residuals,
     reduce_iterative,
+    regularize,
+    wedge,
 )
 from pcgeom import indexing
+from pcgeom import io as pio
+from pcgeom.cli import main
 
 
 @st.composite
@@ -161,3 +183,229 @@ def test_tables_are_read_only():
     quads, cols = indexing.quad_pair_positions(6)
     assert not quads.flags.writeable
     assert all(not c.flags.writeable for c in cols)
+
+
+# ------------------------------------------------------------------ diagnose
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("lam", [0.0, 1e-12, 0.5])
+def test_closed_form_spectrum_matches_dense_eigh(n, lam):
+    m = build_M(n)
+    if lam > 0:
+        m = regularize(m, lam)
+    want = diagnose(m).to_dict()
+    got = closed_form_diagnosis(n, lam)
+    assert list(got) == list(want)
+    np.testing.assert_allclose(
+        got.pop("eigenvalues"), want.pop("eigenvalues"), rtol=0, atol=1e-9 * n
+    )
+    assert got == want
+
+
+def test_closed_form_spectrum_keeps_dense_limits():
+    with pytest.raises(ValueError, match="capped"):
+        closed_form_diagnosis(65)
+    with pytest.raises(TooSmallError):
+        closed_form_diagnosis(2)
+    with pytest.raises(ValueError, match="rank tolerance"):
+        closed_form_diagnosis(4, rank_tol=0.0)
+
+
+# ------------------------------------------------------------- embeddings
+
+
+def enumerated_geometric_index(vectors, convention):
+    """Sum over triads of |w_ij + w_jk -+ w_ik|^2 from explicit wedges."""
+    n = len(vectors)
+    w = {
+        (i, j): wedge(vectors[i], vectors[j]).coords
+        for i, j in combinations(range(n), 2)
+    }
+    sign = -1.0 if convention == "cyclic" else 1.0
+    total = 0.0
+    for i, j, k in combinations(range(n), 3):
+        dev = w[(i, j)] + w[(j, k)] + sign * w[(i, k)]
+        total += float(np.dot(dev, dev))
+    return total
+
+
+@st.composite
+def embeddings(draw, min_n=2, max_n=8):
+    n = draw(st.integers(min_n, max_n))
+    if draw(st.booleans()):
+        b = draw(
+            st.lists(
+                st.floats(0.1, 10) | st.floats(-10, -0.1),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        return orthogonal_embedding(b)
+    values = draw(
+        st.lists(st.floats(-10, 10, allow_nan=False), min_size=n * n, max_size=n * n)
+    )
+    return custom_embedding(np.reshape(values, (n, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(embeddings(), st.sampled_from(["cyclic", "anticyclic"]))
+def test_hodge_geometric_index_matches_enumerated_triads(e, convention):
+    want = enumerated_geometric_index(e.vectors, convention)
+    got = geometric_inconsistency(e, convention)
+    w = pair_wedges(e.vectors)
+    assert got >= 0.0
+    assert close(got, want, e.n * float(np.sum(w * w)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(embeddings())
+def test_batched_pair_wedges_are_bit_identical_to_wedge(e):
+    got = pair_wedges(e.vectors)
+    for p, (i, j) in enumerate(combinations(range(e.n), 2)):
+        assert got[p].tobytes() == wedge(e.vectors[i], e.vectors[j]).coords.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(additive_matrices())
+def test_batched_planar_wedges_are_bit_identical_to_wedge(a):
+    base = np.zeros(a.n)
+    base[1] = 1.0
+    got = planar_pair_wedges(a)
+    assert got.shape == (a.upper.size, a.upper.size)
+    for row, value in zip(got, a.upper):
+        u = base.copy()
+        u[0] = value
+        assert row.tobytes() == wedge(u, base).coords.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(additive_matrices())
+def test_evaluation_table_matches_per_pair_evaluate(a):
+    form, emb = matrix_form(a)
+    rows = evaluation_table(a)
+    assert [(r["i"], r["j"]) for r in rows] == list(a.pair_labels())
+    for r, entry in zip(rows, a.upper):
+        want = evaluate(form, emb.vector(r["i"]), emb.vector(r["j"]))
+        assert close(r["omega"], want, abs(want))
+        assert r["entry"] == entry
+        assert r["abs_error"] == abs(r["omega"] - r["entry"])
+
+
+# ------------------------------------------------------------------ reports
+
+
+def old_dump_json(doc, dest):
+    """The writer reports had before they went compact: the stdlib's
+    pure-Python encoder, indented."""
+    json.dump(doc, dest, allow_nan=False, indent=2)
+    dest.write("\n")
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    rng = np.random.default_rng(17)
+    n = 6
+    raw = np.triu(rng.normal(size=(n, n)), 1)
+    matrix = tmp_path / "a.csv"
+    with open(matrix, "w", newline="") as fh:
+        csv.writer(fh).writerows((raw - raw.T).tolist())
+    files = {
+        "a.csv": matrix,
+        "uv.json": {"u": rng.normal(size=n).tolist(), "v": rng.normal(size=n).tolist()},
+        "p.json": {"n": n, "coords": rng.normal(size=n * (n - 1) // 2).tolist()},
+        "e.json": {"n": n, "vectors": rng.normal(size=(n, n)).tolist()},
+    }
+    for name, doc in files.items():
+        if isinstance(doc, dict):
+            (tmp_path / name).write_text(json.dumps(doc))
+    return tmp_path
+
+
+SUBCOMMANDS = [
+    ["check", "a.csv"],
+    ["convert", "a.csv"],
+    ["indices", "a.csv"],
+    ["indices", "a.csv", "--embedding", "orthogonal", "--convention", "anticyclic"],
+    ["indices", "a.csv", "--embedding", "custom", "--embedding-file", "e.json"],
+    ["deviations", "a.csv"],
+    ["embed", "a.csv"],
+    ["embed", "a.csv", "--embedding", "orthogonal"],
+    ["embed", "a.csv", "--embedding", "custom", "--embedding-file", "e.json"],
+    ["wedge", "uv.json"],
+    ["plucker", "uv.json"],
+    ["plucker", "p.json"],
+    ["diagnose", "a.csv"],
+    ["diagnose", "a.csv", "--lambda", "0.5"],
+    ["reduce", "a.csv", "--eta", "0.05"],
+    ["twoform", "a.csv"],
+]
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert code in (0, 1)
+    return captured.out
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=" ".join)
+def test_compact_report_parses_like_indented_one(
+    capsys, monkeypatch, cli_inputs, argv
+):
+    monkeypatch.chdir(cli_inputs)
+    compact = run_cli(capsys, argv)
+    assert compact.endswith("\n") and compact.count("\n") == 1
+    monkeypatch.setattr(pio, "_dump_json", old_dump_json)
+    indented = run_cli(capsys, argv)
+    assert indented.count("\n") > 1
+    assert json.loads(compact) == json.loads(indented)
+    # Re-encoding both parses compares every float bit for bit, -0.0 too.
+    assert json.dumps(json.loads(compact)) == json.dumps(json.loads(indented))
+
+
+@pytest.mark.parametrize(
+    "argv", SUBCOMMANDS + [["reduce", "a.csv", "--format", "jsonl"]], ids=" ".join
+)
+def test_nan_in_any_report_exits_two_with_one_line(
+    capsys, monkeypatch, cli_inputs, argv
+):
+    monkeypatch.chdir(cli_inputs)
+    encode = pio._json_text
+    monkeypatch.setattr(pio, "_json_text", lambda doc: encode({**doc, "x": math.nan}))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("pcgeom: error: ")
+    assert captured.err.count("\n") == 1
+    assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_diagnose_above_dense_cap_exits_two(capsys, tmp_path, fmt):
+    path = tmp_path / "a65.csv"
+    path.write_text("\n".join(",".join(["0"] * 65) for _ in range(65)) + "\n")
+    assert main(["diagnose", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capped at n=64" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["uv.json", "p.json"])
+def test_plucker_report_matches_library_residuals(capsys, cli_inputs, name):
+    doc = json.loads((cli_inputs / name).read_text())
+    if "u" in doc:
+        p = wedge(doc["u"], doc["v"])
+    else:
+        p = new_two_vector(doc["n"], doc["coords"])
+    report = json.loads(run_cli(capsys, ["plucker", str(cli_inputs / name)]))
+    residuals = plucker_residuals(p)
+    assert [tuple(r["quad"]) for r in report["residuals"]] == list(residuals.residuals)
+    assert [r["value"] for r in report["residuals"]] == list(
+        residuals.residuals.values()
+    )
+    assert report["max_abs_residual"] == residuals.max_abs()
+    assert report["decomposable"] == is_decomposable(p)
