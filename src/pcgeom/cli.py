@@ -3,8 +3,8 @@
 One subcommand per operation family; all reports are machine readable
 (JSON by default, CSV for matrix-shaped output) and carry the library
 version. Exit codes: 0 success, 1 valid-but-inconsistent matrix (check
-only), 2 parse or validation failure with a one-line diagnostic on
-stderr.
+only), 2 parse or validation failure, non-finite result or exhausted
+memory, with a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .pc_core import (
     DEFAULT_TOLERANCE,
     algebraic_inconsistency,
     all_triad_deviations,
+    max_abs_triad_deviation,
     recover_scores,
     to_additive,
     to_multiplicative,
@@ -114,7 +115,7 @@ def _emit(config: RunConfig, writer) -> None:
     try:
         with open(config.output_path, "w") as dest:
             writer(dest)
-    except NonFiniteResultError:
+    except (NonFiniteResultError, MemoryError):
         # Leave no truncated document behind.
         os.remove(config.output_path)
         raise
@@ -128,7 +129,7 @@ def _base_report(config: RunConfig, **extra) -> dict:
 
 def _cmd_check(config: RunConfig) -> int:
     matrix = _read_additive(config)
-    max_dev = all_triad_deviations(matrix).max_abs()
+    max_dev = max_abs_triad_deviation(matrix)
     consistent = max_dev <= config.tol
     report = _base_report(
         config,
@@ -377,6 +378,12 @@ def run(config: RunConfig) -> int:
             file=sys.stderr,
         )
         return 2
+    except MemoryError as exc:
+        print(
+            f"pcgeom: error: out of memory ({str(exc) or 'allocation failed'})",
+            file=sys.stderr,
+        )
+        return 2
     except (ValueError, OverflowError, OSError) as exc:
         # PCGeomError subclasses ValueError, so one clause covers both
         # domain validation and malformed numeric input.
@@ -393,7 +400,12 @@ def _add_common(parser: argparse.ArgumentParser, matrix_input: bool) -> None:
         help="output format (default: from output extension, else json)",
     )
     parser.add_argument(
-        "--tol", type=float, help="validation / decision tolerance (default 1e-9)"
+        "--tol",
+        type=float,
+        help=(
+            "absolute validation / decision tolerance, the same at every "
+            "scale of the entries (default 1e-9)"
+        ),
     )
     if matrix_input:
         parser.add_argument(

@@ -279,11 +279,44 @@ def triad_deviation(a: AdditiveMatrix, i: int, j: int, k: int) -> float:
     )
 
 
+def _deviations_by_lead(a: AdditiveMatrix):
+    """Yield the deviations of the triads led by i = 0, 1, ..., n-3.
+
+    The triads led by i are i followed by every pair (j, k) with
+    i < j < k, and those pairs are the tail of the lexicographic pair
+    list that starts at pos(i+1, i+2). So one block is one slice of the
+    pair list, with (i, j) and (i, k) found by shifting j and k by
+    pos(i, 0). Concatenated, the blocks are ``all_triad_deviations`` in
+    order, computed with the same sums; only O(n^2) memory is live at a
+    time, and no sum is evaluated that belongs to no triad.
+    """
+    n, u = a.n, a.upper
+    rows, cols = np.triu_indices(n, k=1)
+    for i in range(n - 2):
+        start = indexing.pair_index(n, i + 1, i + 2)
+        base = indexing.pair_index(n, i, 0)
+        yield u[base + rows[start:]] + u[start:] - u[base + cols[start:]]
+
+
 def all_triad_deviations(a: AdditiveMatrix) -> DeviationVector:
     """Every triad deviation, lexicographic over i < j < k."""
-    ij, jk, ik = indexing.triad_pair_positions(a.n)
-    values = a.upper[ij] + a.upper[jk] - a.upper[ik]
-    return DeviationVector(n=a.n, values=_readonly(values))
+    values = np.empty(indexing.triad_count(a.n))
+    end = 0
+    for block in _deviations_by_lead(a):
+        values[end:end + block.size] = block
+        end += block.size
+    values.setflags(write=False)
+    return DeviationVector(n=a.n, values=values)
+
+
+def max_abs_triad_deviation(a: AdditiveMatrix) -> float:
+    """Largest |a_ij + a_jk - a_ik| over all triads; 0.0 when n = 2.
+
+    Equal to ``all_triad_deviations(a).max_abs()`` but in O(n^2) memory:
+    the triads are scanned one lead at a time.
+    """
+    lead_max = [np.max(np.abs(block)) for block in _deviations_by_lead(a)]
+    return float(np.max(lead_max, initial=0.0))
 
 
 def algebraic_inconsistency(a: AdditiveMatrix) -> float:
@@ -303,7 +336,7 @@ def is_consistent(a: AdditiveMatrix, tol: float = DEFAULT_TOLERANCE) -> bool:
     """True when every triad deviation is within ``tol`` in magnitude."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    return all_triad_deviations(a).max_abs() <= tol
+    return max_abs_triad_deviation(a) <= tol
 
 
 def recover_scores(a: AdditiveMatrix) -> tuple[ScoreVector, AdditiveMatrix]:

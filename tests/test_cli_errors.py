@@ -147,10 +147,37 @@ def test_grid_writer_refuses_non_finite():
 
 
 def test_output_file_with_non_finite_value_is_removed(tmp_path):
-    # The first key streams out before the writer meets the infinity.
+    # The writer refuses the infinity; the file _emit opened must not survive.
     out = tmp_path / "report.json"
     config = RunConfig(command="check", input_path="in.csv", output_path=str(out))
     report = {"ok": 1.0, "bad": math.inf}
     with pytest.raises(NonFiniteResultError):
         _emit(config, lambda dest: pio.write_report(report, dest))
+    assert not out.exists()
+
+
+def refuse_allocation(*args, **kwargs):
+    raise MemoryError("Unable to allocate 1.24 GiB for an array")
+
+
+def write_then_refuse(report, dest, fmt="json"):
+    dest.write("{")
+    refuse_allocation()
+
+
+@pytest.mark.parametrize(
+    "target, replacement",
+    [
+        ("pcgeom.cli.max_abs_triad_deviation", refuse_allocation),
+        ("pcgeom.io.write_report", write_then_refuse),
+    ],
+    ids=["scan", "writer"],
+)
+def test_out_of_memory_exits_two_and_leaves_no_file(
+    monkeypatch, capsys, tmp_path, inconsistent_csv, target, replacement
+):
+    monkeypatch.setattr(target, replacement)
+    out = tmp_path / "report.json"
+    err = run_failing(capsys, ["check", inconsistent_csv, "-o", str(out)])
+    assert err.startswith("pcgeom: error: out of memory (Unable to allocate")
     assert not out.exists()

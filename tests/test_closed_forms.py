@@ -4,6 +4,7 @@ enumerative path it replaced, written out here as the oracle."""
 import csv
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcgeom import (
+    DeviationVector,
     TooSmallError,
     algebraic_inconsistency,
     all_triad_deviations,
@@ -23,8 +25,10 @@ from pcgeom import (
     evaluate,
     evaluation_table,
     geometric_inconsistency,
+    is_consistent,
     is_decomposable,
     matrix_form,
+    max_abs_triad_deviation,
     new_additive,
     new_two_vector,
     orthogonal_embedding,
@@ -183,6 +187,74 @@ def test_tables_are_read_only():
     quads, cols = indexing.quad_pair_positions(6)
     assert not quads.flags.writeable
     assert all(not c.flags.writeable for c in cols)
+
+
+# ----------------------------------------------------------------- triad scan
+
+
+def gathered_deviations(a):
+    """The scan ``check`` and ``all_triad_deviations`` made before the
+    per-lead kernel: one gather through the three C(n,3) index tables."""
+    ij, jk, ik = indexing.triad_pair_positions(a.n)
+    return a.upper[ij] + a.upper[jk] - a.upper[ik]
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(additive_matrices(max_n=12), st.sampled_from([1.0, 1e154, 1e307]))
+def test_per_lead_scan_is_bit_identical_to_table_gather(a, scale):
+    # At the largest scales some sums overflow to inf or nan; both scans
+    # must still agree bit for bit.
+    a = new_additive(a.to_array() * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = gathered_deviations(a)
+        got = all_triad_deviations(a).values
+        got_max = max_abs_triad_deviation(a)
+        want_max = DeviationVector(n=a.n, values=want).max_abs()
+    assert bits(got) == bits(want)
+    assert bits(got_max) == bits(want_max)
+
+
+def test_triad_scan_of_two_alternatives_is_empty():
+    a = new_additive([[0.0, 4.0], [-4.0, 0.0]])
+    assert max_abs_triad_deviation(a) == 0.0
+    values = all_triad_deviations(a).values
+    assert values.shape == (0,)
+    assert not values.flags.writeable
+
+
+def test_verdicts_build_no_triad_tables(monkeypatch, capsys, cli_inputs):
+    def refuse(n):
+        raise AssertionError("triad index tables built")
+
+    monkeypatch.setattr(indexing, "triad_pair_positions", refuse)
+    matrix = str(cli_inputs / "a.csv")
+    for argv in (["check", matrix], ["twoform", matrix]):
+        report = json.loads(run_cli(capsys, argv))
+        assert report["consistent"] is False
+    a = pio.read_matrix(matrix)
+    assert not is_consistent(a)
+    assert max_abs_triad_deviation(a) > 0.0
+
+
+def test_max_abs_scan_memory_is_order_pairs_not_triads():
+    n = 300
+    rng = np.random.default_rng(3)
+    raw = np.triu(rng.normal(size=(n, n)), 1)
+    a = new_additive(raw - raw.T)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        max_abs_triad_deviation(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The table gather held 8 C(n,3) bytes of deviations alone, (n-2)/3 = 99
+    # times 8 C(n,2); the bound allows ten.
+    assert peak < 10 * 8 * math.comb(n, 2)
 
 
 # ------------------------------------------------------------------ diagnose
