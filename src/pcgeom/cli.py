@@ -10,13 +10,14 @@ memory, with a one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__, io
+from . import __version__, indexing, io
 from .coupling import build_M, closed_form_diagnosis, regularize
 from .embedding import (
     Embedding,
@@ -42,43 +43,32 @@ from .pc_core import (
 from .reduction import reduce_iterative
 from .twoform import evaluation_table, is_closed_discrete
 
-COMMANDS = (
-    "check",
-    "convert",
-    "indices",
-    "deviations",
-    "embed",
-    "wedge",
-    "plucker",
-    "diagnose",
-    "reduce",
-    "twoform",
-)
-
 ENV_TOL = "PCGEOM_TOL"
 ENV_FORMAT = "PCGEOM_FORMAT"
 
 
 @dataclass
 class RunConfig:
-    """Resolved invocation parameters for a single command."""
+    """Invocation parameters for a single command."""
 
     command: str
     input_path: str
     output_path: str | None = None
+    #: None means PCGEOM_FORMAT, else from the output extension, else json
     format: str | None = None
     #: None means "use the file's own mode declaration, else additive"
     mode: str | None = None
     convention: str = "cyclic"
     embedding_kind: str = "planar"
     embedding_file: str | None = None
-    tol: float = DEFAULT_TOLERANCE
+    #: None means PCGEOM_TOL, else DEFAULT_TOLERANCE
+    tol: float | None = None
     lam: float = 0.0
     eta: float | None = None
     max_steps: int = 1000
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise PCGeomError(f"unknown command {self.command!r}")
         if not self.tol > 0:
             raise PCGeomError("tol must be positive")
@@ -86,23 +76,43 @@ class RunConfig:
             raise PCGeomError("lambda must be nonnegative")
         if self.eta is not None and not self.eta > 0:
             raise PCGeomError("eta must be positive")
+        for name, value in (("tol", self.tol), ("lambda", self.lam), ("eta", self.eta)):
+            if value is not None and not math.isfinite(value):
+                raise PCGeomError(f"{name} must be finite")
         if self.max_steps < 1:
             raise PCGeomError("max-steps must be at least 1")
 
 
+def _with_environment(config: RunConfig) -> RunConfig:
+    """The config with PCGEOM_TOL, else the default, as its tolerance when
+    it names none."""
+    if config.tol is not None:
+        return config
+    env = os.environ.get(ENV_TOL)
+    try:
+        return replace(config, tol=float(env) if env else DEFAULT_TOLERANCE)
+    except ValueError:
+        raise PCGeomError(f"{ENV_TOL}={env!r} is not a number") from None
+
+
 def _resolved_format(config: RunConfig) -> str:
-    if config.format:
-        return config.format
+    fmt = config.format or os.environ.get(ENV_FORMAT)
+    if fmt:
+        return fmt
     if config.output_path:
         return io.infer_format(config.output_path, fallback="json")
     return "json"
 
 
-def _read_additive(config: RunConfig) -> AdditiveMatrix:
+def _read_matrix(config: RunConfig):
     fmt = io.infer_format(config.input_path, fallback="csv")
-    matrix = io.read_matrix(
+    return io.read_matrix(
         config.input_path, fmt=fmt, mode=config.mode, tol=config.tol
     )
+
+
+def _read_additive(config: RunConfig) -> AdditiveMatrix:
+    matrix = _read_matrix(config)
     if isinstance(matrix, AdditiveMatrix):
         return matrix
     return to_additive(matrix)
@@ -121,17 +131,17 @@ def _emit(config: RunConfig, writer) -> None:
         raise
 
 
-def _base_report(config: RunConfig, **extra) -> dict:
-    report = {"command": config.command, "version": __version__}
-    report.update(extra)
-    return report
+def _report(config: RunConfig, **fields):
+    """Writer of the command's report: its name, the version, then fields."""
+    report = {"command": config.command, "version": __version__, **fields}
+    return lambda dest: io.write_report(report, dest, _resolved_format(config))
 
 
-def _cmd_check(config: RunConfig) -> int:
+def _cmd_check(config: RunConfig):
     matrix = _read_additive(config)
     max_dev = max_abs_triad_deviation(matrix)
     consistent = max_dev <= config.tol
-    report = _base_report(
+    return 0 if consistent else 1, _report(
         config,
         n=matrix.n,
         tolerance=config.tol,
@@ -139,25 +149,18 @@ def _cmd_check(config: RunConfig) -> int:
         max_abs_deviation=max_dev,
         I_alg=algebraic_inconsistency(matrix),
     )
-    _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
-    return 0 if consistent else 1
 
 
-def _cmd_convert(config: RunConfig) -> int:
-    fmt = io.infer_format(config.input_path, fallback="csv")
-    matrix = io.read_matrix(
-        config.input_path, fmt=fmt, mode=config.mode, tol=config.tol
-    )
+def _cmd_convert(config: RunConfig):
+    matrix = _read_matrix(config)
     if isinstance(matrix, AdditiveMatrix):
         converted = to_multiplicative(matrix)
     else:
         converted = to_additive(matrix)
     out_fmt = _resolved_format(config)
-    _emit(
-        config,
-        lambda dest: io.write_matrix(converted, dest, out_fmt, version=__version__),
+    return 0, lambda dest: io.write_matrix(
+        converted, dest, out_fmt, version=__version__
     )
-    return 0
 
 
 def _embedding(config: RunConfig, matrix: AdditiveMatrix) -> Embedding | None:
@@ -187,9 +190,9 @@ def _geometric_index(config: RunConfig, matrix: AdditiveMatrix) -> float:
     return geometric_inconsistency(emb, config.convention)
 
 
-def _cmd_indices(config: RunConfig) -> int:
+def _cmd_indices(config: RunConfig):
     matrix = _read_additive(config)
-    report = _base_report(
+    return 0, _report(
         config,
         n=matrix.n,
         convention=config.convention,
@@ -197,65 +200,57 @@ def _cmd_indices(config: RunConfig) -> int:
         I_alg=algebraic_inconsistency(matrix),
         I_geom=_geometric_index(config, matrix),
     )
-    _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
-    return 0
 
 
-def _cmd_deviations(config: RunConfig) -> int:
+def _cmd_deviations(config: RunConfig):
     matrix = _read_additive(config)
     devs = all_triad_deviations(matrix)
-    report = _base_report(
+    return 0, _report(
         config,
         n=matrix.n,
-        triads=[list(t) for t in devs.triad_labels()],
+        triads=indexing.labels(matrix.n, 3).tolist(),
         values=devs.values.tolist(),
     )
-    _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
-    return 0
 
 
-def _cmd_embed(config: RunConfig) -> int:
+def _cmd_embed(config: RunConfig):
     matrix = _read_additive(config)
     emb = _embedding(config, matrix)
     w = planar_pair_wedges(matrix) if emb is None else pair_wedges(emb.vectors)
-    report = _base_report(
+    return 0, _report(
         config,
         n=matrix.n,
         embedding=config.embedding_kind,
         pairs=[
             {"i": i, "j": j, "coords": coords, "degenerate": degenerate}
             for (i, j), coords, degenerate in zip(
-                matrix.pair_labels(),
+                indexing.labels(matrix.n, 2).tolist(),
                 w.tolist(),
                 np.all(w == 0.0, axis=1).tolist(),
             )
         ],
     )
-    _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
-    return 0
 
 
-def _cmd_wedge(config: RunConfig) -> int:
+def _cmd_wedge(config: RunConfig):
     u, v = io.read_vector_pair(config.input_path)
     w = wedge(u, v)
-    report = _base_report(
+    return 0, _report(
         config,
         n=w.n,
-        pairs=[list(p) for p in w.pair_labels()],
+        pairs=indexing.labels(w.n, 2).tolist(),
         coords=w.coords.tolist(),
     )
-    _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
-    return 0
 
 
-def _cmd_plucker(config: RunConfig) -> int:
+def _cmd_plucker(config: RunConfig):
     try:
         p = io.read_two_vector(config.input_path)
     except io.FormatError:
         u, v = io.read_vector_pair(config.input_path)
         p = wedge(u, v)
     quads, values = quad_residuals(p)
-    report = _base_report(
+    return 0, _report(
         config,
         n=p.n,
         norm_squared=p.norm_squared(),
@@ -267,28 +262,21 @@ def _cmd_plucker(config: RunConfig) -> int:
             for quad, value in zip(quads.tolist(), values.tolist())
         ],
     )
-    _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
-    return 0
 
 
-def _cmd_diagnose(config: RunConfig) -> int:
+def _cmd_diagnose(config: RunConfig):
     matrix = _read_additive(config)
-    out_fmt = _resolved_format(config)
-    if out_fmt == "csv":
+    if _resolved_format(config) == "csv":
         # The matrix itself is the output, so only this path builds it.
         m = build_M(matrix.n)
         if config.lam > 0:
             m = regularize(m, config.lam)
-        _emit(config, lambda dest: io.write_grid_csv(m.values, dest))
-        return 0
+        return 0, lambda dest: io.write_grid_csv(m.values, dest)
     spectrum = closed_form_diagnosis(matrix.n, config.lam, config.tol)
-    report = _base_report(config, n=matrix.n, **spectrum)
-    report["lambda"] = config.lam
-    _emit(config, lambda dest: io.write_report(report, dest, out_fmt))
-    return 0
+    return 0, _report(config, n=matrix.n, **spectrum, **{"lambda": config.lam})
 
 
-def _cmd_reduce(config: RunConfig) -> int:
+def _cmd_reduce(config: RunConfig):
     matrix = _read_additive(config)
     eta = config.eta if config.eta is not None else 1.0 / matrix.n
     # Each step scales the residual by 1 - eta(n + lambda); refuse a step
@@ -308,15 +296,10 @@ def _cmd_reduce(config: RunConfig) -> int:
     )
     out_fmt = _resolved_format(config)
     if out_fmt == "jsonl":
-        _emit(config, lambda dest: io.write_trajectory_jsonl(trajectory, dest))
-        return 0
+        return 0, lambda dest: io.write_trajectory_jsonl(trajectory, dest)
     if out_fmt == "csv":
-        _emit(
-            config,
-            lambda dest: io.write_grid_csv(trajectory.final.to_array(), dest),
-        )
-        return 0
-    report = _base_report(
+        return 0, lambda dest: io.write_grid_csv(trajectory.final.to_array(), dest)
+    return 0, _report(
         config,
         n=matrix.n,
         eta=eta,
@@ -325,19 +308,17 @@ def _cmd_reduce(config: RunConfig) -> int:
         converged=trajectory.converged,
         steps=trajectory.records(),
         final=io.matrix_to_dict(trajectory.final),
+        **{"lambda": config.lam},
     )
-    report["lambda"] = config.lam
-    _emit(config, lambda dest: io.write_report(report, dest, out_fmt))
-    return 0
 
 
-def _cmd_twoform(config: RunConfig) -> int:
+def _cmd_twoform(config: RunConfig):
     matrix = _read_additive(config)
     rows = evaluation_table(matrix)
     max_err = max((r["abs_error"] for r in rows), default=0.0)
     # Discrete closedness is the consistency predicate; scan triads once.
     closed = is_closed_discrete(matrix, config.tol)
-    report = _base_report(
+    return 0, _report(
         config,
         n=matrix.n,
         rows=rows,
@@ -345,32 +326,59 @@ def _cmd_twoform(config: RunConfig) -> int:
         closed=closed,
         consistent=closed,
     )
-    _emit(config, lambda dest: io.write_report(report, dest, _resolved_format(config)))
-    return 0
 
 
-_DISPATCH = {
-    "check": _cmd_check,
-    "convert": _cmd_convert,
-    "indices": _cmd_indices,
-    "deviations": _cmd_deviations,
-    "embed": _cmd_embed,
-    "wedge": _cmd_wedge,
-    "plucker": _cmd_plucker,
-    "diagnose": _cmd_diagnose,
-    "reduce": _cmd_reduce,
-    "twoform": _cmd_twoform,
+#: argparse settings of the flags only some commands take.
+_FLAGS = {
+    "--convention": {"choices": ["cyclic", "anticyclic"]},
+    "--embedding": {
+        "choices": ["planar", "orthogonal", "custom"],
+        "dest": "embedding_kind",
+    },
+    "--embedding-file": {},
+    "--lambda": {"type": float, "dest": "lam"},
+    "--eta": {"type": float},
+    "--max-steps": {"type": int},
+}
+
+_EMBEDDING_FLAGS = (
+    ("--embedding", None),
+    ("--embedding-file", "JSON file for --embedding custom"),
+)
+
+#: name: (handler, help, reads a matrix, extra (flag, help) pairs). Each
+#: handler returns its exit code and the writer of its output.
+_COMMANDS = {
+    "check": (_cmd_check, "consistency verdict and max deviation", True, ()),
+    "convert": (_cmd_convert, "additive <-> multiplicative", True, ()),
+    "indices": (_cmd_indices, "algebraic and geometric inconsistency", True,
+                (("--convention", None), *_EMBEDDING_FLAGS)),
+    "deviations": (_cmd_deviations, "all triad deviations", True, ()),
+    "embed": (_cmd_embed, "pair 2-vectors of the chosen embedding", True,
+              _EMBEDDING_FLAGS),
+    "wedge": (_cmd_wedge, 'wedge product of {"u": [...], "v": [...]}', False, ()),
+    "plucker": (_cmd_plucker, "quadratic-relation residuals of a 2-vector",
+                False, ()),
+    "diagnose": (_cmd_diagnose, "spectral report of the coupling form", True,
+                 (("--lambda", "diagonal regularization weight (default 0)"),)),
+    "reduce": (_cmd_reduce, "iterative inconsistency reduction", True,
+               (("--lambda", "regularized descent weight (default 0)"),
+                ("--eta", "step size (default 1/n)"), ("--max-steps", None))),
+    "twoform": (_cmd_twoform, "form evaluation table vs matrix entries", True, ()),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one command; never raises for input problems (exit 2)."""
     try:
+        config = _with_environment(config)
         config.validate()
         # Overflow raises instead of warning, so no inf or nan reaches a
         # report and no numpy warning reaches stderr.
         with np.errstate(over="raise", invalid="raise"):
-            return _DISPATCH[config.command](config)
+            code, writer = _COMMANDS[config.command][0](config)
+            _emit(config, writer)
+        return code
     except FloatingPointError as exc:
         print(
             f"pcgeom: error: result is not finite ({exc}); "
@@ -391,33 +399,6 @@ def run(config: RunConfig) -> int:
         return 2
 
 
-def _add_common(parser: argparse.ArgumentParser, matrix_input: bool) -> None:
-    parser.add_argument("input", help="input file")
-    parser.add_argument("-o", "--output", help="output file (default stdout)")
-    parser.add_argument(
-        "--format",
-        choices=["json", "csv", "jsonl"],
-        help="output format (default: from output extension, else json)",
-    )
-    parser.add_argument(
-        "--tol",
-        type=float,
-        help=(
-            "absolute validation / decision tolerance, the same at every "
-            "scale of the entries (default 1e-9)"
-        ),
-    )
-    if matrix_input:
-        parser.add_argument(
-            "--mode",
-            choices=[io.ADDITIVE, io.MULTIPLICATIVE],
-            help=(
-                "how to interpret the input matrix "
-                "(default: the file's own mode declaration, else additive)"
-            ),
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcgeom",
@@ -430,87 +411,51 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="consistency verdict and max deviation")
-    _add_common(p, matrix_input=True)
-
-    p = sub.add_parser("convert", help="additive <-> multiplicative")
-    _add_common(p, matrix_input=True)
-
-    p = sub.add_parser("indices", help="algebraic and geometric inconsistency")
-    _add_common(p, matrix_input=True)
-    p.add_argument("--convention", choices=["cyclic", "anticyclic"], default="cyclic")
-    p.add_argument(
-        "--embedding",
-        choices=["planar", "orthogonal", "custom"],
-        default="planar",
-        dest="embedding_kind",
-    )
-    p.add_argument("--embedding-file", help="JSON file for --embedding custom")
-
-    p = sub.add_parser("deviations", help="all triad deviations")
-    _add_common(p, matrix_input=True)
-
-    p = sub.add_parser("embed", help="pair 2-vectors of the chosen embedding")
-    _add_common(p, matrix_input=True)
-    p.add_argument(
-        "--embedding",
-        choices=["planar", "orthogonal", "custom"],
-        default="planar",
-        dest="embedding_kind",
-    )
-    p.add_argument("--embedding-file", help="JSON file for --embedding custom")
-
-    p = sub.add_parser("wedge", help='wedge product of {"u": [...], "v": [...]}')
-    _add_common(p, matrix_input=False)
-
-    p = sub.add_parser(
-        "plucker", help="quadratic-relation residuals of a 2-vector"
-    )
-    _add_common(p, matrix_input=False)
-
-    p = sub.add_parser("diagnose", help="spectral report of the coupling form")
-    _add_common(p, matrix_input=True)
-    p.add_argument(
-        "--lambda", type=float, default=0.0, dest="lam",
-        help="diagonal regularization weight (default 0)",
-    )
-
-    p = sub.add_parser("reduce", help="iterative inconsistency reduction")
-    _add_common(p, matrix_input=True)
-    p.add_argument(
-        "--lambda", type=float, default=0.0, dest="lam",
-        help="regularized descent weight (default 0)",
-    )
-    p.add_argument("--eta", type=float, help="step size (default 1/n)")
-    p.add_argument("--max-steps", type=int, default=1000, dest="max_steps")
-
-    p = sub.add_parser("twoform", help="form evaluation table vs matrix entries")
-    _add_common(p, matrix_input=True)
-
+    for name, (_, help_text, reads_matrix, extra_flags) in _COMMANDS.items():
+        # Destinations are RunConfig field names; a flag left out is
+        # absent from the namespace rather than set to a default.
+        p = sub.add_parser(
+            name, help=help_text, argument_default=argparse.SUPPRESS
+        )
+        p.add_argument("input_path", metavar="input", help="input file")
+        p.add_argument(
+            "-o",
+            "--output",
+            dest="output_path",
+            metavar="OUTPUT",
+            help="output file (default stdout)",
+        )
+        p.add_argument(
+            "--format",
+            choices=["json", "csv", "jsonl"],
+            help="output format (default: from output extension, else json)",
+        )
+        p.add_argument(
+            "--tol",
+            type=float,
+            help=(
+                "absolute validation / decision tolerance, the same at every "
+                "scale of the entries (default 1e-9)"
+            ),
+        )
+        if reads_matrix:
+            p.add_argument(
+                "--mode",
+                choices=[io.ADDITIVE, io.MULTIPLICATIVE],
+                help=(
+                    "how to interpret the input matrix "
+                    "(default: the file's own mode declaration, else additive)"
+                ),
+            )
+        for flag, flag_help in extra_flags:
+            p.add_argument(flag, help=flag_help, **_FLAGS[flag])
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get(ENV_TOL)
-        tol = float(env) if env else DEFAULT_TOLERANCE
-    fmt = args.format or os.environ.get(ENV_FORMAT) or None
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.output,
-        format=fmt,
-        mode=getattr(args, "mode", None),
-        convention=getattr(args, "convention", "cyclic"),
-        embedding_kind=getattr(args, "embedding_kind", "planar"),
-        embedding_file=getattr(args, "embedding_file", None),
-        tol=tol,
-        lam=getattr(args, "lam", 0.0),
-        eta=getattr(args, "eta", None),
-        max_steps=getattr(args, "max_steps", 1000),
-    )
+    """RunConfig from the flags given; run fills --tol and --format from
+    the environment and the field defaults fill the rest."""
+    return RunConfig(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -52,17 +52,15 @@ class CouplingMap:
 
     def entries(self) -> dict[tuple[tuple[int, int], tuple[int, int, int]], float]:
         """Sparse view keyed by 1-based ((k, l), (i, j, k)) with values +-1."""
-        pairs = indexing.pairs(self.n)
+        pairs = list(map(tuple, indexing.labels(self.n, 2).tolist()))
         out: dict[tuple[tuple[int, int], tuple[int, int, int]], float] = {}
-        for t, (i, j, k) in enumerate(indexing.triads(self.n)):
-            label = (i + 1, j + 1, k + 1)
+        for t, label in enumerate(map(tuple, indexing.labels(self.n, 3).tolist())):
             for pos, sign in (
                 (self.ij_pos[t], 1.0),
                 (self.jk_pos[t], 1.0),
                 (self.ik_pos[t], -1.0),
             ):
-                k0, l0 = pairs[pos]
-                out[((k0 + 1, l0 + 1), label)] = sign
+                out[(pairs[pos], label)] = sign
         return out
 
     def apply(self, d) -> np.ndarray:

@@ -42,7 +42,7 @@ class TwoVector:
         return float(self.coords[indexing.pair_index(self.n, k - 1, l - 1)])
 
     def pair_labels(self) -> tuple[tuple[int, int], ...]:
-        return tuple((k + 1, l + 1) for k, l in indexing.pairs(self.n))
+        return tuple(map(tuple, indexing.labels(self.n, 2).tolist()))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))

@@ -1,20 +1,18 @@
 """Lexicographic pair, triad and quad bookkeeping.
 
-Everything in this module is 0-based; the public API converts from the
-1-based labels used everywhere else. Index tables are built with numpy
+Everything in this module is 0-based except :func:`labels`, which gives
+the 1-based labels used everywhere else. Index tables are built with numpy
 arithmetic from the lexicographic pair position
 
     pos(i, j) = i*n - i*(i+1)/2 + j - i - 1        (i < j),
 
-so no Python loop ever runs over triads or quads. Results are cached per
-dimension and the returned arrays are read-only, so they can be shared
-freely.
+so no Python loop ever runs over triads or quads. The position tables are
+cached per dimension and read-only, so they can be shared freely.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -36,23 +34,11 @@ def pair_index(n: int, i, j):
     return i * n - i * (i + 1) // 2 + j - i - 1
 
 
-@lru_cache(maxsize=None)
-def pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """All pairs (k, l) with k < l, lexicographically ordered."""
-    return tuple(combinations(range(n), 2))
-
-
-@lru_cache(maxsize=None)
-def triads(n: int) -> tuple[tuple[int, int, int], ...]:
-    """All triads (i, j, k) with i < j < k, lexicographically ordered."""
-    return tuple(combinations(range(n), 3))
-
-
 def _exclusive_cumsum(sizes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
 
-def _subsets(n: int, r: int) -> tuple[np.ndarray, ...]:
+def subsets(n: int, r: int) -> tuple[np.ndarray, ...]:
     """Members of every r-subset of 0..n-1, lexicographically, one array
     per position.
 
@@ -65,7 +51,7 @@ def _subsets(n: int, r: int) -> tuple[np.ndarray, ...]:
     first = np.arange(n)
     if r == 1:
         return (first,)
-    tails = _subsets(n, r - 1)
+    tails = subsets(n, r - 1)
     sizes = np.array([comb(n - 1 - i, r - 1) for i in range(n)], dtype=np.intp)
     tail_sizes = np.array(
         [comb(n - 1 - i, r - 2) for i in range(n)], dtype=np.intp
@@ -79,6 +65,14 @@ def _subsets(n: int, r: int) -> tuple[np.ndarray, ...]:
     lead = np.repeat(first, sizes)
     tail = np.arange(lead.size) + shift[lead]
     return (lead,) + tuple(column[tail] for column in tails)
+
+
+def labels(n: int, r: int) -> np.ndarray:
+    """1-based members of every r-subset of 1..n, lexicographically, one
+    row per subset."""
+    table = np.column_stack(subsets(n, r))
+    table += 1
+    return table
 
 
 def _row_base(n: int) -> np.ndarray:
@@ -99,7 +93,7 @@ def triad_pair_positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     These three arrays realize the signed triad-to-pair incidence: the
     deviation of triad t reads entry[ij] + entry[jk] - entry[ik].
     """
-    i, j, k = _subsets(n, 3)
+    i, j, k = subsets(n, 3)
     base = _row_base(n)
     base_i = base[i]
     return _frozen(base_i + j), _frozen(base[j] + k), _frozen(base_i + k)
@@ -109,7 +103,7 @@ def triad_pair_positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def quad_pair_positions(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """4-subsets of 0..n-1 (one row each) and the six pair positions
     entering each quadratic relation: (k,l)(m,o), (k,m)(l,o), (k,o)(l,m)."""
-    k, l, m, o = _subsets(n, 4)
+    k, l, m, o = subsets(n, 4)
     base = _row_base(n)
     cols = (
         base[k] + l,

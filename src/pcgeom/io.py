@@ -15,7 +15,7 @@ import io as _io
 import json
 import math
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, Iterable, TextIO
 
 import numpy as np
 
@@ -54,13 +54,15 @@ def infer_format(path: str | Path, fallback: str | None = None) -> str:
     )
 
 
-def _parse_grid(rows: list[list[str]], source: str) -> np.ndarray:
+def _parse_grid(rows: Iterable[list[str]], source: str) -> np.ndarray:
+    """Stack the rows into a float grid, converting each as it arrives so
+    no more than one row of cell strings is held at a time."""
     grid = []
     for r, row in enumerate(rows):
         if not row:
             continue
         try:
-            grid.append([float(cell) for cell in row])
+            grid.append(np.array([float(cell) for cell in row]))
         except ValueError as exc:
             raise FormatError(f"{source}: row {r + 1} has a non-numeric cell") from exc
     if not grid:
@@ -94,8 +96,8 @@ def _load_json_object(path: str | Path, keys: tuple[str, ...]) -> dict:
 def _load_matrix_doc(path: str | Path, fmt: str, declared_mode: str | None):
     if fmt == "csv":
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh)]
-        return _parse_grid(rows, str(path)), declared_mode or ADDITIVE
+            grid = _parse_grid(csv.reader(fh), str(path))
+        return grid, declared_mode or ADDITIVE
     if fmt == "json":
         doc = _load_json_object(path, ("entries",))
         mode = doc.get("mode", declared_mode or ADDITIVE)

@@ -67,7 +67,7 @@ class AdditiveMatrix:
 
     def pair_labels(self) -> tuple[tuple[int, int], ...]:
         """1-based (i, j) labels aligned with ``upper``."""
-        return tuple((i + 1, j + 1) for i, j in indexing.pairs(self.n))
+        return tuple(map(tuple, indexing.labels(self.n, 2).tolist()))
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,7 @@ class DeviationVector:
 
     def triad_labels(self) -> tuple[tuple[int, int, int], ...]:
         """1-based (i, j, k) labels aligned with ``values``."""
-        return tuple(
-            (i + 1, j + 1, k + 1) for i, j, k in indexing.triads(self.n)
-        )
+        return tuple(map(tuple, indexing.labels(self.n, 3).tolist()))
 
     def max_abs(self) -> float:
         if self.values.size == 0:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import indexing
 from .embedding import Embedding, planar_embedding
 from .errors import DimensionMismatchError
 from .exterior import TwoVector, new_two_vector, wedge
@@ -101,19 +102,20 @@ def matrix_form(a: AdditiveMatrix) -> tuple[TwoForm, Embedding]:
 def evaluation_table(a: AdditiveMatrix) -> list[dict]:
     """Per-pair comparison of form evaluation against the stored entry.
 
-    Evaluation is u^T P v (see :func:`evaluate`), so the whole table is
-    the upper triangle of one product V P V^T over the embedding rows V.
+    Evaluating dx_1 ^ dx_2 on the planar vectors of pair (i, j) gives
+    s_i - s_j (see :func:`matrix_form`), and its distance from the entry
+    is the residual |r_ij| of the row-mean scores, so the table comes from
+    :func:`recover_scores` alone.
     """
-    form, emb = matrix_form(a)
-    v = emb.vectors
+    scores, residual = recover_scores(a)
     rows, cols = np.triu_indices(a.n, k=1)
-    omega = (v @ form.matrix_view @ v.T)[rows, cols]
+    omega = scores.values[rows] - scores.values[cols]
     return [
         {"i": i, "j": j, "omega": o, "entry": e, "abs_error": err}
         for (i, j), o, e, err in zip(
-            a.pair_labels(),
+            indexing.labels(a.n, 2).tolist(),
             omega.tolist(),
             a.upper.tolist(),
-            np.abs(omega - a.upper).tolist(),
+            np.abs(residual.upper).tolist(),
         )
     ]

@@ -5,6 +5,7 @@ Either way the CLI prints one diagnostic line and writes no output."""
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -181,3 +182,39 @@ def test_out_of_memory_exits_two_and_leaves_no_file(
     err = run_failing(capsys, ["check", inconsistent_csv, "-o", str(out)])
     assert err.startswith("pcgeom: error: out of memory (Unable to allocate")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["check"], {"PCGEOM_TOL": "abc"}, "PCGEOM_TOL='abc' is not a number"),
+        (["plucker"], {"PCGEOM_TOL": "1e-9x"}, "PCGEOM_TOL='1e-9x' is not a number"),
+        (["check"], {"PCGEOM_TOL": "inf"}, "tol must be finite"),
+        (["check", "--tol", "inf"], {}, "tol must be finite"),
+        (["diagnose", "--lambda", "inf"], {}, "lambda must be finite"),
+        (["reduce", "--lambda", "nan"], {}, "lambda must be finite"),
+        (["reduce", "--lambda", "inf", "--eta", "1e-9"], {}, "lambda must be finite"),
+        (["reduce", "--eta", "inf"], {}, "eta must be finite"),
+    ],
+)
+def test_bad_tolerance_and_parameters_exit_two_naming_them(
+    capsys, monkeypatch, tmp_path, inconsistent_csv, argv, env, message
+):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "report.json"
+    err = run_failing(capsys, [argv[0], inconsistent_csv, *argv[1:], "-o", str(out)])
+    assert err == f"pcgeom: error: {message}\n"
+    assert not out.exists()
+
+
+def test_bad_tolerance_variable_via_module_is_one_clean_line(inconsistent_csv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgeom", "check", inconsistent_csv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PCGEOM_TOL": "abc"},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "pcgeom: error: PCGEOM_TOL='abc' is not a number\n"

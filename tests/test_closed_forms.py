@@ -181,6 +181,22 @@ def test_arithmetic_quad_table_matches_combinations(n):
         assert col.tolist() == [pos[(q[x], q[y])] for q in quads]
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_labels_match_combinations(n):
+    pairs = [(i + 1, j + 1) for i, j in combinations(range(n), 2)]
+    triads = [(i + 1, j + 1, k + 1) for i, j, k in combinations(range(n), 3)]
+    assert indexing.labels(n, 2).tolist() == [list(p) for p in pairs]
+    assert indexing.labels(n, 3).tolist() == [list(t) for t in triads]
+    a = new_additive(np.zeros((n, n)))
+    for got, want in [
+        (a.pair_labels(), pairs),
+        (new_two_vector(n, np.zeros(len(pairs))).pair_labels(), pairs),
+        (all_triad_deviations(a).triad_labels(), triads),
+    ]:
+        assert got == tuple(want)
+        assert all(type(x) is int for label in got for x in label)
+
+
 def test_tables_are_read_only():
     for arr in indexing.triad_pair_positions(6):
         assert not arr.flags.writeable
@@ -362,6 +378,47 @@ def test_evaluation_table_matches_per_pair_evaluate(a):
         assert close(r["omega"], want, abs(want))
         assert r["entry"] == entry
         assert r["abs_error"] == abs(r["omega"] - r["entry"])
+
+
+def product_evaluation(a):
+    """omega as evaluation_table computed it before it read the Hodge
+    split: the upper triangle of one V P V^T product."""
+    form, emb = matrix_form(a)
+    v = emb.vectors
+    rows, cols = np.triu_indices(a.n, k=1)
+    return (v @ form.matrix_view @ v.T)[rows, cols]
+
+
+@settings(max_examples=200, deadline=None)
+@given(additive_matrices(max_n=12), st.sampled_from([1e-3, 1.0, 1e7]))
+def test_evaluation_table_matches_form_product(a, scale):
+    a = new_additive(a.to_array() * scale)
+    omega = product_evaluation(a)
+    rows = evaluation_table(a)
+    np.testing.assert_array_equal([r["omega"] for r in rows], omega)
+    np.testing.assert_array_equal(
+        [r["abs_error"] for r in rows], np.abs(omega - a.upper)
+    )
+
+
+def test_csv_parse_memory_is_order_of_the_grid(tmp_path):
+    n = 300
+    rng = np.random.default_rng(4)
+    raw = np.triu(rng.normal(size=(n, n)), 1)
+    path = tmp_path / "a.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows((raw - raw.T).tolist())
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        a = pio.read_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.n == n
+    # Holding every cell as a string until the end took 14.6 times the
+    # 8 n^2 bytes of the grid; row-by-row parsing and validation take 4.
+    assert peak < 6 * 8 * n * n
 
 
 # ------------------------------------------------------------------ reports

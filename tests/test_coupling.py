@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,15 @@ from pcgeom import (
     quadratic_inconsistency,
     regularize,
 )
-from pcgeom.indexing import pair_count, pairs, triad_count, triads
+from pcgeom.indexing import pair_count, triad_count
+
+
+def pairs(n):
+    return combinations(range(n), 2)
+
+
+def triads(n):
+    return combinations(range(n), 3)
 
 
 def incidence_oracle(n):
