@@ -45,6 +45,7 @@ from .twoform import evaluation_table, is_closed_discrete
 
 ENV_TOL = "PCGEOM_TOL"
 ENV_FORMAT = "PCGEOM_FORMAT"
+FORMATS = ("json", "csv", "jsonl")
 
 
 @dataclass
@@ -84,24 +85,24 @@ class RunConfig:
 
 
 def _with_environment(config: RunConfig) -> RunConfig:
-    """The config with PCGEOM_TOL, else the default, as its tolerance when
-    it names none."""
-    if config.tol is not None:
-        return config
-    env = os.environ.get(ENV_TOL)
-    try:
-        return replace(config, tol=float(env) if env else DEFAULT_TOLERANCE)
-    except ValueError:
-        raise PCGeomError(f"{ENV_TOL}={env!r} is not a number") from None
-
-
-def _resolved_format(config: RunConfig) -> str:
-    fmt = config.format or os.environ.get(ENV_FORMAT)
-    if fmt:
-        return fmt
-    if config.output_path:
-        return io.infer_format(config.output_path, fallback="json")
-    return "json"
+    """The config with its tolerance and output format resolved: the
+    flag, else PCGEOM_TOL / PCGEOM_FORMAT, else the default tolerance and
+    the format of the output extension, else json."""
+    tol, fmt = config.tol, config.format
+    if tol is None:
+        env = os.environ.get(ENV_TOL)
+        try:
+            tol = float(env) if env else DEFAULT_TOLERANCE
+        except ValueError:
+            raise PCGeomError(f"{ENV_TOL}={env!r} is not a number") from None
+    if not fmt:
+        env = os.environ.get(ENV_FORMAT)
+        if env and env not in FORMATS:
+            raise PCGeomError(
+                f"{ENV_FORMAT}={env!r} is not one of {', '.join(FORMATS)}"
+            )
+        fmt = env or io.infer_format(config.output_path or "", fallback="json")
+    return replace(config, tol=tol, format=fmt)
 
 
 def _read_matrix(config: RunConfig):
@@ -134,7 +135,7 @@ def _emit(config: RunConfig, writer) -> None:
 def _report(config: RunConfig, **fields):
     """Writer of the command's report: its name, the version, then fields."""
     report = {"command": config.command, "version": __version__, **fields}
-    return lambda dest: io.write_report(report, dest, _resolved_format(config))
+    return lambda dest: io.write_report(report, dest, config.format)
 
 
 def _cmd_check(config: RunConfig):
@@ -157,9 +158,8 @@ def _cmd_convert(config: RunConfig):
         converted = to_multiplicative(matrix)
     else:
         converted = to_additive(matrix)
-    out_fmt = _resolved_format(config)
     return 0, lambda dest: io.write_matrix(
-        converted, dest, out_fmt, version=__version__
+        converted, dest, config.format, version=__version__
     )
 
 
@@ -266,7 +266,7 @@ def _cmd_plucker(config: RunConfig):
 
 def _cmd_diagnose(config: RunConfig):
     matrix = _read_additive(config)
-    if _resolved_format(config) == "csv":
+    if config.format == "csv":
         # The matrix itself is the output, so only this path builds it.
         m = build_M(matrix.n)
         if config.lam > 0:
@@ -280,7 +280,7 @@ def _cmd_reduce(config: RunConfig):
     matrix = _read_additive(config)
     eta = config.eta if config.eta is not None else 1.0 / matrix.n
     # Each step scales the residual by 1 - eta(n + lambda); refuse a step
-    # that cannot contract instead of iterating into overflow.
+    # that cannot contract, whose records would grow into overflow.
     if abs(1.0 - eta * (matrix.n + config.lam)) >= 1.0:
         raise DivergentStepError(
             f"eta={eta:g} does not contract for n={matrix.n}, "
@@ -294,10 +294,9 @@ def _cmd_reduce(config: RunConfig):
         max_steps=config.max_steps,
         tol=config.tol,
     )
-    out_fmt = _resolved_format(config)
-    if out_fmt == "jsonl":
+    if config.format == "jsonl":
         return 0, lambda dest: io.write_trajectory_jsonl(trajectory, dest)
-    if out_fmt == "csv":
+    if config.format == "csv":
         return 0, lambda dest: io.write_grid_csv(trajectory.final.to_array(), dest)
     return 0, _report(
         config,
@@ -427,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--format",
-            choices=["json", "csv", "jsonl"],
+            choices=FORMATS,
             help="output format (default: from output extension, else json)",
         )
         p.add_argument(

@@ -96,7 +96,10 @@ def _load_json_object(path: str | Path, keys: tuple[str, ...]) -> dict:
 def _load_matrix_doc(path: str | Path, fmt: str, declared_mode: str | None):
     if fmt == "csv":
         with open(path, newline="") as fh:
-            grid = _parse_grid(csv.reader(fh), str(path))
+            try:
+                grid = _parse_grid(csv.reader(fh), str(path))
+            except csv.Error as exc:
+                raise FormatError(f"{path}: unreadable CSV ({exc})") from exc
         return grid, declared_mode or ADDITIVE
     if fmt == "json":
         doc = _load_json_object(path, ("entries",))

@@ -1,17 +1,17 @@
-"""Inconsistency reduction: projection and iterative descent.
+"""Inconsistency reduction: projection and closed-form descent.
 
 The consistent matrices form the linear subspace of score differences;
 the Frobenius-nearest consistent matrix is obtained by differencing the
 row-mean scores, and what is left over is the residual r = a - (s_i -
-s_j). The iterative route descends on the upper-triangle entries, pushing
-each entry against the signed sum of the deviations of the triads
-containing it. On the complete comparison structure the signed
-triad-to-pair incidence C satisfies C C^T = n (I - P), P the projection
-onto consistent matrices, so that sum is n times the residual entry and
-the whole step is computed in O(n^2) from r alone. The step contracts the
-residual by the factor 1 - eta*n, so eta = 1/n lands exactly on the
-projection in a single step and any 0 < eta < 2/n descends
-monotonically.
+s_j). Descent on the entries never leaves the line through a along r: on
+the complete comparison structure the signed triad-to-pair incidence C
+satisfies C C^T = n (I - P), P the projection onto consistent matrices,
+so a step moves a by a multiple of r and scales the residual by
+q = 1 - eta*(n + lam). After k steps the residual is q^k r, so the whole
+trajectory follows from one split of the input: i_alg_k = n q^2k |r|^2,
+i_geom_k = n i_alg_k, and the matrix is a - (1 - q^k) r. eta = 1/n lands
+exactly on the projection in a single step and any 0 < eta < 2/(n + lam)
+descends monotonically.
 
 A brute-force grid search over score vectors is included as an
 independent optimality check for small n; it is meant for tests, not for
@@ -20,7 +20,8 @@ production use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,20 +37,43 @@ from .pc_core import (
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """Snapshot after a descent step (step 0 is the input)."""
+    """Record after ``index`` descent steps (step 0 is the input)."""
 
     index: int
-    matrix: AdditiveMatrix
     i_alg: float
     i_geom: float
+    trajectory: ReductionTrajectory = field(repr=False, compare=False)
+
+    @property
+    def matrix(self) -> AdditiveMatrix:
+        """a - (1 - q^index) r, built when read."""
+        t = self.trajectory
+        if self.index == 0:
+            return t.start
+        # A numpy power overflows to inf, where float ** int would raise.
+        shrink = 1.0 - np.float64(t.q) ** self.index
+        return _from_upper(t.start.n, t.start.upper - shrink * t.residual.upper)
 
 
 @dataclass(frozen=True)
 class ReductionTrajectory:
-    """Descent history; i_alg is non-increasing along the steps."""
+    """Descent from one split of ``start``: each step scales ``residual``
+    by ``q``. One i_alg and i_geom record per step, non-increasing when
+    |q| < 1."""
 
-    steps: tuple[ReductionStep, ...]
+    start: AdditiveMatrix
+    residual: AdditiveMatrix
+    q: float
+    i_alg: tuple[float, ...]
+    i_geom: tuple[float, ...]
     converged: bool
+
+    @cached_property
+    def steps(self) -> tuple[ReductionStep, ...]:
+        return tuple(
+            ReductionStep(k, i_alg, i_geom, self)
+            for k, (i_alg, i_geom) in enumerate(zip(self.i_alg, self.i_geom))
+        )
 
     @property
     def final(self) -> AdditiveMatrix:
@@ -94,11 +118,8 @@ def reduce_iterative(
     way, only the contraction factor changes from 1 - eta*n to
     1 - eta*(n + lam).
 
-    Both updates are evaluated in closed form from the residual r of the
-    row-mean scores: with d = C^T a the triad deviations, C d = n r and
-    (eta/n) C (C^T C d + lam d) = eta (n + lam) r, so a step is
-    a <- a - eta (n + lam) r. Each snapshot records i_alg = |d|^2 =
-    n |r|^2 and i_geom = |C d|^2 = n^2 |r|^2, and a step costs O(n^2).
+    Both updates move a by eta (n + lam) r, so the trajectory is read off
+    one split of a (see the module docstring) in O(n^2 + steps).
 
     eta defaults to 1/n, which reaches the exact projection in one step.
     Failure to converge within max_steps is reported through the
@@ -118,19 +139,17 @@ def reduce_iterative(
     if not tol > 0:
         raise ValueError("tolerance must be positive")
 
-    rate = eta * (n + lam)
-    matrix = a
-    steps = []
-    while True:
-        _, residual = recover_scores(matrix)
-        r = residual.upper
-        r_sq = float(np.dot(r, r))
-        steps.append(ReductionStep(len(steps), matrix, n * r_sq, n * n * r_sq))
-        converged = n * r_sq <= tol
-        if converged or len(steps) > max_steps:
-            break
-        matrix = _from_upper(n, matrix.upper - rate * r)
-    return ReductionTrajectory(steps=tuple(steps), converged=converged)
+    _, residual = recover_scores(a)
+    r_sq = float(np.dot(residual.upper, residual.upper))
+    q = 1.0 - eta * (n + lam)
+    # A divergent run overflows to inf: float products do not raise.
+    i_alg = [n * r_sq]
+    while i_alg[-1] > tol and len(i_alg) <= max_steps:
+        i_alg.append(i_alg[-1] * (q * q))
+    i_geom = (n * n * r_sq, *(n * v for v in i_alg[1:]))
+    return ReductionTrajectory(
+        a, residual, q, tuple(i_alg), i_geom, converged=i_alg[-1] <= tol
+    )
 
 
 def nearest_consistent_oracle(

@@ -218,3 +218,20 @@ def test_bad_tolerance_variable_via_module_is_one_clean_line(inconsistent_csv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "pcgeom: error: PCGEOM_TOL='abc' is not a number\n"
+
+
+def test_csv_cell_over_field_limit_exits_two_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("1" * (csv.field_size_limit() + 1) + ",0\n0,0\n")
+    err = run_failing(capsys, ["check", str(path)])
+    assert err.startswith(f"pcgeom: error: {path}: ")
+    assert "field larger than field limit" in err
+
+
+@pytest.mark.parametrize("command", ["reduce", "check", "convert"])
+def test_bad_format_variable_exits_two_before_reading_input(
+    capsys, monkeypatch, tmp_path, command
+):
+    monkeypatch.setenv("PCGEOM_FORMAT", "xml")
+    err = run_failing(capsys, [command, str(tmp_path / "missing.csv")])
+    assert err == "pcgeom: error: PCGEOM_FORMAT='xml' is not one of json, csv, jsonl\n"

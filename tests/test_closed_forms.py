@@ -36,6 +36,7 @@ from pcgeom import (
     planar_matrix_inconsistency,
     planar_pair_wedges,
     plucker_residuals,
+    recover_scores,
     reduce_iterative,
     regularize,
     wedge,
@@ -147,6 +148,70 @@ def test_descent_matches_sparse_incidence_update(a, lam, eta_scale):
         np.testing.assert_allclose(
             step.matrix.upper, upper, rtol=0, atol=1e-9 * max(1.0, scale)
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    additive_matrices(min_n=3),
+    st.sampled_from([0.0, 0.5]),
+    st.sampled_from([2.5, 3.0]),
+)
+def test_divergent_descent_matches_sparse_incidence_update(a, lam, rate):
+    eta = rate / (a.n + lam)  # |1 - eta (n + lam)| > 1: the residual grows
+    tol = 1e-12
+    want, uppers, converged = sparse_descent(a, lam, eta, max_steps=10, tol=tol)
+    assume(all(abs(i_alg - tol) > 1e-6 * tol for i_alg, _ in want))
+    trajectory = reduce_iterative(a, lam=lam, eta=eta, max_steps=10, tol=tol)
+    assert trajectory.converged == converged
+    assert len(trajectory.steps) == len(want)
+    # The oracle's rounding grows with the residual, so the scale is the
+    # largest record, here the last; a descent's largest is its first.
+    scale = max(i_alg for i_alg, _ in want)
+    for step, (i_alg, i_geom), upper in zip(trajectory.steps, want, uppers):
+        assert close(step.i_alg, i_alg, scale)
+        assert close(step.i_geom, i_geom, a.n * a.n * scale)
+        np.testing.assert_allclose(
+            step.matrix.upper, upper, rtol=0, atol=1e-9 * max(1.0, scale)
+        )
+
+
+def test_descent_splits_the_input_once(monkeypatch):
+    from pcgeom import reduction
+
+    calls = []
+
+    def counted(a):
+        calls.append(a.n)
+        return recover_scores(a)
+
+    monkeypatch.setattr(reduction, "recover_scores", counted)
+    rng = np.random.default_rng(11)
+    raw = np.triu(rng.normal(size=(20, 20)), 1)
+    trajectory = reduce_iterative(
+        new_additive(raw - raw.T), eta=1e-3, max_steps=500
+    )
+    assert len(trajectory.records()) == len(trajectory.steps) == 501
+    assert trajectory.final.n == trajectory.steps[250].matrix.n == 20
+    assert calls == [20]
+
+
+def test_descent_memory_is_order_pairs_not_steps():
+    n = 400
+    rng = np.random.default_rng(4)
+    raw = np.triu(rng.normal(size=(n, n)), 1)
+    a = new_additive(raw - raw.T)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        trajectory = reduce_iterative(a, eta=1e-5, max_steps=1000)
+        assert len(trajectory.records()) == len(trajectory.steps) == 1001
+        assert trajectory.final.n == n
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Keeping every step's matrix held 1001 times 8 C(n,2) bytes; the
+    # bound allows ten.
+    assert peak < 10 * 8 * math.comb(n, 2)
 
 
 # --------------------------------------------------------------------- tables
