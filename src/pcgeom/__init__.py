@@ -1,191 +1,123 @@
 """Skew-symmetric pairwise-comparison matrices and their pair-subspace
 geometry: consistency indices, wedge/coordinate machinery, the triad
-coupling form, and inconsistency reduction."""
+coupling form, and inconsistency reduction.
+
+Public names are loaded on first access (PEP 562): ``import pcgeom``
+imports no submodule, and ``pcgeom.wedge`` imports ``pcgeom.exterior``
+the first time it is read. A CLI process thus loads only the modules its
+command runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .coupling import (
-    CouplingMap,
-    CouplingMatrix,
-    SpectralDiagnosis,
-    build_M,
-    closed_form_diagnosis,
-    coupling_coefficients,
-    diagnose,
-    quadratic_inconsistency,
-    regularize,
-)
-from .embedding import (
-    Embedding,
-    GeometricDeviation,
-    custom_embedding,
-    geometric_deviation,
-    geometric_inconsistency,
-    orthogonal_embedding,
-    pair_subspace,
-    pair_wedges,
-    planar_embedding,
-    planar_matrix_inconsistency,
-    planar_pair_subspaces,
-    planar_pair_wedges,
-    scores_to_coefficients,
-)
-from .errors import (
-    DegeneratePairWarning,
-    DimensionMismatchError,
-    DivergentStepError,
-    IndexOutOfRangeError,
-    NonFiniteEntryError,
-    NonFiniteResultError,
-    NonIncreasingTriadError,
-    NonPositiveEntryError,
-    NonPositiveLambdaError,
-    NonPositiveStepError,
-    NonSquareError,
-    NotReciprocalError,
-    NotSkewSymmetricError,
-    PCGeomError,
-    TooSmallError,
-    UnsupportedSizeError,
-    ZeroCoefficientError,
-    ZeroTwoVectorError,
-)
-from .exterior import (
-    PluckerResidualSet,
-    TwoVector,
-    chordal_distance,
-    is_decomposable,
-    new_two_vector,
-    normalize_grassmann,
-    plucker_residuals,
-    quad_residuals,
-    residuals_decomposable,
-    wedge,
-    wedge_rows,
-)
-from .pc_core import (
-    DEFAULT_TOLERANCE,
-    AdditiveMatrix,
-    DeviationVector,
-    MultiplicativeMatrix,
-    ScoreVector,
-    algebraic_inconsistency,
-    all_triad_deviations,
-    from_scores,
-    is_consistent,
-    max_abs_triad_deviation,
-    new_additive,
-    new_multiplicative,
-    permute,
-    recover_scores,
-    to_additive,
-    to_multiplicative,
-    triad_deviation,
-)
-from .reduction import (
-    ReductionStep,
-    ReductionTrajectory,
-    nearest_consistent_oracle,
-    project_consistent,
-    reduce_iterative,
-)
-from .twoform import (
-    TwoForm,
-    evaluate,
-    evaluation_table,
-    form_from_plucker,
-    is_closed_discrete,
-    matrix_form,
-    standard_area_form,
-)
-
-__all__ = [
-    "__version__",
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
     # matrices
-    "AdditiveMatrix",
-    "MultiplicativeMatrix",
-    "ScoreVector",
-    "DeviationVector",
-    "DEFAULT_TOLERANCE",
-    "new_additive",
-    "new_multiplicative",
-    "from_scores",
-    "to_additive",
-    "to_multiplicative",
-    "triad_deviation",
-    "all_triad_deviations",
-    "max_abs_triad_deviation",
-    "algebraic_inconsistency",
-    "is_consistent",
-    "recover_scores",
-    "permute",
+    "AdditiveMatrix": "pc_core",
+    "MultiplicativeMatrix": "pc_core",
+    "ScoreVector": "pc_core",
+    "DeviationVector": "pc_core",
+    "DEFAULT_TOLERANCE": "pc_core",
+    "new_additive": "pc_core",
+    "new_multiplicative": "pc_core",
+    "from_scores": "pc_core",
+    "to_additive": "pc_core",
+    "to_multiplicative": "pc_core",
+    "triad_deviation": "pc_core",
+    "all_triad_deviations": "pc_core",
+    "max_abs_triad_deviation": "pc_core",
+    "algebraic_inconsistency": "pc_core",
+    "is_consistent": "pc_core",
+    "recover_scores": "pc_core",
+    "permute": "pc_core",
     # exterior algebra
-    "TwoVector",
-    "PluckerResidualSet",
-    "wedge",
-    "wedge_rows",
-    "new_two_vector",
-    "plucker_residuals",
-    "quad_residuals",
-    "is_decomposable",
-    "residuals_decomposable",
-    "normalize_grassmann",
-    "chordal_distance",
+    "TwoVector": "exterior",
+    "PluckerResidualSet": "exterior",
+    "wedge": "exterior",
+    "wedge_rows": "exterior",
+    "new_two_vector": "exterior",
+    "plucker_residuals": "exterior",
+    "quad_residuals": "exterior",
+    "is_decomposable": "exterior",
+    "residuals_decomposable": "exterior",
+    "normalize_grassmann": "exterior",
+    "chordal_distance": "exterior",
     # embeddings
-    "Embedding",
-    "GeometricDeviation",
-    "orthogonal_embedding",
-    "planar_embedding",
-    "custom_embedding",
-    "scores_to_coefficients",
-    "pair_subspace",
-    "pair_wedges",
-    "geometric_deviation",
-    "geometric_inconsistency",
-    "planar_pair_subspaces",
-    "planar_pair_wedges",
-    "planar_matrix_inconsistency",
+    "Embedding": "embedding",
+    "GeometricDeviation": "embedding",
+    "orthogonal_embedding": "embedding",
+    "planar_embedding": "embedding",
+    "custom_embedding": "embedding",
+    "scores_to_coefficients": "embedding",
+    "pair_subspace": "embedding",
+    "pair_wedges": "embedding",
+    "geometric_deviation": "embedding",
+    "geometric_inconsistency": "embedding",
+    "planar_pair_subspaces": "embedding",
+    "planar_pair_wedges": "embedding",
+    "planar_matrix_inconsistency": "embedding",
     # coupling form
-    "CouplingMap",
-    "CouplingMatrix",
-    "SpectralDiagnosis",
-    "coupling_coefficients",
-    "build_M",
-    "quadratic_inconsistency",
-    "diagnose",
-    "closed_form_diagnosis",
-    "regularize",
+    "CouplingMap": "coupling",
+    "CouplingMatrix": "coupling",
+    "SpectralDiagnosis": "coupling",
+    "coupling_coefficients": "coupling",
+    "build_M": "coupling",
+    "quadratic_inconsistency": "coupling",
+    "diagnose": "coupling",
+    "closed_form_diagnosis": "coupling",
+    "regularize": "coupling",
     # reduction
-    "ReductionStep",
-    "ReductionTrajectory",
-    "project_consistent",
-    "reduce_iterative",
-    "nearest_consistent_oracle",
+    "ReductionStep": "reduction",
+    "ReductionTrajectory": "reduction",
+    "project_consistent": "reduction",
+    "reduce_iterative": "reduction",
+    "nearest_consistent_oracle": "reduction",
     # 2-forms
-    "TwoForm",
-    "form_from_plucker",
-    "standard_area_form",
-    "evaluate",
-    "evaluation_table",
-    "is_closed_discrete",
-    "matrix_form",
+    "TwoForm": "twoform",
+    "form_from_plucker": "twoform",
+    "standard_area_form": "twoform",
+    "evaluate": "twoform",
+    "evaluation_table": "twoform",
+    "is_closed_discrete": "twoform",
+    "matrix_form": "twoform",
     # errors
-    "PCGeomError",
-    "NonSquareError",
-    "TooSmallError",
-    "NotSkewSymmetricError",
-    "NotReciprocalError",
-    "NonFiniteEntryError",
-    "NonPositiveEntryError",
-    "IndexOutOfRangeError",
-    "NonIncreasingTriadError",
-    "DimensionMismatchError",
-    "ZeroTwoVectorError",
-    "ZeroCoefficientError",
-    "NonPositiveLambdaError",
-    "NonPositiveStepError",
-    "DivergentStepError",
-    "NonFiniteResultError",
-    "UnsupportedSizeError",
-    "DegeneratePairWarning",
-]
+    "PCGeomError": "errors",
+    "NonSquareError": "errors",
+    "TooSmallError": "errors",
+    "NotSkewSymmetricError": "errors",
+    "NotReciprocalError": "errors",
+    "NonFiniteEntryError": "errors",
+    "NonPositiveEntryError": "errors",
+    "IndexOutOfRangeError": "errors",
+    "NonIncreasingTriadError": "errors",
+    "DimensionMismatchError": "errors",
+    "ZeroTwoVectorError": "errors",
+    "ZeroCoefficientError": "errors",
+    "NonPositiveLambdaError": "errors",
+    "NonPositiveStepError": "errors",
+    "DivergentStepError": "errors",
+    "NonFiniteResultError": "errors",
+    "UnsupportedSizeError": "errors",
+    "DegeneratePairWarning": "errors",
+}
+
+#: Submodules that resolve as attributes without an explicit import.
+_SUBMODULES = {*_EXPORTS.values(), "indexing"}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -14,22 +14,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__, indexing, io
+# Not on demand: bench/launcher.py wraps CouplingMap right after importing cli.
 from .coupling import build_M, closed_form_diagnosis, regularize
-from .embedding import (
-    Embedding,
-    geometric_inconsistency,
-    orthogonal_embedding,
-    pair_wedges,
-    planar_matrix_inconsistency,
-    planar_pair_wedges,
-    scores_to_coefficients,
-)
 from .errors import DivergentStepError, NonFiniteResultError, PCGeomError
-from .exterior import quad_residuals, residuals_decomposable, wedge
 from .pc_core import (
     AdditiveMatrix,
     DEFAULT_TOLERANCE,
@@ -40,8 +32,9 @@ from .pc_core import (
     to_additive,
     to_multiplicative,
 )
-from .reduction import reduce_iterative
-from .twoform import evaluation_table, is_closed_discrete
+
+if TYPE_CHECKING:
+    from .embedding import Embedding
 
 ENV_TOL = "PCGEOM_TOL"
 ENV_FORMAT = "PCGEOM_FORMAT"
@@ -102,6 +95,10 @@ def _with_environment(config: RunConfig) -> RunConfig:
                 f"{ENV_FORMAT}={env!r} is not one of {', '.join(FORMATS)}"
             )
         fmt = env or io.infer_format(config.output_path or "", fallback="json")
+    if fmt == "jsonl" and config.command != "reduce":
+        # Only the descent has records to write one per line.
+        kind = "matrix" if config.command == "convert" else "report"
+        raise io.FormatError(f"unsupported {kind} format {fmt!r}")
     return replace(config, tol=tol, format=fmt)
 
 
@@ -166,6 +163,8 @@ def _cmd_convert(config: RunConfig):
 def _embedding(config: RunConfig, matrix: AdditiveMatrix) -> Embedding | None:
     """The orthogonal or custom embedding the config names; None for the
     planar family, which is built pair by pair from the matrix entries."""
+    from .embedding import orthogonal_embedding, scores_to_coefficients
+
     if config.embedding_kind == "planar":
         return None
     if config.embedding_kind == "orthogonal":
@@ -184,6 +183,8 @@ def _embedding(config: RunConfig, matrix: AdditiveMatrix) -> Embedding | None:
 
 
 def _geometric_index(config: RunConfig, matrix: AdditiveMatrix) -> float:
+    from .embedding import geometric_inconsistency, planar_matrix_inconsistency
+
     emb = _embedding(config, matrix)
     if emb is None:
         return planar_matrix_inconsistency(matrix, config.convention)
@@ -214,6 +215,8 @@ def _cmd_deviations(config: RunConfig):
 
 
 def _cmd_embed(config: RunConfig):
+    from .embedding import pair_wedges, planar_pair_wedges
+
     matrix = _read_additive(config)
     emb = _embedding(config, matrix)
     w = planar_pair_wedges(matrix) if emb is None else pair_wedges(emb.vectors)
@@ -233,6 +236,8 @@ def _cmd_embed(config: RunConfig):
 
 
 def _cmd_wedge(config: RunConfig):
+    from .exterior import wedge
+
     u, v = io.read_vector_pair(config.input_path)
     w = wedge(u, v)
     return 0, _report(
@@ -244,6 +249,8 @@ def _cmd_wedge(config: RunConfig):
 
 
 def _cmd_plucker(config: RunConfig):
+    from .exterior import quad_residuals, residuals_decomposable, wedge
+
     try:
         p = io.read_two_vector(config.input_path)
     except io.FormatError:
@@ -277,6 +284,8 @@ def _cmd_diagnose(config: RunConfig):
 
 
 def _cmd_reduce(config: RunConfig):
+    from .reduction import reduce_iterative
+
     matrix = _read_additive(config)
     eta = config.eta if config.eta is not None else 1.0 / matrix.n
     # Each step scales the residual by 1 - eta(n + lambda); refuse a step
@@ -312,6 +321,8 @@ def _cmd_reduce(config: RunConfig):
 
 
 def _cmd_twoform(config: RunConfig):
+    from .twoform import evaluation_table, is_closed_discrete
+
     matrix = _read_additive(config)
     rows = evaluation_table(matrix)
     max_err = max((r["abs_error"] for r in rows), default=0.0)

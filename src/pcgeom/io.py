@@ -15,13 +15,11 @@ import io as _io
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterable, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, TextIO
 
 import numpy as np
 
-from .embedding import Embedding, custom_embedding
 from .errors import NonFiniteResultError, PCGeomError
-from .exterior import TwoVector, new_two_vector
 from .pc_core import (
     AdditiveMatrix,
     DEFAULT_TOLERANCE,
@@ -29,7 +27,11 @@ from .pc_core import (
     new_additive,
     new_multiplicative,
 )
-from .reduction import ReductionTrajectory
+
+if TYPE_CHECKING:
+    from .embedding import Embedding
+    from .exterior import TwoVector
+    from .reduction import ReductionTrajectory
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -213,6 +215,8 @@ def two_vector_to_dict(p: TwoVector, version: str | None = None) -> dict:
 
 
 def read_two_vector(path: str | Path) -> TwoVector:
+    from .exterior import new_two_vector
+
     doc = _load_json_object(path, ("n", "coords"))
     return new_two_vector(int(doc["n"]), _as_float_array(doc["coords"], str(path), "coords"))
 
@@ -228,6 +232,8 @@ def read_vector_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 def read_embedding(path: str | Path) -> Embedding:
     """Read a custom embedding {"n": ..., "vectors": [[...], ...]}."""
+    from .embedding import custom_embedding
+
     doc = _load_json_object(path, ("vectors",))
     vectors = _as_float_array(doc["vectors"], str(path), "vectors")
     if "n" in doc and vectors.shape[0] != doc["n"]:

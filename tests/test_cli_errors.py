@@ -235,3 +235,25 @@ def test_bad_format_variable_exits_two_before_reading_input(
     monkeypatch.setenv("PCGEOM_FORMAT", "xml")
     err = run_failing(capsys, [command, str(tmp_path / "missing.csv")])
     assert err == "pcgeom: error: PCGEOM_FORMAT='xml' is not one of json, csv, jsonl\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["check", "--format", "jsonl"], {}, "unsupported report format 'jsonl'"),
+        (["convert", "--format", "jsonl"], {}, "unsupported matrix format 'jsonl'"),
+        (["diagnose", "--format", "jsonl"], {}, "unsupported report format 'jsonl'"),
+        (["indices"], {"PCGEOM_FORMAT": "jsonl"}, "unsupported report format 'jsonl'"),
+        (["twoform", "-o", "out.jsonl"], {}, "unsupported report format 'jsonl'"),
+    ],
+)
+def test_jsonl_outside_reduce_exits_two_before_reading_input(
+    capsys, monkeypatch, tmp_path, argv, env, message
+):
+    # Only reduce writes JSON Lines; the missing input must not be reached.
+    monkeypatch.chdir(tmp_path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    err = run_failing(capsys, [argv[0], "missing.csv", *argv[1:]])
+    assert err == f"pcgeom: error: {message}\n"
+    assert not (tmp_path / "out.jsonl").exists()

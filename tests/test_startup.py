@@ -1,0 +1,130 @@
+"""Start-up contract: ``import pcgeom`` is lazy, a CLI process loads only
+the modules its command runs, and the ``python -m pcgeom`` exit path
+still ends with every byte written and the command's exit code."""
+
+import json
+import subprocess
+import sys
+from math import comb
+
+import numpy as np
+import pytest
+
+import pcgeom
+
+#: What ``import pcgeom.cli`` loads: the modules every matrix command uses,
+#: plus coupling, whose CouplingMap the bench launcher wraps.
+CLI_MODULES = {
+    "pcgeom",
+    "pcgeom.cli",
+    "pcgeom.coupling",
+    "pcgeom.errors",
+    "pcgeom.indexing",
+    "pcgeom.io",
+    "pcgeom.pc_core",
+}
+
+#: Runs ``python -m pcgeom ARGS`` through runpy, as ``-m`` does, and prints
+#: the loaded pcgeom modules to stderr from an atexit handler.
+PROBE = (
+    "import atexit, json, runpy, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(\n"
+    "    m for m in sys.modules if m.split('.')[0] == 'pcgeom')), file=sys.stderr))\n"
+    "sys.argv[0] = 'pcgeom'\n"
+    "runpy.run_module('pcgeom', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def loaded_after(code: str) -> set[str]:
+    """pcgeom modules in sys.modules after running code in a fresh
+    interpreter."""
+    probe = (
+        f"{code}\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'pcgeom']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    return set(json.loads(proc.stdout))
+
+
+def test_import_pcgeom_loads_no_submodule():
+    assert loaded_after("import pcgeom") == {"pcgeom"}
+
+
+def test_import_cli_loads_only_shared_modules():
+    assert loaded_after("import pcgeom.cli") == CLI_MODULES
+
+
+@pytest.fixture
+def matrix_csv(tmp_path):
+    rng = np.random.default_rng(8)
+    raw = np.triu(rng.normal(size=(8, 8)), 1)
+    path = tmp_path / "a.csv"
+    np.savetxt(path, raw - raw.T, delimiter=",", fmt="%.17g")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("check", set()),
+        ("convert", set()),
+        ("deviations", set()),
+        ("reduce", {"pcgeom.reduction"}),
+    ],
+)
+def test_command_loads_only_its_modules(matrix_csv, command, extra):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, command, matrix_csv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode in (0, 1)
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == CLI_MODULES | extra
+    json.loads(proc.stdout)
+
+
+def test_exports_are_their_defining_objects():
+    for name, module in pcgeom._EXPORTS.items():
+        value = getattr(pcgeom, name)
+        assert value is getattr(getattr(pcgeom, module), name)
+        assert getattr(value, "__module__", f"pcgeom.{module}") == f"pcgeom.{module}"
+
+
+def test_star_import_and_dir_cover_all():
+    namespace = {}
+    exec("from pcgeom import *", namespace)
+    assert set(pcgeom.__all__) <= set(namespace)
+    assert set(pcgeom.__all__) <= set(dir(pcgeom))
+
+
+def test_submodules_resolve_without_explicit_import():
+    assert loaded_after("import pcgeom; pcgeom.pc_core; pcgeom.indexing") == {
+        "pcgeom", "pcgeom.errors", "pcgeom.indexing", "pcgeom.pc_core",
+    }
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pcgeom.no_such_name
+
+
+def test_module_exit_writes_whole_report_to_pipe(tmp_path):
+    rng = np.random.default_rng(60)
+    s = rng.normal(size=60)
+    e = np.triu(rng.normal(scale=0.3, size=(60, 60)), 1)
+    path = tmp_path / "m60.csv"
+    np.savetxt(path, np.subtract.outer(s, s) + e - e.T, delimiter=",", fmt="%.17g")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgeom", "deviations", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.endswith("}\n") and proc.stdout.count("\n") == 1
+    report = json.loads(proc.stdout)
+    assert report["n"] == 60
+    assert len(report["values"]) == len(report["triads"]) == comb(60, 3)
