@@ -151,7 +151,7 @@ def coupling_coefficients(n: int) -> CouplingMap:
     return CouplingMap(n=n, ij_pos=ij, jk_pos=jk, ik_pos=ik)
 
 
-def build_M(n: int, max_n: int = MAX_DENSE_N) -> CouplingMatrix:
+def build_M(n: int) -> CouplingMatrix:
     """Dense Gram matrix of the coupling map.
 
     Built pair by pair: each pair contributes the outer product of the
@@ -161,9 +161,9 @@ def build_M(n: int, max_n: int = MAX_DENSE_N) -> CouplingMatrix:
     """
     if n < 3:
         raise TooSmallError(f"need at least 3 alternatives, got {n}")
-    if n > max_n:
+    if n > MAX_DENSE_N:
         raise ValueError(
-            f"dense Gram matrix capped at n={max_n} "
+            f"dense Gram matrix capped at n={MAX_DENSE_N} "
             f"(C({n},3) triads would be too large)"
         )
     cmap = coupling_coefficients(n)

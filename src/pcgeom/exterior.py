@@ -144,6 +144,24 @@ def wedge_rows(x, y) -> np.ndarray:
     return x[..., rows] * y[..., cols] - x[..., cols] * y[..., rows]
 
 
+def _residuals_by_lead(p: TwoVector):
+    """Yield the residuals of the quads led by k = 0, 1, ..., n-4.
+
+    The quads led by k are k followed by the tail of the lexicographic
+    triad list from ``lead_starts(n, 4)[k]``, so one block is one slice
+    of the triad columns (l, m, o) and of their pair positions. Only
+    O(n^3) memory is live at a time.
+    """
+    n, q, pos = p.n, p.coords, indexing.pair_index
+    l, m, o = indexing.subsets(n, 3)
+    lm, lo, mo = pos(n, l, m), pos(n, l, o), pos(n, m, o)
+    for k, start in zip(range(n - 3), indexing.lead_starts(n, 4)):
+        base = pos(n, k, 0)
+        yield (q[base + l[start:]] * q[mo[start:]]
+               - q[base + m[start:]] * q[lo[start:]]
+               + q[base + o[start:]] * q[lm[start:]])
+
+
 def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
     """Every 4-subset and its quadratic-relation residual.
 
@@ -151,9 +169,8 @@ def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
     array and the aligned residuals p_kl p_mo - p_km p_lo + p_ko p_lm;
     both are empty for n < 4, where the relations are vacuous.
     """
-    quads, (a, b, c, d, e, f) = indexing.quad_pair_positions(p.n)
-    q = p.coords
-    return quads + 1, q[a] * q[b] - q[c] * q[d] + q[e] * q[f]
+    values = np.concatenate([np.empty(0), *_residuals_by_lead(p)])
+    return indexing.labels(p.n, 4), values
 
 
 def plucker_residuals(p: TwoVector) -> PluckerResidualSet:
@@ -170,7 +187,8 @@ def residuals_decomposable(
     p: TwoVector, values: np.ndarray, tol: float = 1e-9
 ) -> bool:
     """Scale-aware verdict on residuals already computed by
-    :func:`quad_residuals`; see :func:`is_decomposable`."""
+    :func:`quad_residuals`, or on any values with the same largest
+    magnitude; see :func:`is_decomposable`."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     if values.size == 0:
@@ -184,9 +202,12 @@ def is_decomposable(p: TwoVector, tol: float = 1e-9) -> bool:
 
     Residuals are quadratic in p, so they are compared against
     tol * max(1, |p|^2); a raw absolute threshold would make the verdict
-    depend on an arbitrary overall scale.
+    depend on an arbitrary overall scale. The quads are walked one lead
+    at a time and only each lead's largest residual is kept, so the
+    cost is O(n^4) time in O(n^3) memory.
     """
-    return residuals_decomposable(p, quad_residuals(p)[1], tol)
+    lead_max = [np.max(np.abs(block)) for block in _residuals_by_lead(p)]
+    return residuals_decomposable(p, np.array(lead_max), tol)
 
 
 def normalize_grassmann(p: TwoVector) -> TwoVector:

@@ -89,6 +89,8 @@ def _load_json_object(path: str | Path, keys: tuple[str, ...]) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise FormatError(f"{path}: invalid JSON (nesting too deep)") from exc
     if not isinstance(doc, dict) or not all(key in doc for key in keys):
         wanted = " and ".join(f'"{key}"' for key in keys)
         raise FormatError(f"{path}: expected an object with {wanted}")
@@ -218,7 +220,12 @@ def read_two_vector(path: str | Path) -> TwoVector:
     from .exterior import new_two_vector
 
     doc = _load_json_object(path, ("n", "coords"))
-    return new_two_vector(int(doc["n"]), _as_float_array(doc["coords"], str(path), "coords"))
+    n = doc["n"]
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if type(n) is not int:  # bool is a subclass of int
+        raise FormatError(f"{path}: n is not an integer")
+    return new_two_vector(n, _as_float_array(doc["coords"], str(path), "coords"))
 
 
 def read_vector_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

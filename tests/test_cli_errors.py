@@ -257,3 +257,43 @@ def test_jsonl_outside_reduce_exits_two_before_reading_input(
     err = run_failing(capsys, [argv[0], "missing.csv", *argv[1:]])
     assert err == f"pcgeom: error: {message}\n"
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_deeply_nested_json_exits_two_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    err = run_failing(capsys, ["check", str(path)])
+    assert err == f"pcgeom: error: {path}: invalid JSON (nesting too deep)\n"
+
+
+def write_two_vector(tmp_path, n_text):
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"n": {n_text}, "coords": [1, 0, 0, 0, 0, 0]}}')
+    return path
+
+
+@pytest.mark.parametrize("n_text", ["[4]", "null", "4.7", "true", '"4"', "1e400"])
+def test_two_vector_with_non_integer_n_is_refused(tmp_path, n_text):
+    path = write_two_vector(tmp_path, n_text)
+    with pytest.raises(pio.FormatError) as exc:
+        pio.read_two_vector(path)
+    assert str(exc.value) == f"{path}: n is not an integer"
+
+
+def test_two_vector_n_may_be_written_as_an_integral_float(tmp_path):
+    for n_text, refused in [("4", False), ("4.0", False), ("4.5", True)]:
+        path = write_two_vector(tmp_path, n_text)
+        if refused:
+            with pytest.raises(pio.FormatError):
+                pio.read_two_vector(path)
+        else:
+            assert pio.read_two_vector(path).n == 4
+
+
+@pytest.mark.parametrize("n_text", ["[4]", "null", "4.7", '"4"'])
+def test_plucker_with_non_integer_n_exits_two(capsys, tmp_path, n_text):
+    # plucker falls back to reading {"u", "v"} when the file is not a
+    # valid 2-vector, so the line names the pair format.
+    path = write_two_vector(tmp_path, n_text)
+    err = run_failing(capsys, ["plucker", str(path)])
+    assert err == f'pcgeom: error: {path}: expected an object with "u" and "v"\n'

@@ -36,9 +36,11 @@ from pcgeom import (
     planar_matrix_inconsistency,
     planar_pair_wedges,
     plucker_residuals,
+    quad_residuals,
     recover_scores,
     reduce_iterative,
     regularize,
+    residuals_decomposable,
     wedge,
 )
 from pcgeom import indexing
@@ -236,22 +238,24 @@ def test_arithmetic_triad_table_matches_combinations(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_arithmetic_quad_table_matches_combinations(n):
-    pos = {pair: idx for idx, pair in enumerate(combinations(range(n), 2))}
-    quads = list(combinations(range(n), 4))
-    got_quads, cols = indexing.quad_pair_positions(n)
-    assert got_quads.shape == (len(quads), 4)
-    assert [tuple(q) for q in got_quads.tolist()] == quads
-    slots = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
-    for col, (x, y) in zip(cols, slots):
-        assert col.tolist() == [pos[(q[x], q[y])] for q in quads]
+    # The quad walk finds the six pair positions of each quad by arithmetic
+    # on the triad columns; the oracle looks them up by combinations.
+    rng = np.random.default_rng(n)
+    p = new_two_vector(n, rng.normal(size=math.comb(n, 2)))
+    quads, values = quad_residuals(p)
+    want_quads, want_values = oracle_quad_residuals(p)
+    assert quads.tolist() == want_quads
+    assert bits(values) == bits(want_values)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_labels_match_combinations(n):
     pairs = [(i + 1, j + 1) for i, j in combinations(range(n), 2)]
     triads = [(i + 1, j + 1, k + 1) for i, j, k in combinations(range(n), 3)]
+    quads = [[x + 1 for x in q] for q in combinations(range(n), 4)]
     assert indexing.labels(n, 2).tolist() == [list(p) for p in pairs]
     assert indexing.labels(n, 3).tolist() == [list(t) for t in triads]
+    assert indexing.labels(n, 4).tolist() == quads
     a = new_additive(np.zeros((n, n)))
     for got, want in [
         (a.pair_labels(), pairs),
@@ -262,12 +266,17 @@ def test_labels_match_combinations(n):
         assert all(type(x) is int for label in got for x in label)
 
 
+@pytest.mark.parametrize("n", range(0, 13))
+def test_triad_lead_starts_are_pair_positions(n):
+    # The triads led by i start with the pair (i+1, i+2).
+    starts = indexing.lead_starts(n, 3)
+    assert starts.tolist() == [indexing.pair_index(n, i + 1, i + 2)
+                               for i in range(n)]
+
+
 def test_tables_are_read_only():
     for arr in indexing.triad_pair_positions(6):
         assert not arr.flags.writeable
-    quads, cols = indexing.quad_pair_positions(6)
-    assert not quads.flags.writeable
-    assert all(not c.flags.writeable for c in cols)
 
 
 # ----------------------------------------------------------------- triad scan
@@ -336,6 +345,96 @@ def test_max_abs_scan_memory_is_order_pairs_not_triads():
     # The table gather held 8 C(n,3) bytes of deviations alone, (n-2)/3 = 99
     # times 8 C(n,2); the bound allows ten.
     assert peak < 10 * 8 * math.comb(n, 2)
+
+
+# ------------------------------------------------------------------ quad walk
+
+
+def oracle_quad_residuals(p):
+    """The quads and residuals the deleted C(n,4) quad table gave: each
+    pair position looked up in a dict over the lexicographic pairs."""
+    pos = {pair: idx for idx, pair in enumerate(combinations(range(p.n), 2))}
+    quads = list(combinations(range(p.n), 4))
+    q = p.coords
+    a, b, c, d, e, f = (
+        np.array([pos[(quad[x], quad[y])] for quad in quads], dtype=np.intp)
+        for x, y in [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
+    )
+    values = q[a] * q[b] - q[c] * q[d] + q[e] * q[f]
+    return [[x + 1 for x in quad] for quad in quads], values
+
+
+@st.composite
+def two_vectors(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    if draw(st.booleans()):
+        # A wedge, so that some inputs are decomposable; its minors stay
+        # within 10 like the raw coordinates.
+        floats = st.floats(-2, 2, allow_nan=False)
+        u, v = (draw(st.lists(floats, min_size=n, max_size=n)) for _ in "uv")
+        return wedge(u, v)
+    floats = st.floats(-10, 10, allow_nan=False)
+    size = math.comb(n, 2)
+    return new_two_vector(n, draw(st.lists(floats, min_size=size, max_size=size)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_vectors(), st.sampled_from([1.0, 1e154, 1e307]))
+def test_quad_walk_is_bit_identical_to_quad_table(p, scale):
+    # At the largest scales some products overflow to inf and some
+    # residuals to nan; the walk must still agree bit for bit.
+    p = new_two_vector(p.n, p.coords * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quads, values = quad_residuals(p)
+        want_quads, want_values = oracle_quad_residuals(p)
+        verdicts = [
+            (is_decomposable(p, tol), residuals_decomposable(p, want_values, tol))
+            for tol in (1e-15, 1e-9, 1e-3, 10.0)
+        ]
+    assert quads.tolist() == want_quads
+    assert bits(values) == bits(want_values)
+    for got, want in verdicts:
+        assert got == want
+
+
+def test_decomposable_verdict_memory_is_order_triads_not_quads():
+    n = 60
+    rng = np.random.default_rng(6)
+    p = wedge(rng.normal(size=n), rng.normal(size=n))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert is_decomposable(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The quad table held ten C(n,4)-long index arrays, 80 C(n,4) bytes or
+    # (n-3)/4 * 10 = 142 times 8 C(n,3); the bound allows sixteen.
+    assert peak < 16 * 8 * math.comb(n, 3)
+
+
+def test_repeated_quad_walks_retain_no_memory():
+    rng = np.random.default_rng(7)
+
+    def walk_all(dims):
+        for n in dims:
+            p = new_two_vector(n, rng.normal(size=math.comb(n, 2)))
+            is_decomposable(p)
+            quad_residuals(p)
+
+    tracemalloc.start()
+    try:
+        # A first pass fills numpy's bounded pools of small blocks; its
+        # dimensions differ from the measured pass, so no table built for
+        # one could serve the other.
+        walk_all(range(6, 43, 4))
+        baseline, _ = tracemalloc.get_traced_memory()
+        walk_all(range(8, 41, 4))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Cached quad tables for n = 8..40 kept 80 sum C(n,4) bytes, 18 MB.
+    assert retained - baseline < 16 * 1024
 
 
 # ------------------------------------------------------------------ diagnose
