@@ -249,13 +249,9 @@ def _cmd_wedge(config: RunConfig):
 
 
 def _cmd_plucker(config: RunConfig):
-    from .exterior import quad_residuals, residuals_decomposable, wedge
+    from .exterior import quad_residuals, residuals_decomposable
 
-    try:
-        p = io.read_two_vector(config.input_path)
-    except io.FormatError:
-        u, v = io.read_vector_pair(config.input_path)
-        p = wedge(u, v)
+    p = io.read_two_vector(config.input_path)
     quads, values = quad_residuals(p)
     return 0, _report(
         config,

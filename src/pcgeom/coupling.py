@@ -118,13 +118,7 @@ class SpectralDiagnosis:
         return self.kernel_basis.shape[0]
 
     def to_dict(self) -> dict:
-        return {
-            "rank": int(self.rank),
-            "T": int(self.eigenvalues.size),
-            "degenerate": bool(self.degenerate),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "kernel_dim": int(self.kernel_dim),
-        }
+        return _spectral_report(self.rank, self.eigenvalues)
 
 
 def _as_deviation_array(d, n: int) -> np.ndarray:
@@ -152,15 +146,15 @@ def coupling_coefficients(n: int) -> CouplingMap:
 
 
 def build_M(n: int) -> CouplingMatrix:
-    """Dense Gram matrix of the coupling map.
+    """Dense Gram matrix of the coupling map, scattered from its incidences.
 
-    Built pair by pair: each pair contributes the outer product of the
-    signs of the triads containing it, so symmetry and positive
-    semidefiniteness hold by construction. Two distinct triads share at
-    most one pair, hence every off-diagonal entry is -1, 0, or +1.
+    The 3·C(n,3) incidences (pair, triad, sign) are grouped by pair with
+    one stable sort; every pair lies in exactly n - 2 triads, so the
+    groups form a (C(n,2), n - 2) table. Each pair contributes the outer
+    product of its triads' signs, and two distinct triads share at most
+    one pair, so a single scatter of those blocks writes every
+    off-diagonal entry (-1, 0 or +1) exactly once; the diagonal is 3.
     """
-    if n < 3:
-        raise TooSmallError(f"need at least 3 alternatives, got {n}")
     if n > MAX_DENSE_N:
         raise ValueError(
             f"dense Gram matrix capped at n={MAX_DENSE_N} "
@@ -168,18 +162,13 @@ def build_M(n: int) -> CouplingMatrix:
         )
     cmap = coupling_coefficients(n)
     t_count = cmap.triad_count
-    buckets: list[list[tuple[int, float]]] = [
-        [] for _ in range(cmap.pair_count)
-    ]
-    for t in range(t_count):
-        buckets[cmap.ij_pos[t]].append((t, 1.0))
-        buckets[cmap.jk_pos[t]].append((t, 1.0))
-        buckets[cmap.ik_pos[t]].append((t, -1.0))
+    pairs = np.concatenate((cmap.ij_pos, cmap.jk_pos, cmap.ik_pos))
+    order = np.argsort(pairs, kind="stable")
+    triads = np.tile(np.arange(t_count), 3)[order].reshape(cmap.pair_count, n - 2)
+    signs = np.repeat([1.0, 1.0, -1.0], t_count)[order].reshape(triads.shape)
     m = np.zeros((t_count, t_count))
-    for bucket in buckets:
-        idx = [t for t, _ in bucket]
-        signs = np.array([s for _, s in bucket])
-        m[np.ix_(idx, idx)] += np.outer(signs, signs)
+    m[triads[:, :, None], triads[:, None, :]] = signs[:, :, None] * signs[:, None, :]
+    np.fill_diagonal(m, 3.0)
     m.setflags(write=False)
     return CouplingMatrix(n=n, values=m)
 
@@ -190,31 +179,39 @@ def quadratic_inconsistency(m: CouplingMatrix, d) -> float:
     return float(values @ m.values @ values)
 
 
+def _rank(eigenvalues: np.ndarray, rank_tol: float) -> int:
+    """Count of the (descending) eigenvalues above rank_tol times the largest."""
+    if not rank_tol > 0:
+        raise ValueError("rank tolerance must be positive")
+    threshold = rank_tol * max(float(eigenvalues[0]), 0.0)
+    return int(np.count_nonzero(eigenvalues > threshold))
+
+
+def _spectral_report(rank: int, eigenvalues: np.ndarray) -> dict:
+    t_count, rank = int(eigenvalues.size), int(rank)
+    return {
+        "rank": rank,
+        "T": t_count,
+        "degenerate": rank < t_count,
+        "eigenvalues": eigenvalues.tolist(),
+        "kernel_dim": t_count - rank,
+    }
+
+
 def diagnose(m: CouplingMatrix, rank_tol: float = 1e-9) -> SpectralDiagnosis:
     """Eigendecomposition-based rank and kernel report.
 
     Eigenvalues at most rank_tol times the largest count as zero; the
     kernel basis rows are the corresponding (orthonormal) eigenvectors.
     """
-    if not rank_tol > 0:
-        raise ValueError("rank tolerance must be positive")
     eigenvalues, eigenvectors = np.linalg.eigh(m.values)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
-    lam_max = max(float(eigenvalues[0]), 0.0)
-    threshold = rank_tol * lam_max
-    rank = int(np.count_nonzero(eigenvalues > threshold))
-    kernel = eigenvectors[:, rank:].T.copy()
-    eigenvalues = eigenvalues.copy()
+    rank = _rank(eigenvalues, rank_tol)
+    kernel = eigenvectors[:, order[rank:]].T.copy()
     eigenvalues.setflags(write=False)
     kernel.setflags(write=False)
-    return SpectralDiagnosis(
-        rank=rank,
-        eigenvalues=eigenvalues,
-        kernel_basis=kernel,
-        degenerate=rank < m.size,
-    )
+    return SpectralDiagnosis(rank, eigenvalues, kernel, degenerate=rank < m.size)
 
 
 def closed_form_diagnosis(
@@ -227,8 +224,8 @@ def closed_form_diagnosis(
     the complete comparison structure, with P the projection onto
     consistent matrices of rank n - 1. So M has eigenvalue n with
     multiplicity (n-1)(n-2)/2 and 0 on the rest of its T = C(n,3)
-    entries; the shift adds lam to both. Rank counts the eigenvalues
-    above rank_tol times the largest, as :func:`diagnose` does.
+    entries; the shift adds lam to both. Rank follows the rule of
+    :func:`diagnose`.
     """
     if n < 3:
         raise TooSmallError(f"need at least 3 alternatives, got {n}")
@@ -241,22 +238,12 @@ def closed_form_diagnosis(
         raise NonPositiveLambdaError(
             f"regularization weight must be nonnegative, got {lam!r}"
         )
-    if not rank_tol > 0:
-        raise ValueError("rank tolerance must be positive")
     t_count = indexing.triad_count(n)
     image = (n - 1) * (n - 2) // 2
-    top, rest = float(n + lam), float(lam)
-    threshold = rank_tol * top
-    rank = (image if top > threshold else 0) + (
-        t_count - image if rest > threshold else 0
+    eigenvalues = np.repeat(
+        np.array([n + lam, lam], dtype=float), [image, t_count - image]
     )
-    return {
-        "rank": rank,
-        "T": t_count,
-        "degenerate": rank < t_count,
-        "eigenvalues": [top] * image + [rest] * (t_count - image),
-        "kernel_dim": t_count - rank,
-    }
+    return _spectral_report(_rank(eigenvalues, rank_tol), eigenvalues)
 
 
 def regularize(m: CouplingMatrix, lam: float) -> CouplingMatrix:
@@ -265,6 +252,7 @@ def regularize(m: CouplingMatrix, lam: float) -> CouplingMatrix:
         raise NonPositiveLambdaError(
             f"regularization weight must be positive, got {lam!r}"
         )
-    shifted = m.values + lam * np.eye(m.size)
+    shifted = m.values.copy()
+    shifted[np.diag_indices(m.size)] += lam
     shifted.setflags(write=False)
     return CouplingMatrix(n=m.n, values=shifted)

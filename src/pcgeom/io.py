@@ -82,8 +82,9 @@ def _as_float_array(values, source: str, what: str) -> np.ndarray:
         raise FormatError(f"{source}: {what} is not a numeric array") from exc
 
 
-def _load_json_object(path: str | Path, keys: tuple[str, ...]) -> dict:
-    """Parse a JSON file that must hold an object with every one of keys."""
+def _load_json_object(path: str | Path, *key_sets: tuple[str, ...]) -> dict:
+    """Parse a JSON file that must hold an object with every key of one of
+    the key sets."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -91,10 +92,19 @@ def _load_json_object(path: str | Path, keys: tuple[str, ...]) -> dict:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         except RecursionError as exc:
             raise FormatError(f"{path}: invalid JSON (nesting too deep)") from exc
-    if not isinstance(doc, dict) or not all(key in doc for key in keys):
-        wanted = " and ".join(f'"{key}"' for key in keys)
+    if not isinstance(doc, dict) or not any(doc.keys() >= set(k) for k in key_sets):
+        wanted = ", or ".join(" and ".join(map(json.dumps, k)) for k in key_sets)
         raise FormatError(f"{path}: expected an object with {wanted}")
     return doc
+
+
+def _integer_n(n: Any, path: str | Path) -> int:
+    """The "n" of a JSON document: an int or an integral float, never a bool."""
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if type(n) is not int:  # bool is a subclass of int
+        raise FormatError(f"{path}: n is not an integer")
+    return n
 
 
 def _load_matrix_doc(path: str | Path, fmt: str, declared_mode: str | None):
@@ -114,7 +124,7 @@ def _load_matrix_doc(path: str | Path, fmt: str, declared_mode: str | None):
                 f"mode={declared_mode!r} was requested"
             )
         arr = _as_float_array(doc["entries"], str(path), "entries")
-        if "n" in doc and arr.shape != (doc["n"], doc["n"]):
+        if "n" in doc and arr.shape != (_integer_n(doc["n"], path),) * 2:
             raise FormatError(
                 f"{path}: entries shape {arr.shape} does not match n={doc['n']}"
             )
@@ -206,35 +216,34 @@ def write_grid_csv(entries: np.ndarray, dest: TextIO) -> None:
         writer.writerow([repr(float(v)) for v in row])
 
 
-def two_vector_to_dict(p: TwoVector, version: str | None = None) -> dict:
-    doc: dict[str, Any] = {
-        "n": int(p.n),
-        "coords": p.coords.tolist(),
-    }
-    if version:
-        doc["version"] = version
-    return doc
+def two_vector_to_dict(p: TwoVector) -> dict:
+    return {"n": int(p.n), "coords": p.coords.tolist()}
+
+
+def _vector_pair(doc: dict, path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    u, v = (_as_float_array(doc[key], str(path), key) for key in ("u", "v"))
+    return u, v
 
 
 def read_two_vector(path: str | Path) -> TwoVector:
-    from .exterior import new_two_vector
+    """Read a 2-vector {"n": ..., "coords": [...]}, or a vector pair
+    {"u": [...], "v": [...]} as its wedge u ^ v.
 
-    doc = _load_json_object(path, ("n", "coords"))
-    n = doc["n"]
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if type(n) is not int:  # bool is a subclass of int
-        raise FormatError(f"{path}: n is not an integer")
-    return new_two_vector(n, _as_float_array(doc["coords"], str(path), "coords"))
+    The keys decide: a document with "coords" is a 2-vector, one with "u"
+    and "v" and no "coords" a vector pair.
+    """
+    from .exterior import new_two_vector, wedge
+
+    doc = _load_json_object(path, ("n", "coords"), ("u", "v"))
+    if "coords" not in doc:
+        return wedge(*_vector_pair(doc, path))
+    coords = _as_float_array(doc["coords"], str(path), "coords")
+    return new_two_vector(_integer_n(doc.get("n"), path), coords)
 
 
 def read_vector_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read {"u": [...], "v": [...]} for wedge-style commands."""
-    doc = _load_json_object(path, ("u", "v"))
-    return (
-        _as_float_array(doc["u"], str(path), "u"),
-        _as_float_array(doc["v"], str(path), "v"),
-    )
+    return _vector_pair(_load_json_object(path, ("u", "v")), path)
 
 
 def read_embedding(path: str | Path) -> Embedding:
@@ -243,10 +252,13 @@ def read_embedding(path: str | Path) -> Embedding:
 
     doc = _load_json_object(path, ("vectors",))
     vectors = _as_float_array(doc["vectors"], str(path), "vectors")
-    if "n" in doc and vectors.shape[0] != doc["n"]:
-        raise FormatError(
-            f"{path}: {vectors.shape[0]} vectors do not match n={doc['n']}"
-        )
+    if "n" in doc:
+        n = _integer_n(doc["n"], path)
+        # A 0-d "vectors" is left to custom_embedding's shape check.
+        if vectors.ndim and vectors.shape[0] != n:
+            raise FormatError(
+                f"{path}: {vectors.shape[0]} vectors do not match n={doc['n']}"
+            )
     return custom_embedding(vectors)
 
 

@@ -327,6 +327,23 @@ def test_diagnose_csv_dumps_matrix(capsys, inconsistent_csv):
     assert grid == [[3.0]]
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_diagnose_csv_with_lambda_writes_the_shifted_gram_matrix(tmp_path, n):
+    from pcgeom import build_M
+
+    rng = np.random.default_rng(n)
+    raw = np.triu(rng.uniform(-2, 2, size=(n, n)), k=1)
+    path, out = tmp_path / "m.csv", tmp_path / "m-out.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows((raw - raw.T).tolist())
+    argv = ["diagnose", str(path), "--format", "csv", "--lambda", "0.5", "-o", str(out)]
+    assert main(argv) == 0
+    grid = build_M(n).values + 0.5 * np.eye(math.comb(n, 3))
+    want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in grid)
+    assert out.read_bytes() == want.encode()
+    assert "3.5" in want and "-1.0" in want
+
+
 # ---------------------------------------------------------------------- reduce
 
 

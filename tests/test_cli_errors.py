@@ -292,8 +292,76 @@ def test_two_vector_n_may_be_written_as_an_integral_float(tmp_path):
 
 @pytest.mark.parametrize("n_text", ["[4]", "null", "4.7", '"4"'])
 def test_plucker_with_non_integer_n_exits_two(capsys, tmp_path, n_text):
-    # plucker falls back to reading {"u", "v"} when the file is not a
-    # valid 2-vector, so the line names the pair format.
+    # A document with "coords" is a 2-vector, so the line names its n.
     path = write_two_vector(tmp_path, n_text)
     err = run_failing(capsys, ["plucker", str(path)])
-    assert err == f'pcgeom: error: {path}: expected an object with "u" and "v"\n'
+    assert err == f"pcgeom: error: {path}: n is not an integer\n"
+
+
+NEITHER_FORMAT = 'expected an object with "n" and "coords", or "u" and "v"'
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"n": 4, "coords": "abc"}', "coords is not a numeric array"),
+        ('{"n": 4, "coords": "abc", "u": [1, 0], "v": [0, 1]}',
+         "coords is not a numeric array"),
+        ('{"coords": [1, 0, 0, 0, 0, 0], "u": [1, 0], "v": [0, 1]}',
+         "n is not an integer"),
+        ('{"u": "abc", "v": [0, 1]}', "u is not a numeric array"),
+        ('{"coords": [1, 0, 0, 0, 0, 0]}', NEITHER_FORMAT),
+        ('{"u": [1, 0]}', NEITHER_FORMAT),
+        ("[4]", NEITHER_FORMAT),
+    ],
+    ids=["bad-coords", "bad-coords-and-pair", "coords-and-pair-without-n",
+         "bad-u", "coords-without-n", "u-without-v", "list"],
+)
+def test_plucker_reader_is_chosen_by_the_keys(capsys, tmp_path, doc, message):
+    path = tmp_path / "p.json"
+    path.write_text(doc)
+    err = run_failing(capsys, ["plucker", str(path)])
+    assert err == f"pcgeom: error: {path}: {message}\n"
+
+
+MATRIX_ROWS = "[[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]"
+EMBEDDING_ROWS = "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"
+
+
+def write_matrix_json(tmp_path, n_text):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"n": {n_text}, "entries": {MATRIX_ROWS}}}')
+    return path
+
+
+def write_embedding_json(tmp_path, n_text, rows=EMBEDDING_ROWS):
+    path = tmp_path / "e.json"
+    path.write_text(f'{{"n": {n_text}, "vectors": {rows}}}')
+    return path
+
+
+@pytest.mark.parametrize("n_text", ['"3"', "true", "false", "null", "3.5", "[3]"])
+def test_matrix_and_embedding_with_non_integer_n_are_refused(tmp_path, n_text):
+    for path, reader in [
+        (write_matrix_json(tmp_path, n_text), pio.read_matrix),
+        (write_embedding_json(tmp_path, n_text), pio.read_embedding),
+    ]:
+        with pytest.raises(pio.FormatError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}: n is not an integer"
+
+
+@pytest.mark.parametrize("n_text", ["3", "3.0"])
+def test_matrix_and_embedding_n_may_be_an_integral_float(tmp_path, n_text):
+    assert pio.read_matrix(write_matrix_json(tmp_path, n_text)).n == 3
+    assert pio.read_embedding(write_embedding_json(tmp_path, n_text)).n == 3
+
+
+def test_scalar_embedding_vectors_exit_two(capsys, tmp_path, inconsistent_csv):
+    emb = write_embedding_json(tmp_path, "3", rows="5")
+    argv = ["indices", inconsistent_csv, "--embedding", "custom",
+            "--embedding-file", str(emb)]
+    err = run_failing(capsys, argv)
+    assert err == (
+        "pcgeom: error: need one length-n vector per alternative, got shape ()\n"
+    )

@@ -455,6 +455,26 @@ def test_closed_form_spectrum_matches_dense_eigh(n, lam):
     assert got == want
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-12, 0.5])
+@pytest.mark.parametrize("rank_tol", [1e-9, 0.5])
+def test_closed_form_report_is_pinned(lam, rank_tol):
+    # Only lambda = 0.5 clears a 1e-9 relative tolerance and fills the rank;
+    # otherwise the rank is the image dimension (n-1)(n-2)/2.
+    for n in range(3, 65):
+        t_count, image = math.comb(n, 3), (n - 1) * (n - 2) // 2
+        rank = t_count if (lam, rank_tol) == (0.5, 1e-9) else image
+        got = closed_form_diagnosis(n, lam, rank_tol)
+        assert got == {
+            "rank": rank,
+            "T": t_count,
+            "degenerate": rank < t_count,
+            "eigenvalues": [n + lam] * image + [lam] * (t_count - image),
+            "kernel_dim": t_count - rank,
+        }
+        assert all(type(v) is float for v in got["eigenvalues"])
+        assert type(got["rank"]) is int and type(got["kernel_dim"]) is int
+
+
 def test_closed_form_spectrum_keeps_dense_limits():
     with pytest.raises(ValueError, match="capped"):
         closed_form_diagnosis(65)

@@ -109,10 +109,12 @@ def test_build_M_n4_shared_pair_signs():
     assert m.values[t[(0, 1, 2)], t[(0, 2, 3)]] == -1.0  # share (1,3), signs -,+
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", range(3, 13))
 def test_build_M_is_gram_of_incidence(n):
     c = incidence_oracle(n)
-    np.testing.assert_array_equal(build_M(n).values, c.T @ c)
+    m = build_M(n).values
+    np.testing.assert_array_equal(m, c.T @ c)
+    assert not m.flags.writeable
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
