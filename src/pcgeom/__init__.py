@@ -34,11 +34,9 @@ _EXPORTS = {
     "permute": "pc_core",
     # exterior algebra
     "TwoVector": "exterior",
-    "PluckerResidualSet": "exterior",
     "wedge": "exterior",
     "wedge_rows": "exterior",
     "new_two_vector": "exterior",
-    "plucker_residuals": "exterior",
     "quad_residuals": "exterior",
     "is_decomposable": "exterior",
     "residuals_decomposable": "exterior",
@@ -55,7 +53,6 @@ _EXPORTS = {
     "pair_wedges": "embedding",
     "geometric_deviation": "embedding",
     "geometric_inconsistency": "embedding",
-    "planar_pair_subspaces": "embedding",
     "planar_pair_wedges": "embedding",
     "planar_matrix_inconsistency": "embedding",
     # coupling form

@@ -75,6 +75,10 @@ class RunConfig:
                 raise PCGeomError(f"{name} must be finite")
         if self.max_steps < 1:
             raise PCGeomError("max-steps must be at least 1")
+        if self.embedding_file is not None and self.embedding_kind != "custom":
+            raise PCGeomError("--embedding-file requires --embedding custom")
+        if self.embedding_kind == "custom" and not self.embedding_file:
+            raise PCGeomError("custom embedding requires --embedding-file")
 
 
 def _with_environment(config: RunConfig) -> RunConfig:
@@ -171,8 +175,6 @@ def _embedding(config: RunConfig, matrix: AdditiveMatrix) -> Embedding | None:
         scores, _ = recover_scores(matrix)
         return orthogonal_embedding(scores_to_coefficients(scores))
     if config.embedding_kind == "custom":
-        if not config.embedding_file:
-            raise PCGeomError("custom embedding requires --embedding-file")
         emb = io.read_embedding(config.embedding_file)
         if emb.n != matrix.n:
             raise PCGeomError(

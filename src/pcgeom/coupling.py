@@ -50,19 +50,6 @@ class CouplingMap:
     def triad_count(self) -> int:
         return indexing.triad_count(self.n)
 
-    def entries(self) -> dict[tuple[tuple[int, int], tuple[int, int, int]], float]:
-        """Sparse view keyed by 1-based ((k, l), (i, j, k)) with values +-1."""
-        pairs = list(map(tuple, indexing.labels(self.n, 2).tolist()))
-        out: dict[tuple[tuple[int, int], tuple[int, int, int]], float] = {}
-        for t, label in enumerate(map(tuple, indexing.labels(self.n, 3).tolist())):
-            for pos, sign in (
-                (self.ij_pos[t], 1.0),
-                (self.jk_pos[t], 1.0),
-                (self.ik_pos[t], -1.0),
-            ):
-                out[(pairs[pos], label)] = sign
-        return out
-
     def apply(self, d) -> np.ndarray:
         """Pair-space image of a deviation vector (the map C applied to d)."""
         values = _as_deviation_array(d, self.n)

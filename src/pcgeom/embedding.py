@@ -29,7 +29,7 @@ from .errors import (
     NonFiniteEntryError,
     ZeroCoefficientError,
 )
-from .exterior import TwoVector, new_two_vector, wedge, wedge_rows
+from .exterior import TwoVector, wedge, wedge_rows
 from .pc_core import AdditiveMatrix, _as_score_array, algebraic_inconsistency
 
 ORTHOGONAL = "orthogonal"
@@ -216,25 +216,20 @@ def geometric_inconsistency(e: Embedding, convention: str = "cyclic") -> float:
 
 
 def planar_pair_wedges(a: AdditiveMatrix) -> np.ndarray:
-    """Coordinates of every pairwise planar 2-vector, one row per pair;
-    see :func:`planar_pair_subspaces`."""
-    base = np.zeros(a.n)
-    base[1] = 1.0
-    u = np.zeros((a.upper.size, a.n))
-    u[:, 0] = a.upper
-    u[:, 1] = 1.0
-    return wedge_rows(u, base)
-
-
-def planar_pair_subspaces(a: AdditiveMatrix) -> list[TwoVector]:
-    """Per-pair planar 2-vectors carrying the matrix entries.
+    """Per-pair planar 2-vectors carrying the matrix entries, one row of
+    coordinates per pair in lexicographic order.
 
     Pair (i, j) gets the wedge of the local vectors (a_ij, 1, 0, ...) and
     (0, 1, 0, ...), whose only nonzero coordinate is a_ij at position
     (1, 2). Unlike a single global embedding, this pairwise family
     represents an inconsistent matrix faithfully.
     """
-    return [new_two_vector(a.n, row) for row in planar_pair_wedges(a)]
+    base = np.zeros(a.n)
+    base[1] = 1.0
+    u = np.zeros((a.upper.size, a.n))
+    u[:, 0] = a.upper
+    u[:, 1] = 1.0
+    return wedge_rows(u, base)
 
 
 def planar_matrix_inconsistency(

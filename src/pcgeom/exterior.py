@@ -41,9 +41,6 @@ class TwoVector:
             )
         return float(self.coords[indexing.pair_index(self.n, k - 1, l - 1)])
 
-    def pair_labels(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, indexing.labels(self.n, 2).tolist()))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
@@ -75,19 +72,6 @@ class TwoVector:
         return _new(self.n, self.coords * float(scalar))
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class PluckerResidualSet:
-    """Residual of the quadratic relation for every 4-subset (1-based)."""
-
-    n: int
-    residuals: dict[tuple[int, int, int, int], float]
-
-    def max_abs(self) -> float:
-        if not self.residuals:
-            return 0.0
-        return max(abs(v) for v in self.residuals.values())
 
 
 def _new(n: int, coords: np.ndarray) -> TwoVector:
@@ -171,16 +155,6 @@ def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
     """
     values = np.concatenate([np.empty(0), *_residuals_by_lead(p)])
     return indexing.labels(p.n, 4), values
-
-
-def plucker_residuals(p: TwoVector) -> PluckerResidualSet:
-    """Residual p_kl p_mo - p_km p_lo + p_ko p_lm for each 4-subset.
-
-    Empty for n < 4, where the relations are vacuous.
-    """
-    quads, values = quad_residuals(p)
-    residuals = dict(zip(map(tuple, quads.tolist()), values.tolist()))
-    return PluckerResidualSet(n=p.n, residuals=residuals)
 
 
 def residuals_decomposable(

@@ -220,9 +220,12 @@ def two_vector_to_dict(p: TwoVector) -> dict:
     return {"n": int(p.n), "coords": p.coords.tolist()}
 
 
-def _vector_pair(doc: dict, path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    u, v = (_as_float_array(doc[key], str(path), key) for key in ("u", "v"))
-    return u, v
+def _flat(doc: dict, key: str, path: str | Path) -> np.ndarray:
+    """doc[key] as numbers; a nested list is refused, not flattened."""
+    arr = _as_float_array(doc[key], str(path), key)
+    if arr.ndim > 1:
+        raise FormatError(f"{path}: {key} is nested; expected a flat list of numbers")
+    return arr
 
 
 def read_two_vector(path: str | Path) -> TwoVector:
@@ -236,14 +239,15 @@ def read_two_vector(path: str | Path) -> TwoVector:
 
     doc = _load_json_object(path, ("n", "coords"), ("u", "v"))
     if "coords" not in doc:
-        return wedge(*_vector_pair(doc, path))
-    coords = _as_float_array(doc["coords"], str(path), "coords")
+        return wedge(_flat(doc, "u", path), _flat(doc, "v", path))
+    coords = _flat(doc, "coords", path)
     return new_two_vector(_integer_n(doc.get("n"), path), coords)
 
 
 def read_vector_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read {"u": [...], "v": [...]} for wedge-style commands."""
-    return _vector_pair(_load_json_object(path, ("u", "v")), path)
+    doc = _load_json_object(path, ("u", "v"))
+    return _flat(doc, "u", path), _flat(doc, "v", path)
 
 
 def read_embedding(path: str | Path) -> Embedding:

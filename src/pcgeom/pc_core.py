@@ -65,10 +65,6 @@ class AdditiveMatrix:
         full[cols, rows] = -self.upper
         return full
 
-    def pair_labels(self) -> tuple[tuple[int, int], ...]:
-        """1-based (i, j) labels aligned with ``upper``."""
-        return tuple(map(tuple, indexing.labels(self.n, 2).tolist()))
-
 
 @dataclass(frozen=True)
 class MultiplicativeMatrix:
@@ -97,10 +93,6 @@ class DeviationVector:
 
     n: int
     values: np.ndarray
-
-    def triad_labels(self) -> tuple[tuple[int, int, int], ...]:
-        """1-based (i, j, k) labels aligned with ``values``."""
-        return tuple(map(tuple, indexing.labels(self.n, 3).tolist()))
 
     def max_abs(self) -> float:
         if self.values.size == 0:
@@ -154,7 +146,7 @@ def new_additive(raw, tol: float = DEFAULT_TOLERANCE) -> AdditiveMatrix:
     if np.any(diag > tol):
         i = int(np.argmax(diag > tol))
         raise NotSkewSymmetricError(
-            f"diagonal entry ({i + 1},{i + 1}) = {arr[i, i]!r} exceeds "
+            f"diagonal entry ({i + 1},{i + 1}) = {float(arr[i, i])!r} exceeds "
             f"tolerance {tol:g}"
         )
     asym = arr + arr.T
@@ -162,7 +154,7 @@ def new_additive(raw, tol: float = DEFAULT_TOLERANCE) -> AdditiveMatrix:
         i, j = np.argwhere(np.abs(asym) > tol)[0]
         raise NotSkewSymmetricError(
             f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}): "
-            f"a[{i + 1},{j + 1}] + a[{j + 1},{i + 1}] = {asym[i, j]!r} "
+            f"a[{i + 1},{j + 1}] + a[{j + 1},{i + 1}] = {float(asym[i, j])!r} "
             f"exceeds tolerance {tol:g}"
         )
     rows, cols = np.triu_indices(n, k=1)
@@ -193,13 +185,14 @@ def to_multiplicative(a: AdditiveMatrix) -> MultiplicativeMatrix:
     Raises:
         OverflowError: if any entry exponentiates to infinity.
     """
+    full = a.to_array()
     with np.errstate(over="ignore"):
-        entries = np.exp(a.to_array())
+        entries = np.exp(full)
     if not np.all(np.isfinite(entries)):
         i, j = np.argwhere(~np.isfinite(entries))[0]
         raise OverflowError(
             f"exp overflow at entry ({i + 1},{j + 1}); additive value "
-            f"{a.to_array()[i, j]!r} is too large"
+            f"{float(full[i, j])!r} is too large"
         )
     return MultiplicativeMatrix(n=a.n, entries=_readonly(entries))
 
@@ -222,13 +215,13 @@ def new_multiplicative(
     if np.any(arr <= 0):
         i, j = np.argwhere(arr <= 0)[0]
         raise NonPositiveEntryError(
-            f"entry ({i + 1},{j + 1}) = {arr[i, j]!r} must be positive"
+            f"entry ({i + 1},{j + 1}) = {float(arr[i, j])!r} must be positive"
         )
     diag_err = np.abs(np.diagonal(arr) - 1.0)
     if np.any(diag_err > tol):
         i = int(np.argmax(diag_err > tol))
         raise NotReciprocalError(
-            f"diagonal entry ({i + 1},{i + 1}) = {arr[i, i]!r} differs "
+            f"diagonal entry ({i + 1},{i + 1}) = {float(arr[i, i])!r} differs "
             f"from 1 beyond tolerance {tol:g}"
         )
     recip = np.abs(arr * arr.T - 1.0)
@@ -236,7 +229,8 @@ def new_multiplicative(
         i, j = np.argwhere(recip > tol)[0]
         raise NotReciprocalError(
             f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}): "
-            f"m[{i + 1},{j + 1}] * m[{j + 1},{i + 1}] = {arr[i, j] * arr[j, i]!r} "
+            f"m[{i + 1},{j + 1}] * m[{j + 1},{i + 1}] = "
+            f"{float(arr[i, j] * arr[j, i])!r} "
             f"differs from 1 beyond tolerance {tol:g}"
         )
     return MultiplicativeMatrix(n=arr.shape[0], entries=_readonly(arr))
@@ -252,7 +246,7 @@ def to_additive(m: MultiplicativeMatrix) -> AdditiveMatrix:
     if np.any(m.entries <= 0):
         i, j = np.argwhere(m.entries <= 0)[0]
         raise NonPositiveEntryError(
-            f"entry ({i + 1},{j + 1}) = {m.entries[i, j]!r} must be positive"
+            f"entry ({i + 1},{j + 1}) = {float(m.entries[i, j])!r} must be positive"
         )
     rows, cols = np.triu_indices(m.n, k=1)
     return _from_upper(m.n, np.log(m.entries[rows, cols]))

@@ -45,12 +45,7 @@ class TwoForm:
     @property
     def matrix_view(self) -> np.ndarray:
         """Skew-symmetric n-by-n matrix P with P_kl = p_kl for k < l."""
-        n = self.n
-        p = np.zeros((n, n))
-        rows, cols = np.triu_indices(n, k=1)
-        p[rows, cols] = self.coefficients.coords
-        p[cols, rows] = -self.coefficients.coords
-        return p
+        return AdditiveMatrix(self.n, self.coefficients.coords).to_array()
 
 
 def form_from_plucker(p: TwoVector) -> TwoForm:

@@ -365,3 +365,70 @@ def test_scalar_embedding_vectors_exit_two(capsys, tmp_path, inconsistent_csv):
     assert err == (
         "pcgeom: error: need one length-n vector per alternative, got shape ()\n"
     )
+
+
+@pytest.mark.parametrize(
+    "rows, argv, message",
+    [
+        ([[0.5, 1], [-1, 0]], ["check"],
+         "diagonal entry (1,1) = 0.5 exceeds tolerance 1e-09"),
+        ([[0, 1, 3], [-1, 0, 1], [-3, -0.5, 0]], ["check"],
+         "entries (2,3) and (3,2): a[2,3] + a[3,2] = 0.5 exceeds tolerance 1e-09"),
+        ([[1, -2], [-0.5, 1]], ["check", "--mode", "multiplicative"],
+         "entry (1,2) = -2.0 must be positive"),
+        ([[2, 1, 1], [1, 1, 1], [1, 1, 1]], ["convert", "--mode", "multiplicative"],
+         "diagonal entry (1,1) = 2.0 differs from 1 beyond tolerance 1e-09"),
+        ([[1, 2], [1, 1]], ["convert", "--mode", "multiplicative"],
+         "entries (1,2) and (2,1): m[1,2] * m[2,1] = 2.0 differs from 1 "
+         "beyond tolerance 1e-09"),
+        ([[0, 1e308], [-1e308, 0]], ["convert"],
+         "exp overflow at entry (1,2); additive value 1e+308 is too large"),
+    ],
+    ids=["diagonal", "skew", "non-positive", "reciprocal-diagonal", "reciprocal",
+         "exp-overflow"],
+)
+def test_validation_messages_print_plain_floats(capsys, tmp_path, rows, argv, message):
+    path = write_csv(tmp_path / "m.csv", rows)
+    err = run_failing(capsys, [argv[0], path, *argv[1:]])
+    assert err == f"pcgeom: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("plucker", {"n": 3, "coords": [[1, 2, 3]]}, "coords"),
+        ("plucker", {"u": [[1, 2], [3, 4]], "v": [1, 2, 3, 4]}, "u"),
+        ("wedge", {"u": [[1, 2], [3, 4]], "v": [1, 2, 3, 4]}, "u"),
+        ("wedge", {"u": [1, 2, 3, 4], "v": [[[1, 2, 3, 4]]]}, "v"),
+    ],
+)
+def test_nested_vectors_exit_two_naming_the_key(capsys, tmp_path, command, doc, key):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    err = run_failing(capsys, [command, str(path)])
+    assert err == (
+        f"pcgeom: error: {path}: {key} is nested; expected a flat list of numbers\n"
+    )
+
+
+FILE_NEEDS_CUSTOM = "--embedding-file requires --embedding custom"
+
+
+@pytest.mark.parametrize("command", ["indices", "embed"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--embedding", "planar", "--embedding-file", "e.json"], FILE_NEEDS_CUSTOM),
+        (["--embedding", "orthogonal", "--embedding-file", "e.json"], FILE_NEEDS_CUSTOM),
+        (["--embedding-file", "e.json"], FILE_NEEDS_CUSTOM),
+        (["--embedding", "custom"], "custom embedding requires --embedding-file"),
+    ],
+    ids=["planar", "orthogonal", "file-alone", "custom-alone"],
+)
+def test_embedding_pairing_is_checked_before_reading_input(
+    capsys, monkeypatch, tmp_path, command, flags, message
+):
+    # Neither the matrix nor the embedding file exists, so neither is opened.
+    monkeypatch.chdir(tmp_path)
+    err = run_failing(capsys, [command, "missing.csv", *flags])
+    assert err == f"pcgeom: error: {message}\n"

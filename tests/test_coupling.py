@@ -16,7 +16,7 @@ from pcgeom import (
     quadratic_inconsistency,
     regularize,
 )
-from pcgeom.indexing import pair_count, triad_count
+from pcgeom.indexing import pair_count, pair_index, triad_count
 
 
 def pairs(n):
@@ -47,27 +47,19 @@ def random_additive(rng, n, scale=4.0):
 
 
 def test_single_triad_column_for_n3():
-    cmap = coupling_coefficients(3)
-    entries = cmap.entries()
-    assert entries == {
-        ((1, 2), (1, 2, 3)): 1.0,
-        ((2, 3), (1, 2, 3)): 1.0,
-        ((1, 3), (1, 2, 3)): -1.0,
-    }
+    # Rows are the pairs (1,2), (1,3), (2,3); the column is the triad (1,2,3).
+    assert coupling_coefficients(3).to_dense().tolist() == [[1.0], [-1.0], [1.0]]
 
 
 def test_n4_has_three_nonzeros_per_triad():
-    entries = coupling_coefficients(4).entries()
-    assert len(entries) == 12
-    per_triad = {}
-    for (_, triad), _sign in entries.items():
-        per_triad[triad] = per_triad.get(triad, 0) + 1
-    assert set(per_triad.values()) == {3}
+    c = coupling_coefficients(4).to_dense()
+    assert np.count_nonzero(c) == 12
+    assert np.count_nonzero(c, axis=0).tolist() == [3, 3, 3, 3]
 
 
 def test_entry_value_example():
-    entries = coupling_coefficients(3).entries()
-    assert entries[((1, 2), (1, 2, 3))] == 1.0
+    c = coupling_coefficients(3).to_dense()
+    assert c[pair_index(3, 0, 1), 0] == 1.0
 
 
 def test_coupling_rejects_small_n():

@@ -12,11 +12,12 @@ from pcgeom import (
     geometric_deviation,
     geometric_inconsistency,
     new_additive,
+    new_two_vector,
     orthogonal_embedding,
     pair_subspace,
     planar_embedding,
     planar_matrix_inconsistency,
-    planar_pair_subspaces,
+    planar_pair_wedges,
     recover_scores,
     scores_to_coefficients,
     wedge,
@@ -230,13 +231,13 @@ def test_orthogonal_relabeling_invariance():
 # ----------------------------------------------------- pairwise planar family
 
 
-def test_planar_pair_subspaces_carry_entries():
+def test_planar_pair_wedges_carry_entries():
     a = new_additive(INCONSISTENT_3)
-    subspaces = planar_pair_subspaces(a)
-    leads = [w.coord(1, 2) for w in subspaces]
+    rows = planar_pair_wedges(a)
+    leads = [new_two_vector(a.n, row).coord(1, 2) for row in rows]
     assert leads == [1.0, 3.0, 1.0]
-    for w in subspaces:
-        assert np.count_nonzero(w.coords) <= 1
+    for row in rows:
+        assert np.count_nonzero(row) <= 1
 
 
 def test_planar_matrix_inconsistency_cyclic_equals_i_alg():
@@ -253,7 +254,7 @@ def test_planar_matrix_inconsistency_cyclic_equals_i_alg():
 def test_planar_matrix_inconsistency_matches_explicit_wedges():
     """Scalar fast path agrees with summing the literal pair 2-vectors."""
     a = new_additive(INCONSISTENT_3)
-    w12, w13, w23 = planar_pair_subspaces(a)
+    w12, w13, w23 = (new_two_vector(a.n, row) for row in planar_pair_wedges(a))
     for convention, sign in (("cyclic", -1.0), ("anticyclic", 1.0)):
         dev = w12 + w23 + sign * w13
         assert planar_matrix_inconsistency(a, convention) == pytest.approx(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pcgeom import (
     IndexOutOfRangeError,
+    MultiplicativeMatrix,
     NonFiniteEntryError,
     NonIncreasingTriadError,
     NonPositiveEntryError,
@@ -26,6 +27,7 @@ from pcgeom import (
     to_multiplicative,
     triad_deviation,
 )
+from pcgeom import indexing
 
 CONSISTENT_3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
@@ -155,6 +157,13 @@ def test_to_additive_all_ones_gives_zero():
     assert np.all(a.upper == 0)
 
 
+def test_to_additive_names_the_non_positive_entry_as_a_plain_float():
+    m = MultiplicativeMatrix(n=2, entries=np.array([[1.0, -2.0], [-0.5, 1.0]]))
+    with pytest.raises(NonPositiveEntryError) as exc:
+        to_additive(m)
+    assert str(exc.value) == "entry (1,2) = -2.0 must be positive"
+
+
 def test_new_multiplicative_rejects_non_positive():
     with pytest.raises(NonPositiveEntryError):
         new_multiplicative([[1, 0.0], [2.0, 1]])
@@ -221,7 +230,9 @@ def test_all_triad_deviations_single_triad():
 def test_all_triad_deviations_n4_zero():
     d = all_triad_deviations(new_additive(np.zeros((4, 4))))
     assert d.values.tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert d.triad_labels() == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+    assert indexing.labels(d.n, 3).tolist() == [
+        [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]
+    ]
 
 
 def test_deviation_sign_flips_under_index_swap():

@@ -106,8 +106,10 @@ def test_submodules_resolve_without_explicit_import():
 
 
 def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        pcgeom.no_such_name
+    for name in ["no_such_name", "PluckerResidualSet", "plucker_residuals",
+                 "planar_pair_subspaces"]:
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(pcgeom, name)
 
 
 def test_module_exit_writes_whole_report_to_pipe(tmp_path):
