@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: the handlers of the commands that ``usage``
+declares, and ``main``, which parses with ``usage.build_parser``.
 
 One subcommand per operation family; all reports are machine readable
 (JSON by default, CSV for matrix-shaped output) and carry the library
@@ -32,13 +33,13 @@ from .pc_core import (
     to_additive,
     to_multiplicative,
 )
+from .usage import FORMATS, build_parser
 
 if TYPE_CHECKING:
     from .embedding import Embedding
 
 ENV_TOL = "PCGEOM_TOL"
 ENV_FORMAT = "PCGEOM_FORMAT"
-FORMATS = ("json", "csv", "jsonl")
 
 
 @dataclass
@@ -62,7 +63,7 @@ class RunConfig:
     max_steps: int = 1000
 
     def validate(self) -> None:
-        if self.command not in _COMMANDS:
+        if self.command not in _HANDLERS:
             raise PCGeomError(f"unknown command {self.command!r}")
         if not self.tol > 0:
             raise PCGeomError("tol must be positive")
@@ -336,43 +337,19 @@ def _cmd_twoform(config: RunConfig):
     )
 
 
-#: argparse settings of the flags only some commands take.
-_FLAGS = {
-    "--convention": {"choices": ["cyclic", "anticyclic"]},
-    "--embedding": {
-        "choices": ["planar", "orthogonal", "custom"],
-        "dest": "embedding_kind",
-    },
-    "--embedding-file": {},
-    "--lambda": {"type": float, "dest": "lam"},
-    "--eta": {"type": float},
-    "--max-steps": {"type": int},
-}
-
-_EMBEDDING_FLAGS = (
-    ("--embedding", None),
-    ("--embedding-file", "JSON file for --embedding custom"),
-)
-
-#: name: (handler, help, reads a matrix, extra (flag, help) pairs). Each
+#: Each command's handler, keyed by the names in usage.COMMANDS; a
 #: handler returns its exit code and the writer of its output.
-_COMMANDS = {
-    "check": (_cmd_check, "consistency verdict and max deviation", True, ()),
-    "convert": (_cmd_convert, "additive <-> multiplicative", True, ()),
-    "indices": (_cmd_indices, "algebraic and geometric inconsistency", True,
-                (("--convention", None), *_EMBEDDING_FLAGS)),
-    "deviations": (_cmd_deviations, "all triad deviations", True, ()),
-    "embed": (_cmd_embed, "pair 2-vectors of the chosen embedding", True,
-              _EMBEDDING_FLAGS),
-    "wedge": (_cmd_wedge, 'wedge product of {"u": [...], "v": [...]}', False, ()),
-    "plucker": (_cmd_plucker, "quadratic-relation residuals of a 2-vector",
-                False, ()),
-    "diagnose": (_cmd_diagnose, "spectral report of the coupling form", True,
-                 (("--lambda", "diagonal regularization weight (default 0)"),)),
-    "reduce": (_cmd_reduce, "iterative inconsistency reduction", True,
-               (("--lambda", "regularized descent weight (default 0)"),
-                ("--eta", "step size (default 1/n)"), ("--max-steps", None))),
-    "twoform": (_cmd_twoform, "form evaluation table vs matrix entries", True, ()),
+_HANDLERS = {
+    "check": _cmd_check,
+    "convert": _cmd_convert,
+    "indices": _cmd_indices,
+    "deviations": _cmd_deviations,
+    "embed": _cmd_embed,
+    "wedge": _cmd_wedge,
+    "plucker": _cmd_plucker,
+    "diagnose": _cmd_diagnose,
+    "reduce": _cmd_reduce,
+    "twoform": _cmd_twoform,
 }
 
 
@@ -384,7 +361,7 @@ def run(config: RunConfig) -> int:
         # Overflow raises instead of warning, so no inf or nan reaches a
         # report and no numpy warning reaches stderr.
         with np.errstate(over="raise", invalid="raise"):
-            code, writer = _COMMANDS[config.command][0](config)
+            code, writer = _HANDLERS[config.command](config)
             _emit(config, writer)
         return code
     except FloatingPointError as exc:
@@ -405,59 +382,6 @@ def run(config: RunConfig) -> int:
         # domain validation and malformed numeric input.
         print(f"pcgeom: error: {exc}", file=sys.stderr)
         return 2
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pcgeom",
-        description=(
-            "Skew-symmetric pairwise-comparison matrices: consistency "
-            "checks, pair-subspace embeddings, and inconsistency reduction."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, reads_matrix, extra_flags) in _COMMANDS.items():
-        # Destinations are RunConfig field names; a flag left out is
-        # absent from the namespace rather than set to a default.
-        p = sub.add_parser(
-            name, help=help_text, argument_default=argparse.SUPPRESS
-        )
-        p.add_argument("input_path", metavar="input", help="input file")
-        p.add_argument(
-            "-o",
-            "--output",
-            dest="output_path",
-            metavar="OUTPUT",
-            help="output file (default stdout)",
-        )
-        p.add_argument(
-            "--format",
-            choices=FORMATS,
-            help="output format (default: from output extension, else json)",
-        )
-        p.add_argument(
-            "--tol",
-            type=float,
-            help=(
-                "absolute validation / decision tolerance, the same at every "
-                "scale of the entries (default 1e-9)"
-            ),
-        )
-        if reads_matrix:
-            p.add_argument(
-                "--mode",
-                choices=[io.ADDITIVE, io.MULTIPLICATIVE],
-                help=(
-                    "how to interpret the input matrix "
-                    "(default: the file's own mode declaration, else additive)"
-                ),
-            )
-        for flag, flag_help in extra_flags:
-            p.add_argument(flag, help=flag_help, **_FLAGS[flag])
-    return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -82,7 +82,7 @@ def _new(n: int, coords: np.ndarray) -> TwoVector:
 
 def new_two_vector(n: int, coords) -> TwoVector:
     """Build a TwoVector from raw coordinates, validating the length."""
-    arr = np.asarray(coords, dtype=float).ravel()
+    arr = _flat(coords, "coords")
     if n < 2:
         raise DimensionMismatchError("dimension must be at least 2")
     if arr.size != indexing.pair_count(n):
@@ -95,8 +95,18 @@ def new_two_vector(n: int, coords) -> TwoVector:
     return _new(n, arr)
 
 
+def _flat(values, name: str) -> np.ndarray:
+    """values as a 1-D float array; a nested array is refused, not flattened."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim > 1:
+        raise DimensionMismatchError(
+            f"{name} must be a flat vector, got shape {arr.shape}"
+        )
+    return arr.ravel()
+
+
 def _as_vector(u, name: str) -> np.ndarray:
-    arr = np.asarray(u, dtype=float).ravel()
+    arr = _flat(u, name)
     if arr.size < 2:
         raise DimensionMismatchError(f"{name} needs at least 2 components")
     if not np.all(np.isfinite(arr)):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pcgeom import __version__, new_additive, to_multiplicative
+from pcgeom import cli, usage
 from pcgeom import io as pio
 from pcgeom.cli import main
 
@@ -449,3 +450,33 @@ def test_module_entry_point(consistent_csv):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["consistent"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check"], "the following arguments are required: input"),
+        (["check", "m.csv", "--format", "xml"], "argument --format: invalid choice"),
+        (["reduce", "m.csv", "--eta", "abc"], "argument --eta: invalid float value"),
+        (["frob", "m.csv"], "argument command: invalid choice: 'frob'"),
+    ],
+)
+def test_usage_error_is_one_line_exit_two(argv, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgeom", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"pcgeom: error: {message}")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pcgeom check [-h]")
+
+
+def test_every_command_has_a_handler():
+    assert list(cli._HANDLERS) == list(usage.COMMANDS)

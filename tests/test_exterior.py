@@ -65,6 +65,19 @@ def test_wedge_dimension_mismatch():
         wedge([1, 2, 3], [1, 2])
 
 
+@pytest.mark.parametrize(
+    "u, v", [([[1, 2], [3, 4]], [1, 2, 3, 4]), ([1, 2, 3, 4], [[1, 2, 3, 4]])]
+)
+def test_wedge_refuses_nested_vectors(u, v):
+    with pytest.raises(DimensionMismatchError, match="flat vector"):
+        wedge(u, v)
+
+
+def test_new_two_vector_refuses_nested_coords():
+    with pytest.raises(DimensionMismatchError, match="coords must be a flat"):
+        new_two_vector(3, [[1, 2, 3]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 6), st.data())
 def test_wedge_antisymmetry_exact(n, data):

@@ -1,6 +1,8 @@
 """Start-up contract: ``import pcgeom`` is lazy, a CLI process loads only
-the modules its command runs, and the ``python -m pcgeom`` exit path
-still ends with every byte written and the command's exit code."""
+the modules its command runs, ``--version``, ``--help`` and usage errors
+load neither numpy nor the command modules, and the ``python -m pcgeom``
+exit path still ends with every byte written and the command's exit
+code."""
 
 import json
 import subprocess
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import pcgeom
+from pcgeom.cli import main
 
 #: What ``import pcgeom.cli`` loads: the modules every matrix command uses,
 #: plus coupling, whose CouplingMap the bench launcher wraps.
@@ -22,14 +25,20 @@ CLI_MODULES = {
     "pcgeom.indexing",
     "pcgeom.io",
     "pcgeom.pc_core",
+    "pcgeom.usage",
 }
 
+#: What ``python -m pcgeom`` loads when argparse answers on its own.
+USAGE_MODULES = {"pcgeom", "pcgeom.usage"}
+
 #: Runs ``python -m pcgeom ARGS`` through runpy, as ``-m`` does, and prints
-#: the loaded pcgeom modules to stderr from an atexit handler.
+#: the loaded pcgeom modules, and numpy if it loaded, to stderr from an
+#: atexit handler.
 PROBE = (
     "import atexit, json, runpy, sys\n"
     "atexit.register(lambda: print(json.dumps(sorted(\n"
-    "    m for m in sys.modules if m.split('.')[0] == 'pcgeom')), file=sys.stderr))\n"
+    "    m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'pcgeom')),\n"
+    "    file=sys.stderr))\n"
     "sys.argv[0] = 'pcgeom'\n"
     "runpy.run_module('pcgeom', run_name='__main__', alter_sys=True)\n"
 )
@@ -81,8 +90,39 @@ def test_command_loads_only_its_modules(matrix_csv, command, extra):
         text=True,
     )
     assert proc.returncode in (0, 1)
-    assert set(json.loads(proc.stderr.splitlines()[-1])) == CLI_MODULES | extra
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == (
+        CLI_MODULES | extra | {"numpy"}
+    )
     json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["check", "--help"], 0),
+        (["check"], 2),
+    ],
+)
+def test_parser_answers_without_numpy(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == USAGE_MODULES
+
+
+def test_module_help_matches_in_process_help(capsys, monkeypatch):
+    # argparse wraps help at the terminal width; fix it for both processes.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgeom", "--help"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_exports_are_their_defining_objects():
