@@ -14,7 +14,12 @@ def run() -> None:
     permanent generation, so interpreter shutdown skips collecting them;
     atexit handlers and stream flushing still run. ``cli.main`` itself
     never freezes, because tests and library callers run it in-process.
+
+    The cyclic garbage collector is off for the whole run: a one-shot
+    command builds trees of objects, not cycles, so the passes it would
+    make while numpy imports free next to nothing.
     """
+    gc.disable()
     args = build_parser().parse_args()
     try:
         from .cli import config_from_args, run as run_command

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, indexing, io
 # Not on demand: bench/launcher.py wraps CouplingMap right after importing cli.
 from .coupling import build_M, closed_form_diagnosis, regularize
-from .errors import DivergentStepError, NonFiniteResultError, PCGeomError
+from .errors import DivergentStepError, PCGeomError
 from .pc_core import (
     AdditiveMatrix,
     DEFAULT_TOLERANCE,
@@ -125,12 +125,15 @@ def _emit(config: RunConfig, writer) -> None:
     if not config.output_path:
         writer(sys.stdout)
         return
+    dest = open(config.output_path, "w")
     try:
-        with open(config.output_path, "w") as dest:
+        with dest:
             writer(dest)
-    except (NonFiniteResultError, MemoryError):
-        # Leave no truncated document behind.
-        os.remove(config.output_path)
+    except BaseException:
+        # Leave no truncated document behind, whatever stopped the writer;
+        # a device or pipe named as the output holds no document.
+        if os.path.isfile(config.output_path):
+            os.remove(config.output_path)
         raise
 
 
@@ -212,8 +215,8 @@ def _cmd_deviations(config: RunConfig):
     return 0, _report(
         config,
         n=matrix.n,
-        triads=indexing.labels(matrix.n, 3).tolist(),
-        values=devs.values.tolist(),
+        triads=indexing.labels(matrix.n, 3),
+        values=devs.values,
     )
 
 
@@ -223,18 +226,17 @@ def _cmd_embed(config: RunConfig):
     matrix = _read_additive(config)
     emb = _embedding(config, matrix)
     w = planar_pair_wedges(matrix) if emb is None else pair_wedges(emb.vectors)
+    pairs = indexing.labels(matrix.n, 2)
     return 0, _report(
         config,
         n=matrix.n,
         embedding=config.embedding_kind,
-        pairs=[
-            {"i": i, "j": j, "coords": coords, "degenerate": degenerate}
-            for (i, j), coords, degenerate in zip(
-                indexing.labels(matrix.n, 2).tolist(),
-                w.tolist(),
-                np.all(w == 0.0, axis=1).tolist(),
-            )
-        ],
+        pairs=io.Table(
+            i=pairs[:, 0],
+            j=pairs[:, 1],
+            coords=w,
+            degenerate=np.all(w == 0.0, axis=1),
+        ),
     )
 
 
@@ -246,8 +248,8 @@ def _cmd_wedge(config: RunConfig):
     return 0, _report(
         config,
         n=w.n,
-        pairs=indexing.labels(w.n, 2).tolist(),
-        coords=w.coords.tolist(),
+        pairs=indexing.labels(w.n, 2),
+        coords=w.coords,
     )
 
 
@@ -263,10 +265,7 @@ def _cmd_plucker(config: RunConfig):
         max_abs_residual=float(np.max(np.abs(values), initial=0.0)),
         decomposable=residuals_decomposable(p, values, config.tol),
         tolerance=config.tol,
-        residuals=[
-            {"quad": quad, "value": value}
-            for quad, value in zip(quads.tolist(), values.tolist())
-        ],
+        residuals=io.Table(quad=quads, value=values),
     )
 
 
@@ -305,7 +304,7 @@ def _cmd_reduce(config: RunConfig):
     if config.format == "jsonl":
         return 0, lambda dest: io.write_trajectory_jsonl(trajectory, dest)
     if config.format == "csv":
-        return 0, lambda dest: io.write_grid_csv(trajectory.final.to_array(), dest)
+        return 0, lambda dest: io.write_grid_csv(trajectory.final, dest)
     return 0, _report(
         config,
         n=matrix.n,
@@ -313,25 +312,31 @@ def _cmd_reduce(config: RunConfig):
         max_steps=config.max_steps,
         tol=config.tol,
         converged=trajectory.converged,
-        steps=trajectory.records(),
-        final=io.matrix_to_dict(trajectory.final),
+        steps=io.steps_table(trajectory),
+        final=io.matrix_document(trajectory.final),
         **{"lambda": config.lam},
     )
 
 
 def _cmd_twoform(config: RunConfig):
-    from .twoform import evaluation_table, is_closed_discrete
+    from .twoform import evaluation_columns, is_closed_discrete
 
     matrix = _read_additive(config)
-    rows = evaluation_table(matrix)
-    max_err = max((r["abs_error"] for r in rows), default=0.0)
+    omega, entry, abs_error = evaluation_columns(matrix)
+    pairs = indexing.labels(matrix.n, 2)
     # Discrete closedness is the consistency predicate; scan triads once.
     closed = is_closed_discrete(matrix, config.tol)
     return 0, _report(
         config,
         n=matrix.n,
-        rows=rows,
-        max_abs_error=max_err,
+        rows=io.Table(
+            i=pairs[:, 0],
+            j=pairs[:, 1],
+            omega=omega,
+            entry=entry,
+            abs_error=abs_error,
+        ),
+        max_abs_error=float(np.max(abs_error)),
         closed=closed,
         consistent=closed,
     )

@@ -1,11 +1,17 @@
 """File formats: matrices, 2-vectors, embeddings, reports, trajectories.
 
-CSV matrices are a plain n-by-n numeric grid with no header. JSON
-matrices are {"n": ..., "mode": "additive"|"multiplicative", "entries":
-[[...], ...]}. Numbers are serialized at full round-trip precision (the
-shortest decimal that reparses to the same double), so write-then-read is
-exact. Every JSON document, matrix or report, is written compactly on a
-single line followed by a newline.
+CSV matrices are a plain n-by-n numeric grid with no header, read by
+numpy's C parser under the rules of ``csv.reader``'s default dialect.
+JSON matrices are {"n": ..., "mode": "additive"|"multiplicative",
+"entries": [[...], ...]}. Numbers are serialized at full round-trip
+precision (the shortest decimal that reparses to the same double), so
+write-then-read is exact. Every JSON document, matrix or report, is
+written compactly on a single line followed by a newline.
+
+Documents are written straight from numpy arrays, a block of rows at a
+time, with the bytes of ``json.dumps(doc)`` for the equivalent document
+of plain lists and dicts (and of ``csv.writer`` for CSV output). Every
+value is checked finite before the first byte is written.
 """
 
 from __future__ import annotations
@@ -14,11 +20,13 @@ import csv
 import io as _io
 import json
 import math
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
+from . import indexing
 from .errors import NonFiniteResultError, PCGeomError
 from .pc_core import (
     AdditiveMatrix,
@@ -56,23 +64,82 @@ def infer_format(path: str | Path, fallback: str | None = None) -> str:
     )
 
 
-def _parse_grid(rows: Iterable[list[str]], source: str) -> np.ndarray:
-    """Stack the rows into a float grid, converting each as it arrives so
-    no more than one row of cell strings is held at a time."""
-    grid = []
-    for r, row in enumerate(rows):
-        if not row:
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> FormatError:
+    return FormatError(f"{path}: not UTF-8 text ({exc})")
+
+
+# ------------------------------------------------------------------ reading
+
+#: numpy's C reader set to csv.reader's default dialect: comma-separated
+#: cells, double quotes, no comment syntax.
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
+#: The lines csv.reader reads as an empty record, which hold no row.
+_BLANK = frozenset({"\n", "\r\n", "\r"})
+
+
+def _check_field_limit(line: str) -> None:
+    """Raise csv.Error if a cell of line is over csv's field limit; the
+    csv module's own check, run only on lines long enough to fail it."""
+    for _ in csv.reader([line]):
+        pass
+
+
+def _records(lines: Iterable[str], limit: int) -> Iterator[str]:
+    """The lines that hold a record, for np.loadtxt.
+
+    Raises at a line with a cell over the field limit, and at the end of
+    a file without a record, so that the reader diagnoses both.
+    """
+    empty = True
+    for line in lines:
+        if line in _BLANK:
             continue
-        try:
-            grid.append(np.array([float(cell) for cell in row]))
-        except ValueError as exc:
-            raise FormatError(f"{source}: row {r + 1} has a non-numeric cell") from exc
-    if not grid:
-        raise FormatError(f"{source}: no numeric rows found")
-    widths = {len(row) for row in grid}
-    if len(widths) != 1:
-        raise FormatError(f"{source}: rows have differing lengths {sorted(widths)}")
-    return np.asarray(grid, dtype=float)
+        if len(line) > limit:
+            _check_field_limit(line)
+        empty = False
+        yield line
+    if empty:
+        raise ValueError("no record")
+
+
+def _csv_fault(path: str | Path) -> str:
+    """Why the CSV file at path is not a numeric grid, by csv.reader's
+    rules: the first row, in file order, with a cell over the field limit
+    or a non-numeric cell; else no row at all, or rows of differing
+    lengths. Runs only after the bulk parse failed."""
+    limit = csv.field_size_limit()
+    widths = set()
+    with open(path, encoding="utf-8", newline="") as fh:
+        for r, line in enumerate(fh, 1):
+            if line in _BLANK:
+                continue
+            if len(line) > limit:
+                try:
+                    _check_field_limit(line)
+                except csv.Error as exc:
+                    return f"unreadable CSV ({exc})"
+            try:
+                widths.add(np.loadtxt([line], **_LOADTXT).shape[1])
+            except ValueError:
+                return f"row {r} has a non-numeric cell"
+    if not widths:
+        return "no numeric rows found"
+    return f"rows have differing lengths {sorted(widths)}"
+
+
+def _read_csv_grid(path: str | Path) -> np.ndarray:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            try:
+                return np.loadtxt(
+                    _records(fh, csv.field_size_limit()), **_LOADTXT
+                )
+            except (ValueError, csv.Error):
+                pass  # diagnosed by _csv_fault, which reads the file again
+        fault = _csv_fault(path)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+    raise FormatError(f"{path}: {fault}")
 
 
 def _as_float_array(values, source: str, what: str) -> np.ndarray:
@@ -85,11 +152,13 @@ def _as_float_array(values, source: str, what: str) -> np.ndarray:
 def _load_json_object(path: str | Path, *key_sets: tuple[str, ...]) -> dict:
     """Parse a JSON file that must hold an object with every key of one of
     the key sets."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
         except RecursionError as exc:
             raise FormatError(f"{path}: invalid JSON (nesting too deep)") from exc
     if not isinstance(doc, dict) or not any(doc.keys() >= set(k) for k in key_sets):
@@ -109,12 +178,7 @@ def _integer_n(n: Any, path: str | Path) -> int:
 
 def _load_matrix_doc(path: str | Path, fmt: str, declared_mode: str | None):
     if fmt == "csv":
-        with open(path, newline="") as fh:
-            try:
-                grid = _parse_grid(csv.reader(fh), str(path))
-            except csv.Error as exc:
-                raise FormatError(f"{path}: unreadable CSV ({exc})") from exc
-        return grid, declared_mode or ADDITIVE
+        return _read_csv_grid(path), declared_mode or ADDITIVE
     if fmt == "json":
         doc = _load_json_object(path, ("entries",))
         mode = doc.get("mode", declared_mode or ADDITIVE)
@@ -146,78 +210,6 @@ def read_matrix(
     if resolved_mode == MULTIPLICATIVE:
         return new_multiplicative(arr, tol=tol)
     raise FormatError(f"unknown matrix mode {resolved_mode!r}")
-
-
-def matrix_to_dict(
-    m: AdditiveMatrix | MultiplicativeMatrix, version: str | None = None
-) -> dict:
-    if isinstance(m, AdditiveMatrix):
-        entries, mode = m.to_array(), ADDITIVE
-    else:
-        entries, mode = m.entries, MULTIPLICATIVE
-    doc: dict[str, Any] = {
-        "n": int(m.n),
-        "mode": mode,
-        "entries": entries.tolist(),
-    }
-    if version:
-        doc["version"] = version
-    return doc
-
-
-def write_matrix(
-    m: AdditiveMatrix | MultiplicativeMatrix,
-    dest: TextIO,
-    fmt: str = "json",
-    version: str | None = None,
-) -> None:
-    if fmt == "json":
-        _dump_json(matrix_to_dict(m, version=version), dest)
-    elif fmt == "csv":
-        entries = (
-            m.to_array() if isinstance(m, AdditiveMatrix) else m.entries
-        )
-        write_grid_csv(entries, dest)
-    else:
-        raise FormatError(f"unsupported matrix format {fmt!r}")
-
-
-def _not_finite() -> NonFiniteResultError:
-    return NonFiniteResultError(
-        "a result is not finite (overflow); refusing to write inf or nan"
-    )
-
-
-def _json_text(doc: Any) -> str:
-    """Compact JSON text of doc without the non-standard NaN / Infinity
-    tokens.
-
-    ``json.dumps`` without ``indent`` runs the C encoder over the whole
-    document; floats still go through ``float.__repr__``, so every value
-    reparses to the same double.
-    """
-    try:
-        return json.dumps(doc, allow_nan=False)
-    except ValueError as exc:
-        raise _not_finite() from exc
-
-
-def _dump_json(doc: Any, dest: TextIO) -> None:
-    """Write doc as one line of JSON, in a single write."""
-    dest.write(_json_text(doc) + "\n")
-
-
-def write_grid_csv(entries: np.ndarray, dest: TextIO) -> None:
-    entries = np.asarray(entries)
-    if not np.all(np.isfinite(entries)):
-        raise _not_finite()
-    writer = csv.writer(dest)
-    for row in entries:
-        writer.writerow([repr(float(v)) for v in row])
-
-
-def two_vector_to_dict(p: TwoVector) -> dict:
-    return {"n": int(p.n), "coords": p.coords.tolist()}
 
 
 def _flat(doc: dict, key: str, path: str | Path) -> np.ndarray:
@@ -266,20 +258,245 @@ def read_embedding(path: str | Path) -> Embedding:
     return custom_embedding(vectors)
 
 
-def write_report(report: dict, dest: TextIO, fmt: str = "json") -> None:
-    """Write a report as a JSON document or as key,value CSV rows."""
+# ------------------------------------------------------------------ writing
+
+
+class Table(dict):
+    """A JSON list of objects held as one array per key: row r is the
+    object {key: column[r]} in key order. A 2-D column gives each row a
+    list of numbers."""
+
+    def __init__(self, **columns: np.ndarray) -> None:
+        super().__init__(columns)
+        if len({len(column) for column in columns.values()}) > 1:
+            raise ValueError("table columns differ in length")
+
+
+def matrix_document(
+    m: AdditiveMatrix | MultiplicativeMatrix, version: str | None = None
+) -> dict:
+    """The JSON document of a matrix; an additive matrix's entries are
+    written from its upper triangle."""
+    if isinstance(m, AdditiveMatrix):
+        doc: dict[str, Any] = {"n": int(m.n), "mode": ADDITIVE, "entries": m}
+    else:
+        doc = {"n": int(m.n), "mode": MULTIPLICATIVE, "entries": m.entries}
+    if version:
+        doc["version"] = version
+    return doc
+
+
+def steps_table(trajectory: ReductionTrajectory) -> Table:
+    """One record per descent step: {"step", "I_alg", "I_geom"}."""
+    return Table(
+        step=np.arange(len(trajectory.i_alg)),
+        I_alg=np.array(trajectory.i_alg, dtype=float),
+        I_geom=np.array(trajectory.i_geom, dtype=float),
+    )
+
+
+#: Numbers per block of text: each block is formatted, written and freed
+#: before the next, so a document's text never exists whole.
+_BLOCK = 1 << 14
+#: Characters gathered before one write to the destination.
+_WRITE = 1 << 16
+#: Text of one array item by dtype kind, as json.dumps writes it.
+_NUMBER_TEXT = {
+    "f": float.__repr__,
+    "i": int.__repr__,
+    "u": int.__repr__,
+    "b": ("false", "true").__getitem__,
+}
+
+
+def _finite(value: Any) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind != "f" or bool(np.isfinite(value).all())
+    if isinstance(value, AdditiveMatrix):
+        return _finite(value.upper)
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return True
+
+
+def _check_finite(value: Any) -> None:
+    if not _finite(value):
+        raise NonFiniteResultError(
+            "a result is not finite (overflow); refusing to write inf or nan"
+        )
+
+
+def _items(block: np.ndarray) -> list[str]:
+    """JSON text of each item along the first axis of a 1-D or 2-D
+    block: a number, or a row of numbers as a list."""
+    text = _NUMBER_TEXT[block.dtype.kind]
+    if block.ndim == 1:
+        return list(map(text, block.tolist()))
+    return ["[" + ", ".join(map(text, row)) + "]" for row in block.tolist()]
+
+
+def _blocks(rows: int, width: int) -> Iterator[slice]:
+    """Slices of a run of rows of ``width`` numbers each, about _BLOCK
+    numbers to a slice."""
+    step = max(1, _BLOCK // max(1, width))
+    return (slice(k, k + step) for k in range(0, rows, step))
+
+
+def _skew_rows(a: AdditiveMatrix) -> Iterator[list[str]]:
+    """Entry texts of the full matrix, row by row, from the upper triangle
+    alone: each upper entry is formatted once, its mirror is that text
+    with the sign flipped (as ``to_array`` negates it, -0.0 included), and
+    the diagonal is 0.0.
+
+    Row i is column i of the upper triangle, flipped, then 0.0, then row i
+    of the upper triangle. Entry (j, i) sits at pair_index(n, j, 0) + i.
+    """
+    n = a.n
+    upper = np.array(list(map(float.__repr__, a.upper.tolist())), dtype=object)
+    column_base = indexing.pair_index(n, np.arange(n), 0)
+    start = 0
+    for i in range(n):
+        column = upper[column_base[:i] + i].tolist()
+        lower = [t[1:] if t[0] == "-" else "-" + t for t in column]
+        yield lower + ["0.0"] + upper[start:start + n - 1 - i].tolist()
+        start += n - 1 - i
+
+
+def _grid_rows(entries: AdditiveMatrix | np.ndarray) -> Iterator[list[str]]:
+    if isinstance(entries, AdditiveMatrix):
+        return _skew_rows(entries)
+    return (list(map(float.__repr__, row.tolist())) for row in entries)
+
+
+def _table_rows(table: Table) -> Iterator[list[str]]:
+    """JSON text of the table's row objects, a block of rows at a time."""
+    # Keys are keyword names, so they hold no braces to escape.
+    template = "{{" + ", ".join(f'"{key}": {{}}' for key in table) + "}}"
+    columns = list(table.values())
+    width = sum(column[:1].size for column in columns)
+    for rows in _blocks(len(columns[0]) if columns else 0, width):
+        yield list(map(template.format, *(_items(c[rows]) for c in columns)))
+
+
+def _list(blocks: Iterable[list[str]]) -> Iterator[str]:
+    """A JSON list whose items come as blocks of item texts."""
+    yield "["
+    sep = ""
+    for items in blocks:
+        if items:
+            yield sep + ", ".join(items)
+            sep = ", "
+    yield "]"
+
+
+def _pieces(value: Any) -> Iterator[str]:
+    """The text of json.dumps(value) in pieces, where arrays, tables and
+    matrices stand for the lists they hold."""
+    if isinstance(value, Table):
+        yield from _list(_table_rows(value))
+    elif isinstance(value, dict):
+        sep = "{"
+        for key, item in value.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _pieces(item)
+            sep = ", "
+        yield "}" if value else "{}"
+    elif isinstance(value, np.ndarray):
+        blocks = _blocks(len(value), value[:1].size)
+        yield from _list(_items(value[rows]) for rows in blocks)
+    elif isinstance(value, AdditiveMatrix):
+        yield from _list(["[" + ", ".join(row) + "]"] for row in _grid_rows(value))
+    else:
+        yield json.dumps(value)
+
+
+def _write(dest: TextIO, pieces: Iterable[str]) -> None:
+    """Write the pieces in a few large writes."""
+    buf: list[str] = []
+    size = 0
+    for piece in pieces:
+        buf.append(piece)
+        size += len(piece)
+        if size >= _WRITE:
+            dest.write("".join(buf))
+            buf.clear()
+            size = 0
+    dest.write("".join(buf))
+
+
+def _write_json(doc: dict, dest: TextIO) -> None:
+    """Write doc as one line of JSON; a Table as JSON Lines, one line per
+    row. Nothing is written unless every value is finite."""
+    _check_finite(doc)
+    if isinstance(doc, Table):
+        _write(dest, ("\n".join(rows) + "\n" for rows in _table_rows(doc)))
+    else:
+        _write(dest, _pieces(doc))
+        dest.write("\n")
+
+
+def _csv_cell(pieces: Iterable[str]) -> Iterator[str]:
+    """One cell of csv.writer's default dialect: quoted, with quotes
+    doubled, when its text holds a comma, a quote or a line break."""
+    pieces = iter(pieces)
+    head = []
+    for piece in pieces:
+        head.append(piece)
+        if any(c in piece for c in ',"\r\n'):
+            yield '"'
+            for text in chain(head, pieces):
+                yield text.replace('"', '""')
+            yield '"'
+            return
+    yield "".join(head)
+
+
+def _csv_text(value: Any) -> Iterator[str]:
+    """The cell csv.writer writes for a report value: JSON for lists,
+    dicts, arrays and tables, the repr of a float, str of the rest."""
+    if isinstance(value, (list, dict, np.ndarray, AdditiveMatrix)):
+        return _csv_cell(_pieces(value))
+    if isinstance(value, float):
+        return _csv_cell([float.__repr__(value)])
+    return _csv_cell(["" if value is None else str(value)])
+
+
+def write_grid_csv(entries: AdditiveMatrix | np.ndarray, dest: TextIO) -> None:
+    """Write a matrix as CSV rows of its entries; nothing unless every
+    entry is finite."""
+    if not isinstance(entries, AdditiveMatrix):
+        entries = np.asarray(entries, dtype=float)
+    _check_finite(entries)
+    _write(dest, (",".join(row) + "\r\n" for row in _grid_rows(entries)))
+
+
+def write_matrix(
+    m: AdditiveMatrix | MultiplicativeMatrix,
+    dest: TextIO,
+    fmt: str = "json",
+    version: str | None = None,
+) -> None:
     if fmt == "json":
-        _dump_json(report, dest)
+        _write_json(matrix_document(m, version=version), dest)
     elif fmt == "csv":
-        writer = csv.writer(dest)
+        write_grid_csv(m if isinstance(m, AdditiveMatrix) else m.entries, dest)
+    else:
+        raise FormatError(f"unsupported matrix format {fmt!r}")
+
+
+def write_report(report: dict, dest: TextIO, fmt: str = "json") -> None:
+    """Write a report as a JSON document or as key,value CSV rows. Values
+    are JSON values, numpy arrays, Tables or matrix documents."""
+    if fmt == "json":
+        _write_json(report, dest)
+    elif fmt == "csv":
+        _check_finite(report)
         for key, value in report.items():
-            if isinstance(value, (list, dict)):
-                value = _json_text(value)
-            elif isinstance(value, float):
-                if not math.isfinite(value):
-                    raise _not_finite()
-                value = repr(value)
-            writer.writerow([key, value])
+            _write(dest, chain(_csv_cell([key]), ",", _csv_text(value), "\r\n"))
     else:
         raise FormatError(f"unsupported report format {fmt!r}")
 
@@ -288,7 +505,7 @@ def write_trajectory_jsonl(
     trajectory: ReductionTrajectory, dest: TextIO
 ) -> None:
     """One JSON record per descent step: {"step", "I_alg", "I_geom"}."""
-    dest.write("".join(_json_text(r) + "\n" for r in trajectory.records()))
+    _write_json(steps_table(trajectory), dest)
 
 
 def dumps_report(report: dict, fmt: str = "json") -> str:

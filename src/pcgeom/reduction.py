@@ -79,13 +79,6 @@ class ReductionTrajectory:
     def final(self) -> AdditiveMatrix:
         return self.steps[-1].matrix
 
-    def records(self) -> list[dict]:
-        """One plain dict per step, ready for line-oriented export."""
-        return [
-            {"step": s.index, "I_alg": s.i_alg, "I_geom": s.i_geom}
-            for s in self.steps
-        ]
-
 
 def project_consistent(
     a: AdditiveMatrix,

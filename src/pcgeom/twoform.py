@@ -94,23 +94,30 @@ def matrix_form(a: AdditiveMatrix) -> tuple[TwoForm, Embedding]:
     return standard_area_form(a.n), planar_embedding(scores)
 
 
-def evaluation_table(a: AdditiveMatrix) -> list[dict]:
-    """Per-pair comparison of form evaluation against the stored entry.
+def evaluation_columns(
+    a: AdditiveMatrix,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The form's value omega, the stored entry and their distance, per
+    lexicographic pair.
 
     Evaluating dx_1 ^ dx_2 on the planar vectors of pair (i, j) gives
     s_i - s_j (see :func:`matrix_form`), and its distance from the entry
-    is the residual |r_ij| of the row-mean scores, so the table comes from
-    :func:`recover_scores` alone.
+    is the residual |r_ij| of the row-mean scores, so the columns come
+    from :func:`recover_scores` alone.
     """
     scores, residual = recover_scores(a)
     rows, cols = np.triu_indices(a.n, k=1)
     omega = scores.values[rows] - scores.values[cols]
+    return omega, a.upper, np.abs(residual.upper)
+
+
+def evaluation_table(a: AdditiveMatrix) -> list[dict]:
+    """Per-pair comparison of form evaluation against the stored entry:
+    the rows of :func:`evaluation_columns`, one dict per pair."""
     return [
         {"i": i, "j": j, "omega": o, "entry": e, "abs_error": err}
         for (i, j), o, e, err in zip(
             indexing.labels(a.n, 2).tolist(),
-            omega.tolist(),
-            a.upper.tolist(),
-            np.abs(residual.upper).tolist(),
+            *(column.tolist() for column in evaluation_columns(a)),
         )
     ]

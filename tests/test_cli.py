@@ -12,6 +12,8 @@ from pcgeom import cli, usage
 from pcgeom import io as pio
 from pcgeom.cli import main
 
+from oracles import matrix_to_dict, two_vector_to_dict
+
 CONSISTENT_3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
 
@@ -93,7 +95,7 @@ def test_check_multiplicative_mode(capsys, tmp_path):
     m = to_multiplicative(new_additive(CONSISTENT_3))
     path = tmp_path / "mult.json"
     with open(path, "w") as fh:
-        json.dump(pio.matrix_to_dict(m), fh)
+        json.dump(matrix_to_dict(m), fh)
     report = run_json(capsys, ["check", str(path), "--mode", "multiplicative"])
     assert report["consistent"] is True
     # the file's own mode declaration is honoured without the flag
@@ -133,6 +135,22 @@ def test_convert_csv_output(capsys, inconsistent_csv):
     np.testing.assert_allclose(grid, np.exp(np.asarray(INCONSISTENT_3)), rtol=1e-15)
 
 
+def test_writer_failure_leaves_no_output_file(monkeypatch, capsys, tmp_path):
+    def write_then_fail(report, dest, fmt="json"):
+        dest.write("{")
+        raise OSError(28, "No space left on device")
+
+    path = tmp_path / "a.csv"
+    path.write_text("0,1\n-1,0\n")
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(pio, "write_report", write_then_fail)
+    assert main(["check", str(path), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pcgeom: error: [Errno 28] No space left on device\n"
+    assert not out.exists()
+
+
 def test_matrix_file_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(7)
     raw = np.triu(rng.uniform(-3, 3, size=(5, 5)), k=1)
@@ -152,7 +170,7 @@ def test_two_vector_file_round_trip_is_exact(tmp_path):
     p = wedge(rng.normal(size=5), rng.normal(size=5))
     path = tmp_path / "p.json"
     with open(path, "w") as fh:
-        json.dump(pio.two_vector_to_dict(p), fh)
+        json.dump(two_vector_to_dict(p), fh)
     back = pio.read_two_vector(path)
     assert back.n == p.n
     assert np.array_equal(back.coords, p.coords)

@@ -46,6 +46,9 @@ from pcgeom import indexing
 from pcgeom import io as pio
 from pcgeom.cli import main
 
+import oracles
+from oracles import plain, records
+
 
 @st.composite
 def additive_matrices(draw, min_n=2, max_n=8):
@@ -191,7 +194,7 @@ def test_descent_splits_the_input_once(monkeypatch):
     trajectory = reduce_iterative(
         new_additive(raw - raw.T), eta=1e-3, max_steps=500
     )
-    assert len(trajectory.records()) == len(trajectory.steps) == 501
+    assert len(records(trajectory)) == len(trajectory.steps) == 501
     assert trajectory.final.n == trajectory.steps[250].matrix.n == 20
     assert calls == [20]
 
@@ -205,7 +208,7 @@ def test_descent_memory_is_order_pairs_not_steps():
     try:
         tracemalloc.reset_peak()
         trajectory = reduce_iterative(a, eta=1e-5, max_steps=1000)
-        assert len(trajectory.records()) == len(trajectory.steps) == 1001
+        assert len(records(trajectory)) == len(trajectory.steps) == 1001
         assert trajectory.final.n == n
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -661,12 +664,29 @@ def test_compact_report_parses_like_indented_one(
     monkeypatch.chdir(cli_inputs)
     compact = run_cli(capsys, argv)
     assert compact.endswith("\n") and compact.count("\n") == 1
-    monkeypatch.setattr(pio, "_dump_json", old_dump_json)
+    monkeypatch.setattr(
+        pio, "_write_json", lambda doc, dest: old_dump_json(plain(doc), dest)
+    )
     indented = run_cli(capsys, argv)
     assert indented.count("\n") > 1
     assert json.loads(compact) == json.loads(indented)
     # Re-encoding both parses compares every float bit for bit, -0.0 too.
     assert json.dumps(json.loads(compact)) == json.dumps(json.loads(indented))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*argv, "--format", fmt] for argv in SUBCOMMANDS for fmt in ("json", "csv")]
+    + [["reduce", "a.csv", "--eta", "0.05", "--format", "jsonl"]],
+    ids=" ".join,
+)
+def test_output_bytes_match_plain_writers(capsys, monkeypatch, cli_inputs, argv):
+    # The old writers, given the plain dicts and lists, wrote these bytes.
+    monkeypatch.chdir(cli_inputs)
+    streamed = run_cli(capsys, argv)
+    for name, writer in oracles.WRITERS.items():
+        monkeypatch.setattr(pio, name, writer)
+    assert run_cli(capsys, argv) == streamed
 
 
 @pytest.mark.parametrize(
@@ -676,8 +696,10 @@ def test_nan_in_any_report_exits_two_with_one_line(
     capsys, monkeypatch, cli_inputs, argv
 ):
     monkeypatch.chdir(cli_inputs)
-    encode = pio._json_text
-    monkeypatch.setattr(pio, "_json_text", lambda doc: encode({**doc, "x": math.nan}))
+    write = pio._write_json
+    monkeypatch.setattr(
+        pio, "_write_json", lambda doc, dest: write({**doc, "x": math.nan}, dest)
+    )
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -1,0 +1,301 @@
+"""pcgeom.io against the forms it replaced: the CSV reader against
+csv.reader + float(), the array writer against json.dumps and csv.writer
+over plain dicts and lists (both kept in oracles.py)."""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcgeom import (
+    NonFiniteResultError,
+    new_additive,
+    reduce_iterative,
+    to_multiplicative,
+)
+from pcgeom import io as pio
+from pcgeom.cli import main
+from pcgeom.pc_core import AdditiveMatrix
+
+import oracles
+
+# ------------------------------------------------------------------ reading
+
+#: Cells that parse as numbers: reprs (signed zeros, subnormals, inf, nan
+#: included), other exponent forms, integers and the spelled-out words.
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map("{:e}".format),
+    st.floats(allow_nan=False, width=32).map("{:.3E}".format),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([
+        "-0", "+0", "-0.0", ".5", "5.", "+1e5", "1E-05", "1e400", "-1e-400",
+        "5e-324", "2.2250738585072014e-308", "1e300", "-1e-300",
+        "inf", "-inf", "+inf", "Infinity", "-Infinity", "iNf",
+        "nan", "NaN", "-nan", "+NaN",
+    ]),
+)
+#: Cells that do not.
+JUNK = st.sampled_from([
+    "", "x", "1x", "--1", "1e", "e5", "0x10", "1 2", ".", "+", "-", "nan1",
+    "infinityy", '1"2', "1,5",
+])
+#: Whitespace that float() and numpy both strip around a number.
+SPACE = st.text(alphabet=" \t\x0b\x0c", max_size=2)
+
+
+@st.composite
+def cells(draw):
+    text = draw(SPACE) + draw(st.one_of(NUMBERS, NUMBERS, JUNK)) + draw(SPACE)
+    if draw(st.booleans()) and draw(st.booleans()):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_texts(draw):
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = []
+    for row in draw(st.lists(st.lists(cells(), min_size=1, max_size=4), max_size=5)):
+        lines.extend(draw(ends) for _ in range(draw(st.integers(0, 1))))
+        lines.append(",".join(row) + draw(ends))
+    text = "".join(lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def outcome(read, path):
+    try:
+        grid = read(path)
+    except pio.FormatError as exc:
+        return "error", str(exc)
+    return grid.shape, grid.tobytes()
+
+
+def matrix_outcome(read):
+    try:
+        return "ok", read().upper.tobytes()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "m.csv"
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=csv_texts(), limit=st.sampled_from([None, 6, 12, 24]))
+def test_reader_matches_csv_reader_and_float(csv_path, text, limit):
+    csv_path.write_bytes(text.encode())
+    default = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        assert outcome(pio._read_csv_grid, csv_path) == outcome(
+            oracles.parse_csv_grid, csv_path
+        )
+    finally:
+        csv.field_size_limit(default)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 4), data=st.data())
+def test_square_grids_reach_the_same_validation(csv_path, n, data):
+    # inf and nan cells end in the same NonFiniteEntryError, finite ones
+    # in the same matrix or the same validation message.
+    rows = [
+        ",".join(data.draw(NUMBERS) for _ in range(n)) for _ in range(n)
+    ]
+    csv_path.write_text("\n".join(rows) + "\n")
+    assert matrix_outcome(lambda: pio.read_matrix(csv_path)) == matrix_outcome(
+        lambda: new_additive(oracles.parse_csv_grid(csv_path))
+    )
+
+
+def test_non_finite_cells_exit_two_naming_the_entry(capsys, tmp_path):
+    for word in ["inf", "-Infinity", "nan", "NaN", "1e400"]:
+        path = tmp_path / "m.csv"
+        path.write_text(f"0,{word}\n-1,0\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "pcgeom: error: entry (1,2) is not finite\n"
+        )
+
+
+def test_underscored_digits_are_a_non_numeric_cell(tmp_path):
+    # float() reads "1_0" as 10; numpy's parser, and so the reader, refuses it.
+    path = tmp_path / "m.csv"
+    path.write_text("0,1_0\n-1_0,0\n")
+    assert float("1_0") == 10.0
+    with pytest.raises(pio.FormatError) as exc:
+        pio.read_matrix(path)
+    assert str(exc.value) == f"{path}: row 1 has a non-numeric cell"
+
+
+def test_reader_skips_blank_lines_and_strips_quotes_and_spaces(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text('\n"0", 1 \r\n\r\n-1,0')
+    assert pio._read_csv_grid(path).tolist() == [[0.0, 1.0], [-1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("bad.csv", ["check"]), ("bad.json", ["check"]), ("bad.json", ["wedge"])],
+)
+def test_input_that_is_not_utf8_exits_two_naming_the_file(
+    capsys, tmp_path, name, argv
+):
+    path = tmp_path / name
+    path.write_bytes(b"\xff0,1\n-1,0\n")
+    assert main([argv[0], str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"pcgeom: error: {path}: not UTF-8 text ('utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte)\n"
+    )
+
+
+def test_bytes_that_are_not_utf8_after_good_rows_name_the_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"0,1\n-1,0\n" * 2000 + b"\xfe\n")
+    with pytest.raises(pio.FormatError, match=f"^{path}: not UTF-8 text "):
+        pio.read_matrix(path)
+
+
+# ------------------------------------------------------------------ writing
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+           -1e300, 1e-300, -1e-300, 0.1, 0.1, -0.1, 1.0, 1.0, 123456789.0]
+
+
+def special_matrix(n, rng):
+    """A skew matrix whose upper triangle draws from SPECIAL."""
+    upper = rng.choice(SPECIAL, size=n * (n - 1) // 2)
+    raw = np.zeros((n, n))
+    raw[np.triu_indices(n, k=1)] = upper
+    raw[np.tril_indices(n, k=-1)] = -raw.T[np.tril_indices(n, k=-1)]
+    return new_additive(raw)
+
+
+def written(writer, *args, **kwargs):
+    buf = io.StringIO()
+    writer(*args, buf, **kwargs)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_matrix_bytes_match_plain_writers(n, fmt):
+    rng = np.random.default_rng(n)
+    matrices = [special_matrix(n, rng)]
+    raw = np.triu(rng.normal(size=(n, n)), 1)
+    matrices.append(new_additive(raw - raw.T))
+    matrices.append(to_multiplicative(matrices[-1]))
+    for m in matrices:
+        for version in (None, "0.1.0"):
+            kwargs = {"version": version} if fmt == "json" else {}
+            assert written(pio.write_matrix, m, fmt=fmt, **kwargs) == written(
+                oracles.write_matrix, m, fmt=fmt, **kwargs
+            )
+
+
+def test_additive_matrix_text_flips_signs_like_to_array():
+    a = new_additive([[0.0, 0.0, -0.0], [-0.0, 0.0, 5e-324], [0.0, -5e-324, 0.0]])
+    doc = json.loads(written(pio.write_matrix, a))
+    want = a.to_array()
+    got = np.array(doc["entries"])
+    assert got.tobytes() == want.tobytes()  # -0.0 where to_array has it
+
+
+def special_report(rng):
+    values = rng.choice(SPECIAL, size=11)
+    labels = np.arange(22).reshape(11, 2)
+    return {
+        "command": "x",
+        "n": 11,
+        "flag": True,
+        "none": None,
+        "tolerance": 1e-9,
+        "values": values,
+        "labels": labels,
+        "empty": np.empty((0, 4), dtype=np.intp),
+        "table": pio.Table(
+            i=labels[:, 0], v=values, row=np.outer(values, values[:3]),
+            zero=values == 0.0,
+        ),
+        "empty_table": pio.Table(
+            quad=np.empty((0, 4), dtype=np.intp), value=np.empty(0)
+        ),
+        "one": np.array([2.5]),
+        "plain": [1.0, [2, -0.0], {"a": 5e-324}],
+        "matrix": pio.matrix_document(special_matrix(4, rng)),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_bytes_match_plain_writers(fmt):
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        report = special_report(rng)
+        assert written(pio.write_report, report, fmt=fmt) == written(
+            oracles.write_report, report, fmt=fmt
+        )
+
+
+def test_long_tables_and_arrays_are_written_in_blocks(monkeypatch):
+    # Blocks of 7 numbers, so every table and array spans several blocks.
+    monkeypatch.setattr(pio, "_BLOCK", 7)
+    monkeypatch.setattr(pio, "_WRITE", 5)
+    rng = np.random.default_rng(5)
+    for fmt in ("json", "csv"):
+        report = special_report(rng)
+        assert written(pio.write_report, report, fmt=fmt) == written(
+            oracles.write_report, report, fmt=fmt
+        )
+
+
+def test_trajectory_lines_match_plain_writer():
+    rng = np.random.default_rng(9)
+    raw = np.triu(rng.normal(size=(12, 12)), 1)
+    trajectory = reduce_iterative(new_additive(raw - raw.T), eta=1e-3, max_steps=60)
+    assert written(pio.write_trajectory_jsonl, trajectory) == written(
+        oracles.write_trajectory_jsonl, trajectory
+    )
+
+
+@pytest.mark.parametrize(
+    "where", ["values", "table", "matrix", "plain", "tolerance"]
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_anywhere_writes_nothing(where, fmt):
+    report = special_report(np.random.default_rng(1))
+    if where == "values":
+        report["values"][3] = math.nan
+    elif where == "table":
+        report["table"]["row"][5, 1] = math.inf
+    elif where == "matrix":
+        report["matrix"]["entries"] = AdditiveMatrix(3, np.array([0.0, -math.inf, 0.0]))
+    elif where == "plain":
+        report["plain"][1][1] = math.nan
+    else:
+        report["tolerance"] = -math.inf
+    buf = io.StringIO()
+    with pytest.raises(NonFiniteResultError):
+        pio.write_report(report, buf, fmt)
+    assert buf.getvalue() == ""
+
+
+def test_non_finite_step_writes_no_line():
+    steps = pio.Table(step=np.arange(3), I_alg=np.array([1.0, 0.5, math.inf]))
+    buf = io.StringIO()
+    with pytest.raises(NonFiniteResultError):
+        pio._write_json(steps, buf)
+    assert buf.getvalue() == ""
