@@ -14,7 +14,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,25 +41,46 @@ ENV_TOL = "PCGEOM_TOL"
 ENV_FORMAT = "PCGEOM_FORMAT"
 
 
-@dataclass
 class RunConfig:
-    """Invocation parameters for a single command."""
+    """Invocation parameters for a single command.
 
-    command: str
-    input_path: str
-    output_path: str | None = None
-    #: None means PCGEOM_FORMAT, else from the output extension, else json
-    format: str | None = None
-    #: None means "use the file's own mode declaration, else additive"
-    mode: str | None = None
-    convention: str = "cyclic"
-    embedding_kind: str = "planar"
-    embedding_file: str | None = None
-    #: None means PCGEOM_TOL, else DEFAULT_TOLERANCE
-    tol: float | None = None
-    lam: float = 0.0
-    eta: float | None = None
-    max_steps: int = 1000
+    ``format`` None means PCGEOM_FORMAT, else from the output extension,
+    else json; ``mode`` None means the file's own mode declaration, else
+    additive; ``tol`` None means PCGEOM_TOL, else DEFAULT_TOLERANCE.
+    """
+
+    __slots__ = (
+        "command", "input_path", "output_path", "format", "mode", "convention",
+        "embedding_kind", "embedding_file", "tol", "lam", "eta", "max_steps",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        input_path: str,
+        output_path: str | None = None,
+        format: str | None = None,
+        mode: str | None = None,
+        convention: str = "cyclic",
+        embedding_kind: str = "planar",
+        embedding_file: str | None = None,
+        tol: float | None = None,
+        lam: float = 0.0,
+        eta: float | None = None,
+        max_steps: int = 1000,
+    ) -> None:
+        self.command = command
+        self.input_path = input_path
+        self.output_path = output_path
+        self.format = format
+        self.mode = mode
+        self.convention = convention
+        self.embedding_kind = embedding_kind
+        self.embedding_file = embedding_file
+        self.tol = tol
+        self.lam = lam
+        self.eta = eta
+        self.max_steps = max_steps
 
     def validate(self) -> None:
         if self.command not in _HANDLERS:
@@ -104,7 +124,9 @@ def _with_environment(config: RunConfig) -> RunConfig:
         # Only the descent has records to write one per line.
         kind = "matrix" if config.command == "convert" else "report"
         raise io.FormatError(f"unsupported {kind} format {fmt!r}")
-    return replace(config, tol=tol, format=fmt)
+    fields = {name: getattr(config, name) for name in RunConfig.__slots__}
+    fields.update(tol=tol, format=fmt)
+    return RunConfig(**fields)
 
 
 def _read_matrix(config: RunConfig):

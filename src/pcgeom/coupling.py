@@ -16,14 +16,13 @@ inspected via :func:`diagnose` or shifted away via :func:`regularize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import indexing
 from .errors import (
     DimensionMismatchError,
     NonPositiveLambdaError,
+    ReadOnly,
     TooSmallError,
 )
 from .pc_core import DeviationVector
@@ -33,14 +32,18 @@ from .pc_core import DeviationVector
 MAX_DENSE_N = 64
 
 
-@dataclass(frozen=True)
-class CouplingMap:
+class CouplingMap(ReadOnly):
     """Signed triad-to-pair incidence, stored as three position arrays."""
 
-    n: int
-    ij_pos: np.ndarray
-    jk_pos: np.ndarray
-    ik_pos: np.ndarray
+    __slots__ = ("n", "ij_pos", "jk_pos", "ik_pos")
+
+    def __init__(
+        self, n: int, ij_pos: np.ndarray, jk_pos: np.ndarray, ik_pos: np.ndarray
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ij_pos", ij_pos)
+        object.__setattr__(self, "jk_pos", jk_pos)
+        object.__setattr__(self, "ik_pos", ik_pos)
 
     @property
     def pair_count(self) -> int:
@@ -79,26 +82,36 @@ class CouplingMap:
         return c
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
+class CouplingMatrix(ReadOnly):
     """Gram matrix of the coupling map columns; symmetric PSD, diagonal 3."""
 
-    n: int
-    values: np.ndarray
+    __slots__ = ("n", "values")
+
+    def __init__(self, n: int, values: np.ndarray) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectralDiagnosis:
+class SpectralDiagnosis(ReadOnly):
     """Numerical rank, spectrum, and kernel of a coupling matrix."""
 
-    rank: int
-    eigenvalues: np.ndarray
-    kernel_basis: np.ndarray
-    degenerate: bool
+    __slots__ = ("rank", "eigenvalues", "kernel_basis", "degenerate")
+
+    def __init__(
+        self,
+        rank: int,
+        eigenvalues: np.ndarray,
+        kernel_basis: np.ndarray,
+        degenerate: bool,
+    ) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "kernel_basis", kernel_basis)
+        object.__setattr__(self, "degenerate", degenerate)
 
     @property
     def kernel_dim(self) -> int:

@@ -18,7 +18,6 @@ diagnostic rather than a consistency test.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     NonFiniteEntryError,
+    ReadOnly,
     ZeroCoefficientError,
 )
 from .exterior import TwoVector, wedge, wedge_rows
@@ -39,13 +39,15 @@ CUSTOM = "custom"
 CONVENTIONS = ("cyclic", "anticyclic")
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(ReadOnly):
     """One vector per alternative, all of dimension n."""
 
-    n: int
-    vectors: np.ndarray
-    kind: str
+    __slots__ = ("n", "vectors", "kind")
+
+    def __init__(self, n: int, vectors: np.ndarray, kind: str) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "kind", kind)
 
     def vector(self, i: int) -> np.ndarray:
         """Vector of alternative i (1-based)."""
@@ -54,12 +56,14 @@ class Embedding:
         return self.vectors[i - 1]
 
 
-@dataclass(frozen=True)
-class GeometricDeviation:
+class GeometricDeviation(ReadOnly):
     """Triad (1-based) together with its deviation 2-vector."""
 
-    triad: tuple[int, int, int]
-    value: TwoVector
+    __slots__ = ("triad", "value")
+
+    def __init__(self, triad: tuple[int, int, int], value: TwoVector) -> None:
+        object.__setattr__(self, "triad", triad)
+        object.__setattr__(self, "value", value)
 
     def norm_squared(self) -> float:
         return self.value.norm_squared()

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and the
+read-only base of its value types.
 
 Every error subclasses :class:`PCGeomError`, which itself subclasses
 ``ValueError`` so that callers who do not care about the fine-grained
@@ -76,3 +77,34 @@ class UnsupportedSizeError(PCGeomError):
 
 class DegeneratePairWarning(UserWarning):
     """A pair of alternatives produced the zero wedge (parallel vectors)."""
+
+
+class ReadOnly:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in ``__slots__`` in constructor order and
+    sets each once, in ``__init__``, through ``object.__setattr__``;
+    assigning or deleting one afterwards raises AttributeError. Records
+    compare and hash by identity.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> list[str]:
+        return [name for name in self.__slots__ if name != "__dict__"]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields()
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle would otherwise restore each slot with setattr.
+        return type(self), tuple(getattr(self, name) for name in self._fields())

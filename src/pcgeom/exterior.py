@@ -14,7 +14,7 @@ with 2-dimensional subspaces of R^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -22,16 +22,27 @@ from . import indexing
 from .errors import (
     DimensionMismatchError,
     NonFiniteEntryError,
+    ReadOnly,
     ZeroTwoVectorError,
 )
 
 
-@dataclass(frozen=True)
-class TwoVector:
-    """Coordinates of a 2-vector over the lexicographic pair basis."""
+class TwoVector(ReadOnly):
+    """Coordinates of a 2-vector over the lexicographic pair basis.
 
-    n: int
-    coords: np.ndarray
+    Adds and subtracts with another TwoVector and scales by a real
+    number; any other operand raises TypeError.
+    """
+
+    __slots__ = ("n", "coords")
+
+    # numpy defers to the operators below, so an array operand on either
+    # side raises TypeError instead of building an object array.
+    __array_ufunc__ = None
+
+    def __init__(self, n: int, coords: np.ndarray) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coords", coords)
 
     def coord(self, k: int, l: int) -> float:
         """Coordinate p_kl for 1-based k < l."""
@@ -58,10 +69,14 @@ class TwoVector:
             )
 
     def __add__(self, other: "TwoVector") -> "TwoVector":
+        if not isinstance(other, TwoVector):
+            return NotImplemented
         self._same_space(other)
         return _new(self.n, self.coords + other.coords)
 
     def __sub__(self, other: "TwoVector") -> "TwoVector":
+        if not isinstance(other, TwoVector):
+            return NotImplemented
         self._same_space(other)
         return _new(self.n, self.coords - other.coords)
 
@@ -69,6 +84,8 @@ class TwoVector:
         return _new(self.n, -self.coords)
 
     def __mul__(self, scalar: float) -> "TwoVector":
+        if not isinstance(scalar, Real):
+            return NotImplemented
         return _new(self.n, self.coords * float(scalar))
 
     __rmul__ = __mul__

@@ -336,7 +336,10 @@ def _items(block: np.ndarray) -> list[str]:
     text = _NUMBER_TEXT[block.dtype.kind]
     if block.ndim == 1:
         return list(map(text, block.tolist()))
-    return ["[" + ", ".join(map(text, row)) + "]" for row in block.tolist()]
+    if block.dtype.kind == "b":
+        return ["[" + ", ".join(map(text, row)) + "]" for row in block.tolist()]
+    # A list of Python ints or floats reprs exactly as JSON writes it.
+    return list(map(repr, block.tolist()))
 
 
 def _blocks(rows: int, width: int) -> Iterator[slice]:

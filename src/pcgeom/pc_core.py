@@ -12,7 +12,6 @@ notation for comparison matrices; array layouts are plain 0-based numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     NonSquareError,
     NotReciprocalError,
     NotSkewSymmetricError,
+    ReadOnly,
     TooSmallError,
 )
 
@@ -35,8 +35,7 @@ from .errors import (
 DEFAULT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class AdditiveMatrix:
+class AdditiveMatrix(ReadOnly):
     """Skew-symmetric matrix of pairwise preference differences.
 
     Only the strict upper triangle is stored (flat, lexicographic pair
@@ -44,8 +43,11 @@ class AdditiveMatrix:
     therefore structural, not a runtime check.
     """
 
-    n: int
-    upper: np.ndarray
+    __slots__ = ("n", "upper")
+
+    def __init__(self, n: int, upper: np.ndarray) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "upper", upper)
 
     def entry(self, i: int, j: int) -> float:
         """Entry a_ij for 1-based indices i, j."""
@@ -66,12 +68,14 @@ class AdditiveMatrix:
         return full
 
 
-@dataclass(frozen=True)
-class MultiplicativeMatrix:
+class MultiplicativeMatrix(ReadOnly):
     """Positive reciprocal matrix of pairwise preference ratios."""
 
-    n: int
-    entries: np.ndarray
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: np.ndarray) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     def entry(self, i: int, j: int) -> float:
         _check_index(self.n, i)
@@ -79,20 +83,24 @@ class MultiplicativeMatrix:
         return float(self.entries[i - 1, j - 1])
 
 
-@dataclass(frozen=True)
-class ScoreVector:
+class ScoreVector(ReadOnly):
     """One scalar score per alternative; differences generate a matrix."""
 
-    n: int
-    values: np.ndarray
+    __slots__ = ("n", "values")
+
+    def __init__(self, n: int, values: np.ndarray) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class DeviationVector:
+class DeviationVector(ReadOnly):
     """Triad deviations a_ij + a_jk - a_ik, lexicographic over i<j<k."""
 
-    n: int
-    values: np.ndarray
+    __slots__ = ("n", "values")
+
+    def __init__(self, n: int, values: np.ndarray) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
 
     def max_abs(self) -> float:
         if self.values.size == 0:

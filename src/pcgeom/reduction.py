@@ -20,12 +20,16 @@ production use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NonPositiveLambdaError, NonPositiveStepError, UnsupportedSizeError
+from .errors import (
+    NonPositiveLambdaError,
+    NonPositiveStepError,
+    ReadOnly,
+    UnsupportedSizeError,
+)
 from .pc_core import (
     AdditiveMatrix,
     ScoreVector,
@@ -35,14 +39,25 @@ from .pc_core import (
 )
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(ReadOnly):
     """Record after ``index`` descent steps (step 0 is the input)."""
 
-    index: int
-    i_alg: float
-    i_geom: float
-    trajectory: ReductionTrajectory = field(repr=False, compare=False)
+    __slots__ = ("index", "i_alg", "i_geom", "trajectory")
+
+    def __init__(
+        self, index: int, i_alg: float, i_geom: float, trajectory: ReductionTrajectory
+    ) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "i_alg", i_alg)
+        object.__setattr__(self, "i_geom", i_geom)
+        object.__setattr__(self, "trajectory", trajectory)
+
+    def __repr__(self) -> str:
+        # The trajectory is left out: its matrices would repeat in every step.
+        return (
+            f"ReductionStep(index={self.index!r}, i_alg={self.i_alg!r}, "
+            f"i_geom={self.i_geom!r})"
+        )
 
     @property
     def matrix(self) -> AdditiveMatrix:
@@ -55,18 +70,29 @@ class ReductionStep:
         return _from_upper(t.start.n, t.start.upper - shrink * t.residual.upper)
 
 
-@dataclass(frozen=True)
-class ReductionTrajectory:
+class ReductionTrajectory(ReadOnly):
     """Descent from one split of ``start``: each step scales ``residual``
     by ``q``. One i_alg and i_geom record per step, non-increasing when
     |q| < 1."""
 
-    start: AdditiveMatrix
-    residual: AdditiveMatrix
-    q: float
-    i_alg: tuple[float, ...]
-    i_geom: tuple[float, ...]
-    converged: bool
+    # __dict__ holds the cached steps.
+    __slots__ = ("start", "residual", "q", "i_alg", "i_geom", "converged", "__dict__")
+
+    def __init__(
+        self,
+        start: AdditiveMatrix,
+        residual: AdditiveMatrix,
+        q: float,
+        i_alg: tuple[float, ...],
+        i_geom: tuple[float, ...],
+        converged: bool,
+    ) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "i_alg", i_alg)
+        object.__setattr__(self, "i_geom", i_geom)
+        object.__setattr__(self, "converged", converged)
 
     @cached_property
     def steps(self) -> tuple[ReductionStep, ...]:

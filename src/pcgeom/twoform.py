@@ -16,13 +16,11 @@ the combinatorial reading is the one with content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import indexing
 from .embedding import Embedding, planar_embedding
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ReadOnly
 from .exterior import TwoVector, new_two_vector, wedge
 from .pc_core import (
     AdditiveMatrix,
@@ -32,11 +30,13 @@ from .pc_core import (
 )
 
 
-@dataclass(frozen=True)
-class TwoForm:
+class TwoForm(ReadOnly):
     """2-form with constant coefficients, one per lexicographic pair."""
 
-    coefficients: TwoVector
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: TwoVector) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def n(self) -> int:

@@ -117,6 +117,42 @@ def test_wedge_scaling(n, data):
     )
 
 
+# ------------------------------------------------------------------ arithmetic
+
+
+def test_two_vector_arithmetic():
+    p, q = wedge([1, 2, 3], [0, 1, 5]), wedge([1, 0, 0], [0, 1, 0])
+    assert (p + q).coords.tolist() == [2.0, 5.0, 7.0]
+    assert (p - q).coords.tolist() == [0.0, 5.0, 7.0]
+    assert (-p).coords.tolist() == [-1.0, -5.0, -7.0]
+    for scaled in (p * 2, 2 * p, p * 2.0, np.float64(2) * p, p * np.int64(2)):
+        assert scaled.coords.tolist() == [2.0, 10.0, 14.0]
+    with pytest.raises(DimensionMismatchError, match="different dimensions"):
+        p + wedge([1, 0, 0, 0], [0, 1, 0, 0])
+
+
+@pytest.mark.parametrize("other", [1, 1.0, None, "x", np.zeros(3)])
+def test_two_vector_sum_refuses_non_two_vectors(other):
+    p = wedge([1, 2, 3], [0, 1, 5])
+    with pytest.raises(TypeError):
+        p + other
+    with pytest.raises(TypeError):
+        other + p
+    with pytest.raises(TypeError):
+        p - other
+    with pytest.raises(TypeError):
+        other - p
+
+
+@pytest.mark.parametrize("scalar", ["2", None, np.full(3, 2.0), np.array(2.0)])
+def test_two_vector_scaling_refuses_non_real_scalars(scalar):
+    p = wedge([1, 2, 3], [0, 1, 5])
+    with pytest.raises(TypeError):
+        p * scalar
+    with pytest.raises(TypeError):
+        scalar * p
+
+
 # ------------------------------------------------------------------- residuals
 
 

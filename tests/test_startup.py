@@ -32,12 +32,14 @@ CLI_MODULES = {
 USAGE_MODULES = {"pcgeom", "pcgeom.usage"}
 
 #: Runs ``python -m pcgeom ARGS`` through runpy, as ``-m`` does, and prints
-#: the loaded pcgeom modules, and numpy if it loaded, to stderr from an
-#: atexit handler.
+#: the loaded pcgeom modules, and numpy and dataclasses if they loaded, to
+#: stderr from an atexit handler. The value types are plain classes, so no
+#: command loads dataclasses (numpy itself imports none).
 PROBE = (
     "import atexit, json, runpy, sys\n"
     "atexit.register(lambda: print(json.dumps(sorted(\n"
-    "    m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'pcgeom')),\n"
+    "    m for m in sys.modules\n"
+    "    if m in ('numpy', 'dataclasses') or m.split('.')[0] == 'pcgeom')),\n"
     "    file=sys.stderr))\n"
     "sys.argv[0] = 'pcgeom'\n"
     "runpy.run_module('pcgeom', run_name='__main__', alter_sys=True)\n"
@@ -45,11 +47,12 @@ PROBE = (
 
 
 def loaded_after(code: str) -> set[str]:
-    """pcgeom modules in sys.modules after running code in a fresh
-    interpreter."""
+    """pcgeom modules, and dataclasses if it loaded, in sys.modules after
+    running code in a fresh interpreter."""
     probe = (
         f"{code}\nimport json, sys\n"
-        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'pcgeom']))"
+        "print(json.dumps([m for m in sys.modules\n"
+        "                  if m == 'dataclasses' or m.split('.')[0] == 'pcgeom']))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
@@ -62,7 +65,9 @@ def test_import_pcgeom_loads_no_submodule():
 
 
 def test_import_cli_loads_only_shared_modules():
-    assert loaded_after("import pcgeom.cli") == CLI_MODULES
+    loaded = loaded_after("import pcgeom.cli")
+    assert "dataclasses" not in loaded
+    assert loaded == CLI_MODULES
 
 
 @pytest.fixture
@@ -90,9 +95,9 @@ def test_command_loads_only_its_modules(matrix_csv, command, extra):
         text=True,
     )
     assert proc.returncode in (0, 1)
-    assert set(json.loads(proc.stderr.splitlines()[-1])) == (
-        CLI_MODULES | extra | {"numpy"}
-    )
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "dataclasses" not in loaded
+    assert loaded == CLI_MODULES | extra | {"numpy"}
     json.loads(proc.stdout)
 
 
