@@ -1,4 +1,6 @@
+import atexit
 import gc
+import os
 import sys
 
 from .usage import build_parser
@@ -9,11 +11,14 @@ def run() -> None:
 
     The command line is parsed before ``cli`` is imported, so argparse
     answers ``--version``, ``--help`` and usage errors without loading
-    numpy. A command that runs exits with its code. Freezing the heap on
-    the way out moves every tracked object, numpy's included, into the
-    permanent generation, so interpreter shutdown skips collecting them;
-    atexit handlers and stream flushing still run. ``cli.main`` itself
-    never freezes, because tests and library callers run it in-process.
+    numpy. A command that runs has written its output when it returns, so
+    the process runs the atexit handlers, flushes stdout and stderr and
+    ends with ``os._exit``, skipping the interpreter teardown that would
+    free numpy's objects and modules one by one. A failed flush keeps the
+    command's nonzero code, else 120, as the interpreter's own exit
+    would. An uncaught exception ends the normal way, with a traceback.
+    ``cli.main`` never exits, because tests and library callers run it
+    in-process.
 
     The cyclic garbage collector is off for the whole run: a one-shot
     command builds trees of objects, not cycles, so the passes it would
@@ -21,12 +26,17 @@ def run() -> None:
     """
     gc.disable()
     args = build_parser().parse_args()
-    try:
-        from .cli import config_from_args, run as run_command
+    from .cli import config_from_args, run as run_command
 
-        sys.exit(run_command(config_from_args(args)))
-    finally:
-        gc.freeze()
+    code = run_command(config_from_args(args))
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        # cli.run has already reported a report that could not be written.
+        code = code or 120
+    os._exit(code)
 
 
 if __name__ == "__main__":

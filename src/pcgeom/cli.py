@@ -146,6 +146,9 @@ def _read_additive(config: RunConfig) -> AdditiveMatrix:
 def _emit(config: RunConfig, writer) -> None:
     if not config.output_path:
         writer(sys.stdout)
+        # A full device or a closed pipe fails here, inside run's error
+        # boundary, rather than at interpreter exit.
+        sys.stdout.flush()
         return
     dest = open(config.output_path, "w")
     try:

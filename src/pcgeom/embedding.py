@@ -18,6 +18,7 @@ diagnostic rather than a consistency test.
 from __future__ import annotations
 
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,8 +30,10 @@ from .errors import (
     ReadOnly,
     ZeroCoefficientError,
 )
-from .exterior import TwoVector, wedge, wedge_rows
 from .pc_core import AdditiveMatrix, _as_score_array, algebraic_inconsistency
+
+if TYPE_CHECKING:
+    from .exterior import TwoVector
 
 ORTHOGONAL = "orthogonal"
 PLANAR = "planar"
@@ -144,6 +147,8 @@ def pair_subspace(e: Embedding, i: int, j: int) -> TwoVector:
     Emits DegeneratePairWarning (and still returns the zero 2-vector)
     when the two vectors are parallel; downstream sums stay well defined.
     """
+    from .exterior import wedge
+
     for idx in (i, j):
         if not 1 <= idx <= e.n:
             raise IndexOutOfRangeError(f"index {idx} outside 1..{e.n}")
@@ -162,6 +167,8 @@ def pair_subspace(e: Embedding, i: int, j: int) -> TwoVector:
 def pair_wedges(vectors) -> np.ndarray:
     """Matrix of all pair wedges: row p holds v_i ^ v_j for the p-th pair
     i < j, bit-identical to ``wedge(v_i, v_j).coords``."""
+    from .exterior import wedge_rows
+
     v = np.asarray(vectors, dtype=float)
     i, j = np.triu_indices(v.shape[0], k=1)
     return wedge_rows(v[i], v[j])
@@ -188,35 +195,61 @@ def geometric_deviation(
     return GeometricDeviation(triad=(i, j, k), value=value)
 
 
+def _e2_squared_singular_values(x: np.ndarray) -> float:
+    """Second elementary symmetric function of the squared singular values
+    of the matrix x.
+
+    By Cauchy-Binet this is the sum of its squared 2x2 minors, i.e.
+    sum_{i<j} |x_i ^ x_j|^2 over its rows. The singular values come from
+    x itself, never from x^T x, and each sigma_k^2 (ascending) multiplies
+    the sum of the smaller ones, so no term cancels.
+    """
+    s2 = np.sort(np.linalg.svd(x, compute_uv=False) ** 2)
+    return float(np.dot(s2[1:], np.cumsum(s2[:-1])))
+
+
 def geometric_inconsistency(e: Embedding, convention: str = "cyclic") -> float:
     """Sum of squared deviation norms over lexicographic triads.
 
-    Computed without enumerating triads. Each coordinate column of the
-    pair-wedge matrix W is pair data, so C C^T = n (I - P) applies to it
-    column by column (see :func:`~pcgeom.pc_core.algebraic_inconsistency`).
-    Read as a skew matrix, a column has row means v_i ^ m for the mean
-    vector m, hence the residual (I - P) W is exactly the pair-wedge
-    matrix of the centred vectors v_i - m, and the cyclic sum is
-    n |W(v - m)|^2. The anticyclic sum of |w_ij + w_jk + w_ik|^2 counts
-    every pair in n - 2 triads and every two pairs sharing an alternative
-    in exactly one, which gives (n - 4) |W|^2 + |B W|^2 for the unsigned
-    alternative-by-pair incidence B; row i of B W is
-    v_i ^ (sum_{j>i} v_j - sum_{j<i} v_j).
+    Computed from singular values in O(n^2) memory, without enumerating
+    triads or building pair wedges. Write e2(X) for the second elementary
+    symmetric function of the squared singular values of X; by
+    Cauchy-Binet it equals sum_{i<j} |x_i ^ x_j|^2 over the rows of X.
+
+    The pair wedges are pair data, so C C^T = n (I - P) applies to them
+    coordinate by coordinate (see
+    :func:`~pcgeom.pc_core.algebraic_inconsistency`); their residual is
+    the wedges of the vectors centred on their mean m, and the cyclic
+    sum is n e2(V - 1 m^T). The anticyclic sum of |w_ij + w_jk + w_ik|^2
+    counts every pair in n - 2 triads and every two pairs sharing an
+    alternative in exactly one, which gives
+    (n - 4) e2(V) + sum_i |v_i ^ c_i|^2 with
+    c_i = sum_{j>i} v_j - sum_{j<i} v_j; each |v_i ^ c_i|^2 is taken from
+    the two vectors in O(n). At n = 3 the first term would be negative, so
+    the one triad's deviation is computed directly.
     """
     _check_convention(convention)
     if e.n < 3:
         return 0.0
     v = e.vectors
     if convention == "cyclic":
-        r = pair_wedges(v - v.mean(axis=0))
-        return e.n * float(np.vdot(r, r))
-    w = pair_wedges(v)
+        return e.n * _e2_squared_singular_values(v - v.mean(axis=0))
+    if e.n == 3:
+        # One triad, whose deviation w_12 + w_23 + w_13 is the single wedge
+        # (v_1 + v_2) ^ (v_2 + v_3) in R^3; the sum below would subtract.
+        d = np.cross(v[0] + v[1], v[1] + v[2])
+        return float(np.dot(d, d))
     sums = np.cumsum(v, axis=0)
-    bw = wedge_rows(v, (sums[-1] - sums) - (sums - v))
-    value = (e.n - 4) * float(np.vdot(w, w)) + float(np.vdot(bw, bw))
-    # At n = 3 the first term is negative; rounding must not push the
-    # single squared deviation below zero.
-    return max(value, 0.0)
+    c = (sums[-1] - sums) - (sums - v)
+    # |v_i ^ c_i|^2 = |v_i|^2 |c_i - t_i v_i|^2 with t_i = v_i.c_i / |v_i|^2:
+    # the part of c_i orthogonal to v_i, so no two large products cancel.
+    vv = np.einsum("ij,ij->i", v, v)
+    t = np.divide(
+        np.einsum("ij,ij->i", v, c), vv, out=np.zeros_like(vv), where=vv > 0
+    )
+    perp = c - t[:, None] * v
+    leads = float(np.dot(vv, np.einsum("ij,ij->i", perp, perp)))
+    return (e.n - 4) * _e2_squared_singular_values(v) + leads
 
 
 def planar_pair_wedges(a: AdditiveMatrix) -> np.ndarray:
@@ -228,6 +261,8 @@ def planar_pair_wedges(a: AdditiveMatrix) -> np.ndarray:
     (1, 2). Unlike a single global embedding, this pairwise family
     represents an inconsistent matrix faithfully.
     """
+    from .exterior import wedge_rows
+
     base = np.zeros(a.n)
     base[1] = 1.0
     u = np.zeros((a.upper.size, a.n))

@@ -16,7 +16,6 @@ value is checked finite before the first byte is written.
 
 from __future__ import annotations
 
-import csv
 import io as _io
 import json
 import math
@@ -80,6 +79,8 @@ _BLANK = frozenset({"\n", "\r\n", "\r"})
 def _check_field_limit(line: str) -> None:
     """Raise csv.Error if a cell of line is over csv's field limit; the
     csv module's own check, run only on lines long enough to fail it."""
+    import csv
+
     for _ in csv.reader([line]):
         pass
 
@@ -107,6 +108,8 @@ def _csv_fault(path: str | Path) -> str:
     rules: the first row, in file order, with a cell over the field limit
     or a non-numeric cell; else no row at all, or rows of differing
     lengths. Runs only after the bulk parse failed."""
+    import csv
+
     limit = csv.field_size_limit()
     widths = set()
     with open(path, encoding="utf-8", newline="") as fh:
@@ -128,6 +131,8 @@ def _csv_fault(path: str | Path) -> str:
 
 
 def _read_csv_grid(path: str | Path) -> np.ndarray:
+    import csv
+
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             try:

@@ -16,18 +16,22 @@ the combinatorial reading is the one with content.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import indexing
-from .embedding import Embedding, planar_embedding
 from .errors import DimensionMismatchError, ReadOnly
-from .exterior import TwoVector, new_two_vector, wedge
 from .pc_core import (
     AdditiveMatrix,
     is_consistent,
     recover_scores,
     DEFAULT_TOLERANCE,
 )
+
+if TYPE_CHECKING:
+    from .embedding import Embedding
+    from .exterior import TwoVector
 
 
 class TwoForm(ReadOnly):
@@ -55,6 +59,8 @@ def form_from_plucker(p: TwoVector) -> TwoForm:
 
 def standard_area_form(n: int) -> TwoForm:
     """The form dx_1 ^ dx_2 in dimension n."""
+    from .exterior import new_two_vector
+
     coords = np.zeros(n * (n - 1) // 2)
     coords[0] = 1.0
     return TwoForm(coefficients=new_two_vector(n, coords))
@@ -65,6 +71,8 @@ def evaluate(form: TwoForm, u, v) -> float:
 
     Bilinear and antisymmetric; equals u^T P v for the matrix view P.
     """
+    from .exterior import wedge
+
     w = wedge(u, v)
     if w.n != form.n:
         raise DimensionMismatchError(
@@ -90,6 +98,8 @@ def matrix_form(a: AdditiveMatrix) -> tuple[TwoForm, Embedding]:
     row-mean scores; evaluating the form on vector pairs reproduces the
     entries exactly when the matrix is consistent.
     """
+    from .embedding import planar_embedding
+
     scores, _ = recover_scores(a)
     return standard_area_form(a.n), planar_embedding(scores)
 

@@ -1,7 +1,7 @@
-"""The reader and writer forms that ``pcgeom.io`` replaced, kept as test
-oracles: the ``csv.reader`` + ``float()`` grid parser, and the writers
-that built every document as plain dicts and lists for ``json.dumps`` and
-``csv.writer``."""
+"""The forms that pcgeom's kernels replaced, kept as test oracles: the
+``csv.reader`` + ``float()`` grid parser, the writers that built every
+document as plain dicts and lists for ``json.dumps`` and ``csv.writer``,
+and the geometric index read off the matrix of all pair wedges."""
 
 import csv
 import json
@@ -10,6 +10,8 @@ import math
 import numpy as np
 
 from pcgeom import io as pio
+from pcgeom.embedding import pair_wedges
+from pcgeom.exterior import wedge_rows
 from pcgeom.errors import NonFiniteResultError
 from pcgeom.pc_core import AdditiveMatrix
 
@@ -142,3 +144,25 @@ WRITERS = {
     "write_grid_csv": write_any_grid_csv,
     "write_trajectory_jsonl": write_trajectory_jsonl,
 }
+
+
+# ------------------------------------------------------------------ geometry
+
+
+def geometric_index_w(vectors, convention):
+    """Sum of squared triad deviation norms from the C(n,2) x C(n,2) matrix
+    W of pair wedges: n |W(v - m)|^2 for the cyclic convention (m the mean
+    vector), (n - 4) |W|^2 + |B W|^2 for the anticyclic one (B the
+    unsigned alternative-by-pair incidence, row i of B W being
+    v_i ^ (sum_{j>i} v_j - sum_{j<i} v_j))."""
+    v = np.asarray(vectors, dtype=float)
+    n = v.shape[0]
+    if n < 3:
+        return 0.0
+    if convention == "cyclic":
+        r = pair_wedges(v - v.mean(axis=0))
+        return n * float(np.vdot(r, r))
+    w = pair_wedges(v)
+    sums = np.cumsum(v, axis=0)
+    bw = wedge_rows(v, (sums[-1] - sums) - (sums - v))
+    return max((n - 4) * float(np.vdot(w, w)) + float(np.vdot(bw, bw)), 0.0)

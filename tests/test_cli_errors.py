@@ -3,6 +3,7 @@ that makes the descent diverge, and entries so large the indices overflow.
 Either way the CLI prints one diagnostic line and writes no output."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -218,6 +219,42 @@ def test_bad_tolerance_variable_via_module_is_one_clean_line(inconsistent_csv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "pcgeom: error: PCGEOM_TOL='abc' is not a number\n"
+
+
+def run_module_to(stdout, inconsistent_csv):
+    """``python -m pcgeom check`` with its stdout on the given file
+    descriptor, buffered as it is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "pcgeom", "check", inconsistent_csv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+def errno_line(code):
+    return f"pcgeom: error: [Errno {code}] {os.strerror(code)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_report_to_full_stdout_exits_two_with_one_line(inconsistent_csv):
+    with open("/dev/full", "w") as full:
+        proc = run_module_to(full, inconsistent_csv)
+    assert proc.returncode == 2
+    assert proc.stderr == errno_line(errno.ENOSPC)
+
+
+def test_report_to_closed_pipe_exits_two_with_one_line(inconsistent_csv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module_to(write_end, inconsistent_csv)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == errno_line(errno.EPIPE)
 
 
 def test_csv_cell_over_field_limit_exits_two_naming_the_file(capsys, tmp_path):

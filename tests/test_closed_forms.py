@@ -33,6 +33,7 @@ from pcgeom import (
     new_two_vector,
     orthogonal_embedding,
     pair_wedges,
+    planar_embedding,
     planar_matrix_inconsistency,
     planar_pair_wedges,
     quad_residuals,
@@ -522,6 +523,40 @@ def test_hodge_geometric_index_matches_enumerated_triads(e, convention):
     w = pair_wedges(e.vectors)
     assert got >= 0.0
     assert close(got, want, e.n * float(np.sum(w * w)))
+
+
+@st.composite
+def wide_embeddings(draw):
+    """Custom, orthogonal and planar embeddings with n from 3 to 40 at
+    scales 1e-3, 1 and 1e3, and custom ones whose vectors are all nearly
+    parallel: multiples of one direction plus a perturbation 1e-2 or 1e-3
+    times smaller. Closer to parallel, the oracle's own anticyclic form
+    loses digits at n = 3 (see test_embedding)."""
+    n = draw(st.integers(3, 40))
+    kind = draw(st.sampled_from(["custom", "orthogonal", "planar", "parallel"]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "orthogonal":
+        signs = rng.choice([-1.0, 1.0], size=n)
+        return orthogonal_embedding(signs * rng.uniform(0.1, 10, size=n) * scale)
+    if kind == "planar":
+        return planar_embedding(rng.normal(size=n) * scale)
+    vectors = rng.normal(size=(n, n))
+    if kind == "parallel":
+        eps = draw(st.sampled_from([1e-2, 1e-3]))
+        vectors = np.outer(rng.normal(size=n), rng.normal(size=n)) + eps * vectors
+    return custom_embedding(vectors * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_embeddings(), st.sampled_from(["cyclic", "anticyclic"]))
+def test_geometric_index_matches_pair_wedge_matrix(e, convention):
+    """The singular-value kernel against the C(n,2) x C(n,2) pair-wedge
+    form it replaced, to a relative 1e-9 (both give exactly 0.0 for the
+    planar cyclic index)."""
+    want = oracles.geometric_index_w(e.vectors, convention)
+    got = geometric_inconsistency(e, convention)
+    assert abs(got - want) <= 1e-9 * want
 
 
 @settings(max_examples=100, deadline=None)

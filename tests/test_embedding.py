@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,30 @@ def test_geometric_inconsistency_examples():
         orthogonal_embedding([1.0, 2.0, 3.0]), "anticyclic"
     ) == 49.0
     assert geometric_inconsistency(orthogonal_embedding([1.0, 2.0])) == 0.0
+
+
+def test_three_alternative_anticyclic_index_keeps_its_digits():
+    """At n = 3 the anticyclic index is the one triad's deviation, taken as
+    a wedge of two vectors. For v_3 = v_1 + delta z the deviation is
+    delta times smaller than the pair wedges, which (n - 4)|W|^2 + |B W|^2
+    would subtract (relative error up to 4e-4 at delta = 1e-5)."""
+    rng = np.random.default_rng(3)
+    for delta in (1e-3, 1e-4, 1e-5):
+        for _ in range(20):
+            x, y, z = rng.normal(size=(3, 3))
+            v = np.array([x, y, x + delta * z])
+            (a, b, c), (d, e, f), (g, h, k) = (
+                [Fraction(float(t)) for t in row] for row in v
+            )
+            # w_12 + w_23 + w_13, exactly, from the minors of each pair.
+            dev = [
+                (a * e - b * d) + (d * h - e * g) + (a * h - b * g),
+                (a * f - c * d) + (d * k - f * g) + (a * k - c * g),
+                (b * f - c * e) + (e * k - f * h) + (b * k - c * h),
+            ]
+            want = float(sum(t * t for t in dev))
+            got = geometric_inconsistency(custom_embedding(v), "anticyclic")
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_planar_cyclic_vanishes_for_any_scores():

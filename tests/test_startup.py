@@ -79,6 +79,16 @@ def matrix_csv(tmp_path):
     return str(path)
 
 
+def loaded_by(argv: list[str]) -> set[str]:
+    """Modules loaded by ``python -m pcgeom ARGV``, which must succeed."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode in (0, 1)
+    json.loads(proc.stdout)
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
@@ -86,19 +96,62 @@ def matrix_csv(tmp_path):
         ("convert", set()),
         ("deviations", set()),
         ("reduce", {"pcgeom.reduction"}),
+        ("diagnose", set()),
     ],
 )
 def test_command_loads_only_its_modules(matrix_csv, command, extra):
+    loaded = loaded_by([command, matrix_csv])
+    assert "dataclasses" not in loaded
+    assert loaded == CLI_MODULES | extra | {"numpy"}
+
+
+EMBEDDING = {"pcgeom.embedding"}
+EXTERIOR = {"pcgeom.exterior"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        pytest.param(["indices", "a.csv"], EMBEDDING, id="indices-planar"),
+        pytest.param(["indices", "a.csv", "--embedding", "orthogonal"],
+                     EMBEDDING, id="indices-orthogonal"),
+        pytest.param(["indices", "a.csv", "--convention", "anticyclic",
+                      "--embedding", "custom", "--embedding-file", "emb.json"],
+                     EMBEDDING, id="indices-custom"),
+        pytest.param(["twoform", "a.csv"], {"pcgeom.twoform"}, id="twoform"),
+        pytest.param(["embed", "a.csv"], EMBEDDING | EXTERIOR, id="embed"),
+        pytest.param(["wedge", "pair.json"], EXTERIOR, id="wedge"),
+        pytest.param(["plucker", "p.json"], EXTERIOR, id="plucker"),
+    ],
+)
+def test_geometry_command_loads_only_its_modules(tmp_path, matrix_csv, argv, extra):
+    """Of embedding and exterior, a command loads only what it runs: the
+    geometric index needs no wedge, and twoform's table neither."""
+    rng = np.random.default_rng(8)
+    docs = {
+        "pair.json": {"u": rng.normal(size=8).tolist(), "v": rng.normal(size=8).tolist()},
+        "p.json": {"n": 8, "coords": rng.normal(size=comb(8, 2)).tolist()},
+        "emb.json": {"n": 8, "vectors": rng.normal(size=(8, 8)).tolist()},
+    }
+    paths = {"a.csv": matrix_csv}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(json.dumps(doc))
+    loaded = loaded_by([paths.get(arg, arg) for arg in argv])
+    assert loaded == CLI_MODULES | extra | {"numpy"}
+
+
+def test_failing_command_exits_two_and_still_runs_atexit(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, command, matrix_csv],
+        [sys.executable, "-c", PROBE, "check", str(tmp_path / "missing.csv")],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode in (0, 1)
-    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
-    assert "dataclasses" not in loaded
-    assert loaded == CLI_MODULES | extra | {"numpy"}
-    json.loads(proc.stdout)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    error, probe = proc.stderr.splitlines()
+    assert error.startswith("pcgeom: error: ") and "missing.csv" in error
+    assert set(json.loads(probe)) == CLI_MODULES | {"numpy"}
 
 
 @pytest.mark.parametrize(
