@@ -44,7 +44,6 @@ _EXPORTS = {
     "chordal_distance": "exterior",
     # embeddings
     "Embedding": "embedding",
-    "GeometricDeviation": "embedding",
     "orthogonal_embedding": "embedding",
     "planar_embedding": "embedding",
     "custom_embedding": "embedding",
@@ -57,26 +56,20 @@ _EXPORTS = {
     "planar_matrix_inconsistency": "embedding",
     # coupling form
     "CouplingMap": "coupling",
-    "CouplingMatrix": "coupling",
-    "SpectralDiagnosis": "coupling",
     "coupling_coefficients": "coupling",
     "build_M": "coupling",
-    "quadratic_inconsistency": "coupling",
-    "diagnose": "coupling",
     "closed_form_diagnosis": "coupling",
-    "regularize": "coupling",
     # reduction
     "ReductionStep": "reduction",
     "ReductionTrajectory": "reduction",
     "project_consistent": "reduction",
     "reduce_iterative": "reduction",
-    "nearest_consistent_oracle": "reduction",
     # 2-forms
     "TwoForm": "twoform",
     "form_from_plucker": "twoform",
     "standard_area_form": "twoform",
     "evaluate": "twoform",
-    "evaluation_table": "twoform",
+    "evaluation_columns": "twoform",
     "is_closed_discrete": "twoform",
     "matrix_form": "twoform",
     # errors

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, indexing, io
 # Not on demand: bench/launcher.py wraps CouplingMap right after importing cli.
-from .coupling import build_M, closed_form_diagnosis, regularize
+from .coupling import build_M, closed_form_diagnosis
 from .errors import DivergentStepError, PCGeomError
 from .pc_core import (
     AdditiveMatrix,
@@ -298,10 +298,8 @@ def _cmd_diagnose(config: RunConfig):
     matrix = _read_additive(config)
     if config.format == "csv":
         # The matrix itself is the output, so only this path builds it.
-        m = build_M(matrix.n)
-        if config.lam > 0:
-            m = regularize(m, config.lam)
-        return 0, lambda dest: io.write_grid_csv(m.values, dest)
+        m = build_M(matrix.n, config.lam)
+        return 0, lambda dest: io.write_grid_csv(m, dest)
     spectrum = closed_form_diagnosis(matrix.n, config.lam, config.tol)
     return 0, _report(config, n=matrix.n, **spectrum, **{"lambda": config.lam})
 
@@ -426,4 +424,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # End the process as ``python -m pcgeom`` does: a stdout that cannot
+    # be flushed costs one error line, not an interpreter-teardown message.
+    from .__main__ import run as run_module
+
+    run_module()

@@ -59,19 +59,6 @@ class Embedding(ReadOnly):
         return self.vectors[i - 1]
 
 
-class GeometricDeviation(ReadOnly):
-    """Triad (1-based) together with its deviation 2-vector."""
-
-    __slots__ = ("triad", "value")
-
-    def __init__(self, triad: tuple[int, int, int], value: TwoVector) -> None:
-        object.__setattr__(self, "triad", triad)
-        object.__setattr__(self, "value", value)
-
-    def norm_squared(self) -> float:
-        return self.value.norm_squared()
-
-
 def _check_convention(convention: str) -> None:
     if convention not in CONVENTIONS:
         raise ValueError(
@@ -176,7 +163,7 @@ def pair_wedges(vectors) -> np.ndarray:
 
 def geometric_deviation(
     e: Embedding, i: int, j: int, k: int, convention: str = "cyclic"
-) -> GeometricDeviation:
+) -> TwoVector:
     """Deviation 2-vector of the 1-based triad i < j < k."""
     _check_convention(convention)
     if not i < j < k:
@@ -189,10 +176,8 @@ def geometric_deviation(
         w_jk = pair_subspace(e, j, k)
         w_ki = pair_subspace(e, k, i)
     if convention == "cyclic":
-        value = w_ij + w_jk + w_ki
-    else:
-        value = w_ij + w_jk - w_ki
-    return GeometricDeviation(triad=(i, j, k), value=value)
+        return w_ij + w_jk + w_ki
+    return w_ij + w_jk - w_ki
 
 
 def _e2_squared_singular_values(x: np.ndarray) -> float:

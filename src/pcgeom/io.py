@@ -16,7 +16,6 @@ value is checked finite before the first byte is written.
 
 from __future__ import annotations
 
-import io as _io
 import json
 import math
 from itertools import chain
@@ -514,9 +513,3 @@ def write_trajectory_jsonl(
 ) -> None:
     """One JSON record per descent step: {"step", "I_alg", "I_geom"}."""
     _write_json(steps_table(trajectory), dest)
-
-
-def dumps_report(report: dict, fmt: str = "json") -> str:
-    buf = _io.StringIO()
-    write_report(report, buf, fmt=fmt)
-    return buf.getvalue()

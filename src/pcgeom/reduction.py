@@ -12,10 +12,6 @@ trajectory follows from one split of the input: i_alg_k = n q^2k |r|^2,
 i_geom_k = n i_alg_k, and the matrix is a - (1 - q^k) r. eta = 1/n lands
 exactly on the projection in a single step and any 0 < eta < 2/(n + lam)
 descends monotonically.
-
-A brute-force grid search over score vectors is included as an
-independent optimality check for small n; it is meant for tests, not for
-production use.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from .errors import (
     NonPositiveLambdaError,
     NonPositiveStepError,
     ReadOnly,
-    UnsupportedSizeError,
 )
 from .pc_core import (
     AdditiveMatrix,
@@ -169,36 +164,3 @@ def reduce_iterative(
     return ReductionTrajectory(
         a, residual, q, tuple(i_alg), i_geom, converged=i_alg[-1] <= tol
     )
-
-
-def nearest_consistent_oracle(
-    a: AdditiveMatrix, grid_radius: float, grid_steps: int
-) -> AdditiveMatrix:
-    """Brute-force nearest consistent matrix over a score grid.
-
-    Exhaustively evaluates every score vector on a uniform grid of
-    half-width grid_radius per axis centred at the row-mean scores and
-    returns the score-difference matrix closest in Frobenius norm. Only
-    n = 3 and n = 4 are supported; cost grows as grid_steps**n.
-    """
-    if a.n not in (3, 4):
-        raise UnsupportedSizeError(
-            f"grid oracle supports n = 3 or 4, got n = {a.n}"
-        )
-    if grid_steps < 11:
-        raise ValueError("grid_steps must be at least 11")
-    if not grid_radius > 0:
-        raise ValueError("grid_radius must be positive")
-    center, _ = recover_scores(a)
-    axes = [
-        np.linspace(c - grid_radius, c + grid_radius, grid_steps)
-        for c in center.values
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    dist_sq = np.zeros(grids[0].shape)
-    rows, cols = np.triu_indices(a.n, k=1)
-    for value, i, j in zip(a.upper, rows, cols):
-        dist_sq += (value - (grids[i] - grids[j])) ** 2
-    best = np.unravel_index(np.argmin(dist_sq), dist_sq.shape)
-    scores = np.array([axis[idx] for axis, idx in zip(axes, best)])
-    return from_scores(scores)

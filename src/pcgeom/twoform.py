@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import indexing
 from .errors import DimensionMismatchError, ReadOnly
 from .pc_core import (
     AdditiveMatrix,
@@ -119,15 +118,3 @@ def evaluation_columns(
     rows, cols = np.triu_indices(a.n, k=1)
     omega = scores.values[rows] - scores.values[cols]
     return omega, a.upper, np.abs(residual.upper)
-
-
-def evaluation_table(a: AdditiveMatrix) -> list[dict]:
-    """Per-pair comparison of form evaluation against the stored entry:
-    the rows of :func:`evaluation_columns`, one dict per pair."""
-    return [
-        {"i": i, "j": j, "omega": o, "entry": e, "abs_error": err}
-        for (i, j), o, e, err in zip(
-            indexing.labels(a.n, 2).tolist(),
-            *(column.tolist() for column in evaluation_columns(a)),
-        )
-    ]

@@ -1,7 +1,9 @@
 """The forms that pcgeom's kernels replaced, kept as test oracles: the
 ``csv.reader`` + ``float()`` grid parser, the writers that built every
 document as plain dicts and lists for ``json.dumps`` and ``csv.writer``,
-and the geometric index read off the matrix of all pair wedges."""
+the geometric index read off the matrix of all pair wedges, the coupling
+spectrum from a dense eigensolver, and a grid search for the nearest
+consistent matrix."""
 
 import csv
 import json
@@ -10,10 +12,11 @@ import math
 import numpy as np
 
 from pcgeom import io as pio
+from pcgeom.coupling import build_M
 from pcgeom.embedding import pair_wedges
 from pcgeom.exterior import wedge_rows
-from pcgeom.errors import NonFiniteResultError
-from pcgeom.pc_core import AdditiveMatrix
+from pcgeom.errors import NonFiniteResultError, UnsupportedSizeError
+from pcgeom.pc_core import AdditiveMatrix, from_scores, recover_scores
 
 
 # ------------------------------------------------------------------ reading
@@ -166,3 +169,56 @@ def geometric_index_w(vectors, convention):
     sums = np.cumsum(v, axis=0)
     bw = wedge_rows(v, (sums[-1] - sums) - (sums - v))
     return max((n - 4) * float(np.vdot(w, w)) + float(np.vdot(bw, bw)), 0.0)
+
+
+# ------------------------------------------------------ coupling, reduction
+
+
+def dense_spectral_report(n, lam=0.0, rank_tol=1e-9):
+    """The diagnose report from the eigenvalues of the dense M + lam I,
+    sorted descending; those at most rank_tol times the largest count as
+    zero."""
+    eigenvalues = np.linalg.eigvalsh(build_M(n, lam))[::-1]
+    threshold = rank_tol * max(float(eigenvalues[0]), 0.0)
+    t_count = int(eigenvalues.size)
+    rank = int(np.count_nonzero(eigenvalues > threshold))
+    return {
+        "rank": rank,
+        "T": t_count,
+        "degenerate": rank < t_count,
+        "eigenvalues": eigenvalues.tolist(),
+        "kernel_dim": t_count - rank,
+    }
+
+
+def nearest_consistent_oracle(
+    a: AdditiveMatrix, grid_radius: float, grid_steps: int
+) -> AdditiveMatrix:
+    """Brute-force nearest consistent matrix over a score grid.
+
+    Exhaustively evaluates every score vector on a uniform grid of
+    half-width grid_radius per axis centred at the row-mean scores and
+    returns the score-difference matrix closest in Frobenius norm. Only
+    n = 3 and n = 4 are supported; cost grows as grid_steps**n.
+    """
+    if a.n not in (3, 4):
+        raise UnsupportedSizeError(
+            f"grid oracle supports n = 3 or 4, got n = {a.n}"
+        )
+    if grid_steps < 11:
+        raise ValueError("grid_steps must be at least 11")
+    if not grid_radius > 0:
+        raise ValueError("grid_radius must be positive")
+    center, _ = recover_scores(a)
+    axes = [
+        np.linspace(c - grid_radius, c + grid_radius, grid_steps)
+        for c in center.values
+    ]
+    grids = np.meshgrid(*axes, indexing="ij")
+    dist_sq = np.zeros(grids[0].shape)
+    rows, cols = np.triu_indices(a.n, k=1)
+    for value, i, j in zip(a.upper, rows, cols):
+        dist_sq += (value - (grids[i] - grids[j])) ** 2
+    best = np.unravel_index(np.argmin(dist_sq), dist_sq.shape)
+    scores = np.array([axis[idx] for axis, idx in zip(axes, best)])
+    return from_scores(scores)

@@ -357,7 +357,7 @@ def test_diagnose_csv_with_lambda_writes_the_shifted_gram_matrix(tmp_path, n):
         csv.writer(fh).writerows((raw - raw.T).tolist())
     argv = ["diagnose", str(path), "--format", "csv", "--lambda", "0.5", "-o", str(out)]
     assert main(argv) == 0
-    grid = build_M(n).values + 0.5 * np.eye(math.comb(n, 3))
+    grid = build_M(n) + 0.5 * np.eye(math.comb(n, 3))
     want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in grid)
     assert out.read_bytes() == want.encode()
     assert "3.5" in want and "-1.0" in want

@@ -4,6 +4,7 @@ Either way the CLI prints one diagnostic line and writes no output."""
 
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -137,10 +138,11 @@ def test_large_but_finite_results_still_report(capsys, huge_csv):
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_report_writer_refuses_non_finite(value, fmt):
-    with pytest.raises(NonFiniteResultError):
-        pio.dumps_report({"I_alg": value}, fmt=fmt)
-    with pytest.raises(NonFiniteResultError):
-        pio.dumps_report({"steps": [{"I_alg": value}]}, fmt=fmt)
+    for report in ({"I_alg": value}, {"steps": [{"I_alg": value}]}):
+        dest = io.StringIO()
+        with pytest.raises(NonFiniteResultError):
+            pio.write_report(report, dest, fmt=fmt)
+        assert dest.getvalue() == ""
 
 
 def test_grid_writer_refuses_non_finite():
@@ -221,12 +223,16 @@ def test_bad_tolerance_variable_via_module_is_one_clean_line(inconsistent_csv):
     assert proc.stderr == "pcgeom: error: PCGEOM_TOL='abc' is not a number\n"
 
 
-def run_module_to(stdout, inconsistent_csv):
-    """``python -m pcgeom check`` with its stdout on the given file
+#: The two module entry points, which end the process the same way.
+ENTRY_MODULES = ("pcgeom", "pcgeom.cli")
+
+
+def run_module_to(module, stdout, inconsistent_csv):
+    """``python -m MODULE check`` with its stdout on the given file
     descriptor, buffered as it is by default."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
-        [sys.executable, "-m", "pcgeom", "check", inconsistent_csv],
+        [sys.executable, "-m", module, "check", inconsistent_csv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
@@ -240,21 +246,23 @@ def errno_line(code):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_report_to_full_stdout_exits_two_with_one_line(inconsistent_csv):
-    with open("/dev/full", "w") as full:
-        proc = run_module_to(full, inconsistent_csv)
-    assert proc.returncode == 2
-    assert proc.stderr == errno_line(errno.ENOSPC)
+    for module in ENTRY_MODULES:
+        with open("/dev/full", "w") as full:
+            proc = run_module_to(module, full, inconsistent_csv)
+        assert (module, proc.returncode) == (module, 2)
+        assert proc.stderr == errno_line(errno.ENOSPC)
 
 
 def test_report_to_closed_pipe_exits_two_with_one_line(inconsistent_csv):
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = run_module_to(write_end, inconsistent_csv)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 2
-    assert proc.stderr == errno_line(errno.EPIPE)
+    for module in ENTRY_MODULES:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module_to(module, write_end, inconsistent_csv)
+        finally:
+            os.close(write_end)
+        assert (module, proc.returncode) == (module, 2)
+        assert proc.stderr == errno_line(errno.EPIPE)
 
 
 def test_csv_cell_over_field_limit_exits_two_naming_the_file(capsys, tmp_path):

@@ -17,13 +17,11 @@ from pcgeom import (
     TooSmallError,
     algebraic_inconsistency,
     all_triad_deviations,
-    build_M,
     closed_form_diagnosis,
     coupling_coefficients,
     custom_embedding,
-    diagnose,
     evaluate,
-    evaluation_table,
+    evaluation_columns,
     geometric_inconsistency,
     is_consistent,
     is_decomposable,
@@ -39,7 +37,6 @@ from pcgeom import (
     quad_residuals,
     recover_scores,
     reduce_iterative,
-    regularize,
     residuals_decomposable,
     wedge,
 )
@@ -438,10 +435,7 @@ def test_repeated_quad_walks_retain_no_memory():
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("lam", [0.0, 1e-12, 0.5])
 def test_closed_form_spectrum_matches_dense_eigh(n, lam):
-    m = build_M(n)
-    if lam > 0:
-        m = regularize(m, lam)
-    want = diagnose(m).to_dict()
+    want = oracles.dense_spectral_report(n, lam)
     got = closed_form_diagnosis(n, lam)
     assert list(got) == list(want)
     np.testing.assert_allclose(
@@ -584,17 +578,18 @@ def test_batched_planar_wedges_are_bit_identical_to_wedge(a):
 @given(additive_matrices())
 def test_evaluation_table_matches_per_pair_evaluate(a):
     form, emb = matrix_form(a)
-    rows = evaluation_table(a)
-    assert [[r["i"], r["j"]] for r in rows] == indexing.labels(a.n, 2).tolist()
-    for r, entry in zip(rows, a.upper):
-        want = evaluate(form, emb.vector(r["i"]), emb.vector(r["j"]))
-        assert close(r["omega"], want, abs(want))
-        assert r["entry"] == entry
-        assert r["abs_error"] == abs(r["omega"] - r["entry"])
+    omega, entry, abs_error = evaluation_columns(a)
+    assert omega.shape == entry.shape == abs_error.shape == (a.upper.size,)
+    labels = indexing.labels(a.n, 2).tolist()
+    for (i, j), o, e, err, stored in zip(labels, omega, entry, abs_error, a.upper):
+        want = evaluate(form, emb.vector(i), emb.vector(j))
+        assert close(o, want, abs(want))
+        assert e == stored
+        assert err == abs(o - e)
 
 
 def product_evaluation(a):
-    """omega as evaluation_table computed it before it read the Hodge
+    """omega as the 2-form rows computed it before they read the Hodge
     split: the upper triangle of one V P V^T product."""
     form, emb = matrix_form(a)
     v = emb.vectors
@@ -607,11 +602,9 @@ def product_evaluation(a):
 def test_evaluation_table_matches_form_product(a, scale):
     a = new_additive(a.to_array() * scale)
     omega = product_evaluation(a)
-    rows = evaluation_table(a)
-    np.testing.assert_array_equal([r["omega"] for r in rows], omega)
-    np.testing.assert_array_equal(
-        [r["abs_error"] for r in rows], np.abs(omega - a.upper)
-    )
+    got, _, abs_error = evaluation_columns(a)
+    np.testing.assert_array_equal(got, omega)
+    np.testing.assert_array_equal(abs_error, np.abs(omega - a.upper))
 
 
 def test_csv_parse_memory_is_order_of_the_grid(tmp_path):

@@ -10,13 +10,13 @@ from pcgeom import (
     all_triad_deviations,
     algebraic_inconsistency,
     build_M,
+    closed_form_diagnosis,
     coupling_coefficients,
-    diagnose,
     new_additive,
-    quadratic_inconsistency,
-    regularize,
 )
 from pcgeom.indexing import pair_count, pair_index, triad_count
+
+from oracles import dense_spectral_report
 
 
 def pairs(n):
@@ -90,28 +90,28 @@ def test_apply_and_transpose_match_dense():
 
 def test_build_M_n3_is_scalar_three():
     m = build_M(3)
-    assert m.values.shape == (1, 1)
-    assert m.values[0, 0] == 3.0
+    assert m.shape == (1, 1)
+    assert m[0, 0] == 3.0
 
 
 def test_build_M_n4_shared_pair_signs():
     m = build_M(4)
     t = {triad: i for i, triad in enumerate(triads(4))}
-    assert m.values[t[(0, 1, 2)], t[(0, 1, 3)]] == 1.0  # share (1,2), signs +,+
-    assert m.values[t[(0, 1, 2)], t[(0, 2, 3)]] == -1.0  # share (1,3), signs -,+
+    assert m[t[(0, 1, 2)], t[(0, 1, 3)]] == 1.0  # share (1,2), signs +,+
+    assert m[t[(0, 1, 2)], t[(0, 2, 3)]] == -1.0  # share (1,3), signs -,+
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_build_M_is_gram_of_incidence(n):
     c = incidence_oracle(n)
-    m = build_M(n).values
+    m = build_M(n)
     np.testing.assert_array_equal(m, c.T @ c)
     assert not m.flags.writeable
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_build_M_symmetric_psd_diag3(n):
-    m = build_M(n).values
+    m = build_M(n)
     assert np.array_equal(m, m.T)
     assert np.all(np.diagonal(m) == 3.0)
     eigs = np.linalg.eigvalsh(m)
@@ -126,30 +126,37 @@ def test_build_M_respects_cap():
 
 
 # -------------------------------------------------------------- quadratic form
+# The form d^T M d is plain numpy on build_M; these tests pin it to |C d|^2.
+
+
+def quadratic_form(m, d):
+    d = np.asarray(d, dtype=float)
+    return float(d @ m @ d)
 
 
 def test_quadratic_inconsistency_n3_example():
-    m = build_M(3)
-    assert quadratic_inconsistency(m, [-1.0]) == 3.0
+    assert quadratic_form(build_M(3), [-1.0]) == 3.0
 
 
 def test_quadratic_inconsistency_zero():
-    m = build_M(5)
-    assert quadratic_inconsistency(m, np.zeros(10)) == 0.0
+    assert quadratic_form(build_M(5), np.zeros(10)) == 0.0
 
 
 def test_quadratic_inconsistency_two_paths_n4():
-    m = build_M(4)
     cmap = coupling_coefficients(4)
     d = np.ones(4)
-    direct = quadratic_inconsistency(m, d)
+    direct = quadratic_form(build_M(4), d)
     image = cmap.apply(d)
     assert direct == pytest.approx(np.dot(image, image), rel=1e-12)
 
 
 def test_quadratic_inconsistency_dimension_check():
+    # The incidence refuses a vector of the wrong length; M itself cannot
+    # be multiplied by one.
     with pytest.raises(DimensionMismatchError):
-        quadratic_inconsistency(build_M(4), np.ones(3))
+        coupling_coefficients(4).apply(np.ones(3))
+    with pytest.raises(ValueError):
+        quadratic_form(build_M(4), np.ones(3))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -161,11 +168,18 @@ def test_gram_identity_random(n):
         d = rng.normal(size=triad_count(n))
         image = cmap.apply(d)
         expected = float(np.dot(image, image))
-        got = quadratic_inconsistency(m, d)
+        got = quadratic_form(m, d)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 # ------------------------------------------------------------------- diagnosis
+
+
+def kernel_basis(m, rank_tol=1e-9):
+    """Orthonormal rows spanning the eigenvectors of m whose eigenvalues
+    are at most rank_tol times the largest."""
+    eigenvalues, eigenvectors = np.linalg.eigh(m)
+    return eigenvectors[:, eigenvalues <= rank_tol * eigenvalues.max()].T
 
 
 @pytest.mark.parametrize(
@@ -173,31 +187,39 @@ def test_gram_identity_random(n):
 )
 def test_rank_law(n, expected_rank):
     assert expected_rank == (n - 1) * (n - 2) // 2
-    result = diagnose(build_M(n))
-    assert result.rank == expected_rank
-    assert result.degenerate == (n >= 4)
-    assert result.kernel_dim == triad_count(n) - expected_rank
+    for result in (closed_form_diagnosis(n), dense_spectral_report(n)):
+        assert result["rank"] == expected_rank
+        assert result["degenerate"] == (n >= 4)
+        assert result["kernel_dim"] == triad_count(n) - expected_rank
+    assert np.linalg.matrix_rank(build_M(n)) == expected_rank
+    assert kernel_basis(build_M(n)).shape[0] == triad_count(n) - expected_rank
+
+
+def test_rank_counts_eigenvalues_strictly_above_the_threshold():
+    # M + I at n = 4 has eigenvalues 5, 5, 5, 1, and 0.2 * 5 == 1.0 exactly.
+    assert closed_form_diagnosis(4, 1.0, rank_tol=0.2)["rank"] == 3
+    assert closed_form_diagnosis(4, 1.0, rank_tol=0.19)["rank"] == 4
 
 
 def test_diagnose_n3_not_degenerate():
-    result = diagnose(build_M(3))
-    assert result.rank == 1
-    assert not result.degenerate
-    assert result.kernel_dim == 0
+    result = closed_form_diagnosis(3)
+    assert result["rank"] == 1
+    assert not result["degenerate"]
+    assert result["kernel_dim"] == 0
 
 
 def test_diagnose_eigenvalues_descending_and_kernel_orthonormal():
-    result = diagnose(build_M(5))
-    assert np.all(np.diff(result.eigenvalues) <= 1e-12)
-    k = result.kernel_basis
+    for result in (closed_form_diagnosis(5), dense_spectral_report(5)):
+        assert np.all(np.diff(result["eigenvalues"]) <= 1e-12)
+    k = kernel_basis(build_M(5))
     np.testing.assert_allclose(k @ k.T, np.eye(k.shape[0]), atol=1e-9)
 
 
 def test_eigendecomposition_residual_accuracy():
     m = build_M(6)
-    eigenvalues, eigenvectors = np.linalg.eigh(m.values)
+    eigenvalues, eigenvectors = np.linalg.eigh(m)
     lam_max = eigenvalues.max()
-    residual = m.values @ eigenvectors - eigenvectors * eigenvalues
+    residual = m @ eigenvectors - eigenvectors * eigenvalues
     assert np.max(np.abs(residual)) <= 1e-8 * lam_max
 
 
@@ -207,14 +229,14 @@ def test_realizable_deviations_avoid_kernel():
     rng = np.random.default_rng(61)
     for n in (4, 5, 6):
         m = build_M(n)
-        result = diagnose(m)
+        kernel = kernel_basis(m)
+        assert kernel.shape[0] == closed_form_diagnosis(n)["kernel_dim"]
         for _ in range(20):
             a = random_additive(rng, n)
             d = all_triad_deviations(a)
-            if result.kernel_dim:
-                overlap = np.max(np.abs(result.kernel_basis @ d.values))
-                assert overlap <= 1e-9 * max(1.0, float(np.linalg.norm(d.values)))
-            assert quadratic_inconsistency(m, d) == pytest.approx(
+            overlap = np.max(np.abs(kernel @ d.values))
+            assert overlap <= 1e-9 * max(1.0, float(np.linalg.norm(d.values)))
+            assert quadratic_form(m, d.values) == pytest.approx(
                 n * algebraic_inconsistency(a), rel=1e-9, abs=1e-12
             )
 
@@ -223,30 +245,33 @@ def test_form_zero_iff_deviations_zero_on_realizable():
     rng = np.random.default_rng(67)
     m = build_M(5)
     consistent = new_additive(np.zeros((5, 5)))
-    assert quadratic_inconsistency(m, all_triad_deviations(consistent)) == 0.0
+    assert quadratic_form(m, all_triad_deviations(consistent).values) == 0.0
     noisy = random_additive(rng, 5)
-    assert quadratic_inconsistency(m, all_triad_deviations(noisy)) > 0.0
+    assert quadratic_form(m, all_triad_deviations(noisy).values) > 0.0
 
 
 # -------------------------------------------------------------- regularization
 
 
 def test_regularize_shifts_spectrum():
-    m = build_M(4)
-    shifted = regularize(m, 0.01)
-    base = np.linalg.eigvalsh(m.values)
-    moved = np.linalg.eigvalsh(shifted.values)
+    base = np.linalg.eigvalsh(build_M(4))
+    shifted = build_M(4, 0.01)
+    assert not shifted.flags.writeable
+    np.testing.assert_array_equal(shifted, build_M(4) + 0.01 * np.eye(4))
+    moved = np.linalg.eigvalsh(shifted)
     np.testing.assert_allclose(moved, base + 0.01, atol=1e-9)
     assert moved.min() >= 0.01 - 1e-10
 
 
 def test_regularize_n3_example():
-    shifted = regularize(build_M(3), 1.0)
-    assert shifted.values[0, 0] == 4.0
+    assert build_M(3, 1.0)[0, 0] == 4.0
+    assert build_M(3, 0.0)[0, 0] == 3.0
 
 
 def test_regularize_rejects_non_positive():
-    with pytest.raises(NonPositiveLambdaError):
-        regularize(build_M(3), 0.0)
-    with pytest.raises(NonPositiveLambdaError):
-        regularize(build_M(3), -0.5)
+    # lam = 0 is the unshifted matrix; a negative or NaN weight is refused.
+    for lam in (-0.5, -1e-300, float("nan")):
+        with pytest.raises(NonPositiveLambdaError):
+            build_M(3, lam)
+        with pytest.raises(NonPositiveLambdaError):
+            closed_form_diagnosis(3, lam)

@@ -125,22 +125,22 @@ def test_orthogonal_pair_subspace_single_coordinate():
 def test_geometric_deviation_orthogonal_anticyclic_example():
     e = orthogonal_embedding([1.0, 2.0, 3.0])
     d = geometric_deviation(e, 1, 2, 3, "anticyclic")
-    assert d.value.coord(1, 2) == 2.0
-    assert d.value.coord(2, 3) == 6.0
-    assert d.value.coord(1, 3) == 3.0
+    assert d.coord(1, 2) == 2.0
+    assert d.coord(2, 3) == 6.0
+    assert d.coord(1, 3) == 3.0
     assert d.norm_squared() == 49.0
 
 
 def test_geometric_deviation_planar_cyclic_vanishes():
     e = planar_embedding([1.0, 0.0, 1.0])
     d = geometric_deviation(e, 1, 2, 3, "cyclic")
-    assert d.value.is_zero()
+    assert d.is_zero()
 
 
 def test_geometric_deviation_equal_vectors_zero():
     e = custom_embedding(np.ones((3, 3)))
     for convention in ("cyclic", "anticyclic"):
-        assert geometric_deviation(e, 1, 2, 3, convention).value.is_zero()
+        assert geometric_deviation(e, 1, 2, 3, convention).is_zero()
 
 
 def test_convention_relation():
@@ -148,8 +148,8 @@ def test_convention_relation():
     rng = np.random.default_rng(17)
     e = custom_embedding(rng.uniform(-3, 3, size=(5, 5)))
     for (i, j, k) in [(1, 2, 3), (1, 3, 5), (2, 4, 5)]:
-        anti = geometric_deviation(e, i, j, k, "anticyclic").value
-        cyc = geometric_deviation(e, i, j, k, "cyclic").value
+        anti = geometric_deviation(e, i, j, k, "anticyclic")
+        cyc = geometric_deviation(e, i, j, k, "cyclic")
         w_ki = wedge(e.vector(k), e.vector(i))
         np.testing.assert_allclose(
             (anti - cyc).coords, (-2.0 * w_ki).coords, rtol=0, atol=1e-13
@@ -239,8 +239,8 @@ def test_planar_deviation_lives_on_leading_coordinate():
             expected = (
                 a.entry(i, j) + a.entry(j, k) + closing_sign * a.entry(k, i)
             )
-            assert dev.value.coord(1, 2) == pytest.approx(expected, abs=1e-12)
-            rest = dev.value.coords[1:]
+            assert dev.coord(1, 2) == pytest.approx(expected, abs=1e-12)
+            rest = dev.coords[1:]
             assert np.all(rest == 0.0)
 
 

@@ -38,10 +38,7 @@ def _value_types():
         (pg.recover_scores(a)[0], "n values"),
         (pg.all_triad_deviations(a), "n values"),
         (pg.coupling_coefficients(4), "n ij_pos jk_pos ik_pos"),
-        (pg.build_M(4), "n values"),
-        (pg.diagnose(pg.build_M(4)), "rank eigenvalues kernel_basis degenerate"),
         (e, "n vectors kind"),
-        (pg.geometric_deviation(e, 1, 2, 3), "triad value"),
         (pg.wedge([1, 2, 3], [0, 1, 5]), "n coords"),
         (trajectory.steps[0], "index i_alg i_geom trajectory"),
         (trajectory, "start residual q i_alg i_geom converged"),

@@ -7,13 +7,14 @@ from pcgeom import (
     UnsupportedSizeError,
     all_triad_deviations,
     is_consistent,
-    nearest_consistent_oracle,
     new_additive,
     project_consistent,
     recover_scores,
     reduce_iterative,
 )
 from pcgeom.io import write_trajectory_jsonl
+
+from oracles import nearest_consistent_oracle
 
 CONSISTENT_3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
@@ -152,13 +153,14 @@ def test_regularized_descent_same_fixed_point():
 
 
 def test_trajectory_i_geom_tracks_quadratic_form():
-    from pcgeom import build_M, quadratic_inconsistency
+    from pcgeom import build_M
 
     a = new_additive(INCONSISTENT_3)
     trajectory = reduce_iterative(a, eta=0.1, max_steps=5, tol=1e-16)
     m = build_M(3)
     for step in trajectory.steps:
-        expected = quadratic_inconsistency(m, all_triad_deviations(step.matrix))
+        d = all_triad_deviations(step.matrix).values
+        expected = float(d @ m @ d)
         assert step.i_geom == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 

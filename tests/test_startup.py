@@ -205,7 +205,10 @@ def test_submodules_resolve_without_explicit_import():
 
 def test_unknown_name_raises_attribute_error():
     for name in ["no_such_name", "PluckerResidualSet", "plucker_residuals",
-                 "planar_pair_subspaces"]:
+                 "planar_pair_subspaces", "diagnose", "SpectralDiagnosis",
+                 "CouplingMatrix", "regularize", "quadratic_inconsistency",
+                 "GeometricDeviation", "evaluation_table", "dumps_report",
+                 "nearest_consistent_oracle"]:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(pcgeom, name)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pcgeom import (
     DimensionMismatchError,
     evaluate,
-    evaluation_table,
+    evaluation_columns,
     form_from_plucker,
     from_scores,
     is_closed_discrete,
@@ -131,14 +131,16 @@ def test_matrix_form_reproduces_consistent_entries_exactly():
 
 
 def test_evaluation_table_consistent_example():
-    rows = evaluation_table(new_additive(CONSISTENT_3))
-    assert max(r["abs_error"] for r in rows) == 0.0
-    assert [r["omega"] for r in rows] == [1.0, 0.0, -1.0]
+    a = new_additive(CONSISTENT_3)
+    omega, entry, abs_error = evaluation_columns(a)
+    assert omega.tolist() == [1.0, 0.0, -1.0]
+    assert entry.tolist() == a.upper.tolist()
+    assert np.max(abs_error) == 0.0
 
 
 def test_evaluation_table_flags_inconsistent_matrix():
-    rows = evaluation_table(new_additive(INCONSISTENT_3))
-    assert max(r["abs_error"] for r in rows) > 0.1
+    _, _, abs_error = evaluation_columns(new_additive(INCONSISTENT_3))
+    assert np.max(abs_error) > 0.1
 
 
 # ------------------------------------------------------------------ closedness
