@@ -17,8 +17,6 @@ _EXPORTS = {
     # matrices
     "AdditiveMatrix": "pc_core",
     "MultiplicativeMatrix": "pc_core",
-    "ScoreVector": "pc_core",
-    "DeviationVector": "pc_core",
     "DEFAULT_TOLERANCE": "pc_core",
     "new_additive": "pc_core",
     "new_multiplicative": "pc_core",
@@ -89,7 +87,6 @@ _EXPORTS = {
     "NonPositiveStepError": "errors",
     "DivergentStepError": "errors",
     "NonFiniteResultError": "errors",
-    "UnsupportedSizeError": "errors",
     "DegeneratePairWarning": "errors",
 }
 

@@ -236,12 +236,11 @@ def _cmd_indices(config: RunConfig):
 
 def _cmd_deviations(config: RunConfig):
     matrix = _read_additive(config)
-    devs = all_triad_deviations(matrix)
     return 0, _report(
         config,
         n=matrix.n,
         triads=indexing.labels(matrix.n, 3),
-        values=devs.values,
+        values=all_triad_deviations(matrix),
     )
 
 
@@ -300,7 +299,7 @@ def _cmd_diagnose(config: RunConfig):
         # The matrix itself is the output, so only this path builds it.
         m = build_M(matrix.n, config.lam)
         return 0, lambda dest: io.write_grid_csv(m, dest)
-    spectrum = closed_form_diagnosis(matrix.n, config.lam, config.tol)
+    spectrum = closed_form_diagnosis(matrix.n, config.lam)
     return 0, _report(config, n=matrix.n, **spectrum, **{"lambda": config.lam})
 
 

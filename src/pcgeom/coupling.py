@@ -20,6 +20,8 @@ that identity; :func:`build_M` builds the dense M + lam I, which only
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import indexing
@@ -29,7 +31,6 @@ from .errors import (
     ReadOnly,
     TooSmallError,
 )
-from .pc_core import DeviationVector
 
 #: Largest n for which a dense T-by-T Gram matrix is built (T = C(n,3)),
 #: or a spectral report listing all T eigenvalues is written.
@@ -41,14 +42,6 @@ class CouplingMap(ReadOnly):
 
     __slots__ = ("n", "ij_pos", "jk_pos", "ik_pos")
 
-    def __init__(
-        self, n: int, ij_pos: np.ndarray, jk_pos: np.ndarray, ik_pos: np.ndarray
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ij_pos", ij_pos)
-        object.__setattr__(self, "jk_pos", jk_pos)
-        object.__setattr__(self, "ik_pos", ik_pos)
-
     @property
     def pair_count(self) -> int:
         return indexing.pair_count(self.n)
@@ -59,14 +52,7 @@ class CouplingMap(ReadOnly):
 
     def apply(self, d) -> np.ndarray:
         """Pair-space image of a deviation vector (the map C applied to d)."""
-        if isinstance(d, DeviationVector):
-            if d.n != self.n:
-                raise DimensionMismatchError(
-                    f"deviation vector is for n={d.n}, expected n={self.n}"
-                )
-            values = d.values
-        else:
-            values = np.asarray(d, dtype=float).ravel()
+        values = np.asarray(d, dtype=float).ravel()
         if values.size != self.triad_count:
             raise DimensionMismatchError(
                 f"expected {self.triad_count} deviations for n={self.n}, "
@@ -107,9 +93,10 @@ def coupling_coefficients(n: int) -> CouplingMap:
 
 
 def _check_lambda(lam: float) -> None:
-    if not lam >= 0:
+    """Refuse a negative, NaN or infinite regularization weight."""
+    if not 0 <= lam < math.inf:
         raise NonPositiveLambdaError(
-            f"regularization weight must be nonnegative, got {lam!r}"
+            f"regularization weight must be nonnegative and finite, got {lam!r}"
         )
 
 
@@ -143,9 +130,7 @@ def build_M(n: int, lam: float = 0.0) -> np.ndarray:
     return m
 
 
-def closed_form_diagnosis(
-    n: int, lam: float = 0.0, rank_tol: float = 1e-9
-) -> dict:
+def closed_form_diagnosis(n: int, lam: float = 0.0) -> dict:
     """Spectral report of M + lam I for M = build_M(n), without building M:
     its rank, size T, whether it is degenerate, its eigenvalues in
     descending order and its kernel dimension.
@@ -154,8 +139,8 @@ def closed_form_diagnosis(
     the complete comparison structure, with P the projection onto
     consistent matrices of rank n - 1. So M has eigenvalue n with
     multiplicity (n-1)(n-2)/2 and 0 on the rest of its T = C(n,3)
-    entries; the shift adds lam to both. Eigenvalues at most rank_tol
-    times the largest count as zero.
+    entries; the shift adds lam to both. These eigenvalues are exact, so
+    the rank is exact too: T when lam > 0, else (n-1)(n-2)/2.
     """
     if n < 3:
         raise TooSmallError(f"need at least 3 alternatives, got {n}")
@@ -165,14 +150,12 @@ def closed_form_diagnosis(
             f"(it would list C({n},3) = {indexing.triad_count(n)} eigenvalues)"
         )
     _check_lambda(lam)
-    if not rank_tol > 0:
-        raise ValueError("rank tolerance must be positive")
     t_count = indexing.triad_count(n)
     image = (n - 1) * (n - 2) // 2
     eigenvalues = np.repeat(
         np.array([n + lam, lam], dtype=float), [image, t_count - image]
     )
-    rank = int(np.count_nonzero(eigenvalues > rank_tol * eigenvalues[0]))
+    rank = t_count if lam > 0 else image
     return {
         "rank": rank,
         "T": t_count,

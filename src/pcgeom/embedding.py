@@ -47,11 +47,6 @@ class Embedding(ReadOnly):
 
     __slots__ = ("n", "vectors", "kind")
 
-    def __init__(self, n: int, vectors: np.ndarray, kind: str) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "kind", kind)
-
     def vector(self, i: int) -> np.ndarray:
         """Vector of alternative i (1-based)."""
         if not 1 <= i <= self.n:
@@ -269,7 +264,8 @@ def planar_matrix_inconsistency(
     of (u_ij + u_jk + u_ik)^2 counts every pair in n - 2 triads and every
     two pairs sharing an alternative in exactly one, which gives
     (n - 4) |u|^2 + |X 1|^2 for the symmetric matrix X with X_ij = X_ji =
-    u_ij and zero diagonal.
+    u_ij and zero diagonal. At n = 3 the first term would be negative, so
+    the one triad's deviation is computed directly.
     """
     _check_convention(convention)
     if a.n < 3:
@@ -277,12 +273,12 @@ def planar_matrix_inconsistency(
     if convention == "cyclic":
         return algebraic_inconsistency(a)
     u = a.upper
+    if a.n == 3:
+        # One triad, whose deviation is u_12 + u_13 + u_23; the sum below
+        # would subtract.
+        return float(np.sum(u)) ** 2
     rows, cols = np.triu_indices(a.n, k=1)
     row_sums = np.bincount(rows, weights=u, minlength=a.n) + np.bincount(
         cols, weights=u, minlength=a.n
     )
-    u_sq = float(np.dot(u, u))
-    value = (a.n - 4) * u_sq + float(np.dot(row_sums, row_sums))
-    # At n = 3 the first term is negative; rounding must not push the
-    # single squared lead below zero.
-    return max(value, 0.0)
+    return (a.n - 4) * float(np.dot(u, u)) + float(np.dot(row_sums, row_sums))

@@ -71,10 +71,6 @@ class NonFiniteResultError(PCGeomError):
     """A computed result overflowed and cannot be reported."""
 
 
-class UnsupportedSizeError(PCGeomError):
-    """Operation only implemented for small sizes."""
-
-
 class DegeneratePairWarning(UserWarning):
     """A pair of alternatives produced the zero wedge (parallel vectors)."""
 
@@ -82,13 +78,31 @@ class DegeneratePairWarning(UserWarning):
 class ReadOnly:
     """Base of the immutable value types.
 
-    A subclass lists its fields in ``__slots__`` in constructor order and
-    sets each once, in ``__init__``, through ``object.__setattr__``;
+    A subclass lists its fields in ``__slots__``. The constructor takes
+    them positionally in that order or by name and sets each once;
     assigning or deleting one afterwards raises AttributeError. Records
     compare and hash by identity.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields()
+        kind = type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{kind}() takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{kind}() got an unknown field {name!r}")
+            if name in values:
+                raise TypeError(f"{kind}() got field {name!r} twice")
+            values[name] = value
+        if len(values) < len(fields):
+            missing = [name for name in fields if name not in values]
+            raise TypeError(f"{kind}() missing field(s) {', '.join(missing)}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

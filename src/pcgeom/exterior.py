@@ -40,10 +40,6 @@ class TwoVector(ReadOnly):
     # side raises TypeError instead of building an object array.
     __array_ufunc__ = None
 
-    def __init__(self, n: int, coords: np.ndarray) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coords", coords)
-
     def coord(self, k: int, l: int) -> float:
         """Coordinate p_kl for 1-based k < l."""
         if not (1 <= k < l <= self.n):

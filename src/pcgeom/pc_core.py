@@ -45,10 +45,6 @@ class AdditiveMatrix(ReadOnly):
 
     __slots__ = ("n", "upper")
 
-    def __init__(self, n: int, upper: np.ndarray) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "upper", upper)
-
     def entry(self, i: int, j: int) -> float:
         """Entry a_ij for 1-based indices i, j."""
         _check_index(self.n, i)
@@ -73,39 +69,10 @@ class MultiplicativeMatrix(ReadOnly):
 
     __slots__ = ("n", "entries")
 
-    def __init__(self, n: int, entries: np.ndarray) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-
     def entry(self, i: int, j: int) -> float:
         _check_index(self.n, i)
         _check_index(self.n, j)
         return float(self.entries[i - 1, j - 1])
-
-
-class ScoreVector(ReadOnly):
-    """One scalar score per alternative; differences generate a matrix."""
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values: np.ndarray) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-
-
-class DeviationVector(ReadOnly):
-    """Triad deviations a_ij + a_jk - a_ik, lexicographic over i<j<k."""
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values: np.ndarray) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-
-    def max_abs(self) -> float:
-        if self.values.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.values)))
 
 
 def _check_index(n: int, i: int) -> None:
@@ -170,7 +137,7 @@ def new_additive(raw, tol: float = DEFAULT_TOLERANCE) -> AdditiveMatrix:
 
 
 def _as_score_array(s) -> np.ndarray:
-    values = np.asarray(getattr(s, "values", s), dtype=float).ravel()
+    values = np.asarray(s, dtype=float).ravel()
     if not np.all(np.isfinite(values)):
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NonFiniteEntryError(f"score {i + 1} is not finite")
@@ -296,22 +263,23 @@ def _deviations_by_lead(a: AdditiveMatrix):
         yield u[base + rows[start:]] + u[start:] - u[base + cols[start:]]
 
 
-def all_triad_deviations(a: AdditiveMatrix) -> DeviationVector:
-    """Every triad deviation, lexicographic over i < j < k."""
+def all_triad_deviations(a: AdditiveMatrix) -> np.ndarray:
+    """Every triad deviation a_ij + a_jk - a_ik, lexicographic over
+    i < j < k, as a read-only array."""
     values = np.empty(indexing.triad_count(a.n))
     end = 0
     for block in _deviations_by_lead(a):
         values[end:end + block.size] = block
         end += block.size
     values.setflags(write=False)
-    return DeviationVector(n=a.n, values=values)
+    return values
 
 
 def max_abs_triad_deviation(a: AdditiveMatrix) -> float:
     """Largest |a_ij + a_jk - a_ik| over all triads; 0.0 when n = 2.
 
-    Equal to ``all_triad_deviations(a).max_abs()`` but in O(n^2) memory:
-    the triads are scanned one lead at a time.
+    The largest magnitude in :func:`all_triad_deviations`, found in O(n^2)
+    memory: the triads are scanned one lead at a time.
     """
     lead_max = [np.max(np.abs(block)) for block in _deviations_by_lead(a)]
     return float(np.max(lead_max, initial=0.0))
@@ -337,10 +305,11 @@ def is_consistent(a: AdditiveMatrix, tol: float = DEFAULT_TOLERANCE) -> bool:
     return max_abs_triad_deviation(a) <= tol
 
 
-def recover_scores(a: AdditiveMatrix) -> tuple[ScoreVector, AdditiveMatrix]:
+def recover_scores(a: AdditiveMatrix) -> tuple[np.ndarray, AdditiveMatrix]:
     """Row-mean scores and the remainder the scores cannot explain.
 
-    Returns (s, r) with s_i the mean of row i and r = a - (s_i - s_j).
+    Returns (s, r): the read-only array s with s_i the mean of row i, and
+    r = a - (s_i - s_j).
     The residual r is skew-symmetric by construction; it vanishes exactly
     when the matrix is consistent, in which case ``from_scores(s)``
     rebuilds the input.
@@ -348,10 +317,7 @@ def recover_scores(a: AdditiveMatrix) -> tuple[ScoreVector, AdditiveMatrix]:
     s = a.to_array().mean(axis=1)
     rows, cols = np.triu_indices(a.n, k=1)
     residual_upper = a.upper - (s[rows] - s[cols])
-    return (
-        ScoreVector(n=a.n, values=_readonly(s)),
-        _from_upper(a.n, residual_upper),
-    )
+    return _readonly(s), _from_upper(a.n, residual_upper)
 
 
 def permute(a: AdditiveMatrix, order: Sequence[int]) -> AdditiveMatrix:

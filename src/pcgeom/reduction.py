@@ -20,14 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NonPositiveLambdaError,
-    NonPositiveStepError,
-    ReadOnly,
-)
+from .coupling import _check_lambda
+from .errors import NonPositiveStepError, ReadOnly
 from .pc_core import (
     AdditiveMatrix,
-    ScoreVector,
     _from_upper,
     from_scores,
     recover_scores,
@@ -38,14 +34,6 @@ class ReductionStep(ReadOnly):
     """Record after ``index`` descent steps (step 0 is the input)."""
 
     __slots__ = ("index", "i_alg", "i_geom", "trajectory")
-
-    def __init__(
-        self, index: int, i_alg: float, i_geom: float, trajectory: ReductionTrajectory
-    ) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "i_alg", i_alg)
-        object.__setattr__(self, "i_geom", i_geom)
-        object.__setattr__(self, "trajectory", trajectory)
 
     def __repr__(self) -> str:
         # The trajectory is left out: its matrices would repeat in every step.
@@ -73,22 +61,6 @@ class ReductionTrajectory(ReadOnly):
     # __dict__ holds the cached steps.
     __slots__ = ("start", "residual", "q", "i_alg", "i_geom", "converged", "__dict__")
 
-    def __init__(
-        self,
-        start: AdditiveMatrix,
-        residual: AdditiveMatrix,
-        q: float,
-        i_alg: tuple[float, ...],
-        i_geom: tuple[float, ...],
-        converged: bool,
-    ) -> None:
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "i_alg", i_alg)
-        object.__setattr__(self, "i_geom", i_geom)
-        object.__setattr__(self, "converged", converged)
-
     @cached_property
     def steps(self) -> tuple[ReductionStep, ...]:
         return tuple(
@@ -103,8 +75,9 @@ class ReductionTrajectory(ReadOnly):
 
 def project_consistent(
     a: AdditiveMatrix,
-) -> tuple[AdditiveMatrix, ScoreVector]:
-    """Frobenius-nearest consistent matrix and its generating scores.
+) -> tuple[AdditiveMatrix, np.ndarray]:
+    """Frobenius-nearest consistent matrix and its generating scores, the
+    read-only array of :func:`~pcgeom.pc_core.recover_scores`.
 
     Row-mean scores minimize the squared entry distance over all score
     vectors, so the returned matrix is the orthogonal projection of the
@@ -144,10 +117,7 @@ def reduce_iterative(
         eta = 1.0 / n
     if not eta > 0:
         raise NonPositiveStepError(f"step size must be positive, got {eta!r}")
-    if lam < 0:
-        raise NonPositiveLambdaError(
-            f"regularization weight must be nonnegative, got {lam!r}"
-        )
+    _check_lambda(lam)
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     if not tol > 0:

@@ -38,9 +38,6 @@ class TwoForm(ReadOnly):
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: TwoVector) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-
     @property
     def n(self) -> int:
         return self.coefficients.n
@@ -116,5 +113,5 @@ def evaluation_columns(
     """
     scores, residual = recover_scores(a)
     rows, cols = np.triu_indices(a.n, k=1)
-    omega = scores.values[rows] - scores.values[cols]
+    omega = scores[rows] - scores[cols]
     return omega, a.upper, np.abs(residual.upper)

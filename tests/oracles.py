@@ -15,7 +15,7 @@ from pcgeom import io as pio
 from pcgeom.coupling import build_M
 from pcgeom.embedding import pair_wedges
 from pcgeom.exterior import wedge_rows
-from pcgeom.errors import NonFiniteResultError, UnsupportedSizeError
+from pcgeom.errors import NonFiniteResultError
 from pcgeom.pc_core import AdditiveMatrix, from_scores, recover_scores
 
 
@@ -202,7 +202,7 @@ def nearest_consistent_oracle(
     n = 3 and n = 4 are supported; cost grows as grid_steps**n.
     """
     if a.n not in (3, 4):
-        raise UnsupportedSizeError(
+        raise ValueError(
             f"grid oracle supports n = 3 or 4, got n = {a.n}"
         )
     if grid_steps < 11:
@@ -212,7 +212,7 @@ def nearest_consistent_oracle(
     center, _ = recover_scores(a)
     axes = [
         np.linspace(c - grid_radius, c + grid_radius, grid_steps)
-        for c in center.values
+        for c in center
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     dist_sq = np.zeros(grids[0].shape)

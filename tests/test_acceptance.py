@@ -14,7 +14,6 @@ import numpy as np
 
 from pcgeom import (
     algebraic_inconsistency,
-    all_triad_deviations,
     build_M,
     closed_form_diagnosis,
     coupling_coefficients,
@@ -23,6 +22,7 @@ from pcgeom import (
     geometric_inconsistency,
     is_closed_discrete,
     is_consistent,
+    max_abs_triad_deviation,
     new_additive,
     new_two_vector,
     planar_embedding,
@@ -57,7 +57,7 @@ def test_criterion_01_worked_example_regression():
 
     def exercise():
         a = new_additive(CONSISTENT_3, tol=1e-9)
-        max_dev = all_triad_deviations(a).max_abs()
+        max_dev = max_abs_triad_deviation(a)
         m = to_multiplicative(a)
         back = to_additive(m)
         return a, max_dev, m, back

@@ -329,6 +329,25 @@ def test_diagnose_n4(capsys, tmp_path):
     assert len(report["eigenvalues"]) == 4
 
 
+@pytest.mark.parametrize(
+    "flags, rank",
+    [
+        (["--tol", "1"], 3),
+        (["--tol", "0.3", "--lambda", "1"], 4),
+        (["--lambda", "1e-12"], 4),
+    ],
+)
+def test_diagnose_rank_is_exact_whatever_the_tolerance(capsys, tmp_path, flags, rank):
+    # --tol validates the input only; the rank is T for lambda > 0, else
+    # (n-1)(n-2)/2, with no threshold on the eigenvalues.
+    path = tmp_path / "m4.csv"
+    path.write_text("0,1,2,3\n-1,0,1,2\n-2,-1,0,1\n-3,-2,-1,0\n")
+    report = run_json(capsys, ["diagnose", str(path), *flags])
+    assert (report["rank"], report["T"]) == (rank, 4)
+    assert report["kernel_dim"] == 4 - rank
+    assert report["degenerate"] is (rank < 4)
+
+
 def test_diagnose_regularized_full_rank(capsys, inconsistent_csv):
     report = run_json(
         capsys, ["diagnose", inconsistent_csv, "--lambda", "0.01"]

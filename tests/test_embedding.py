@@ -7,12 +7,12 @@ from pcgeom import (
     DegeneratePairWarning,
     IndexOutOfRangeError,
     ZeroCoefficientError,
-    all_triad_deviations,
     algebraic_inconsistency,
     custom_embedding,
     from_scores,
     geometric_deviation,
     geometric_inconsistency,
+    max_abs_triad_deviation,
     new_additive,
     new_two_vector,
     orthogonal_embedding,
@@ -288,6 +288,23 @@ def test_planar_matrix_inconsistency_matches_explicit_wedges():
         )
 
 
+def test_three_alternative_planar_anticyclic_index_is_not_clamped():
+    """At n = 3 the planar anticyclic index is (a_12 + a_23 + a_13)^2.
+    (n - 4)|u|^2 + |X 1|^2 subtracts, and its clamp at zero returned 0.0
+    for a deviation of 1e-8."""
+    rng = np.random.default_rng(31)
+    cases = [(1.0, 1.0, -2.0 + 1e-8)]
+    for delta in (1e-4, 1e-8, 1e-12):
+        a12, a13 = rng.uniform(-2, 2, size=2)
+        cases.append((a12, a13, -a12 - a13 + delta))
+    for a12, a13, a23 in cases:
+        a = new_additive([[0, a12, a13], [-a12, 0, a23], [-a13, -a23, 0]])
+        want = float(sum(Fraction(float(t)) for t in a.upper) ** 2)
+        assert want > 0.0
+        got = planar_matrix_inconsistency(a, "anticyclic")
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_consistent_matrix_has_zero_planar_index():
     s = np.array([0.5, -1.0, 2.0, 0.0])
     a = from_scores(s)
@@ -298,5 +315,5 @@ def test_consistent_matrix_has_zero_planar_index():
 
 def test_inconsistent_matrix_has_positive_planar_index():
     a = new_additive(INCONSISTENT_3)
-    assert all_triad_deviations(a).max_abs() > 1e-6
+    assert max_abs_triad_deviation(a) > 1e-6
     assert planar_matrix_inconsistency(a, "cyclic") > 0.0

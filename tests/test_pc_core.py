@@ -223,14 +223,14 @@ def test_triad_deviation_rejects_bad_order():
 
 
 def test_all_triad_deviations_single_triad():
-    assert all_triad_deviations(new_additive(CONSISTENT_3)).values.tolist() == [0.0]
-    assert all_triad_deviations(new_additive(INCONSISTENT_3)).values.tolist() == [-1.0]
+    assert all_triad_deviations(new_additive(CONSISTENT_3)).tolist() == [0.0]
+    assert all_triad_deviations(new_additive(INCONSISTENT_3)).tolist() == [-1.0]
 
 
 def test_all_triad_deviations_n4_zero():
     d = all_triad_deviations(new_additive(np.zeros((4, 4))))
-    assert d.values.tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert indexing.labels(d.n, 3).tolist() == [
+    assert d.tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert indexing.labels(4, 3).tolist() == [
         [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]
     ]
 
@@ -279,8 +279,8 @@ def test_permutation_invariance_of_i_alg():
             algebraic_inconsistency(a), rel=1e-12
         )
         assert np.allclose(
-            np.sort(np.abs(all_triad_deviations(b).values)),
-            np.sort(np.abs(all_triad_deviations(a).values)),
+            np.sort(np.abs(all_triad_deviations(b))),
+            np.sort(np.abs(all_triad_deviations(a))),
             atol=1e-12,
         )
 
@@ -290,7 +290,7 @@ def test_permutation_invariance_of_i_alg():
 
 def test_recover_scores_consistent_example():
     s, r = recover_scores(new_additive(CONSISTENT_3))
-    np.testing.assert_allclose(s.values, [1 / 3, -2 / 3, 1 / 3], atol=1e-15)
+    np.testing.assert_allclose(s, [1 / 3, -2 / 3, 1 / 3], atol=1e-15)
     assert np.all(r.upper == 0)
     np.testing.assert_allclose(
         from_scores(s).to_array(), np.asarray(CONSISTENT_3, float), atol=1e-15
@@ -299,13 +299,13 @@ def test_recover_scores_consistent_example():
 
 def test_recover_scores_zero_matrix():
     s, r = recover_scores(new_additive(np.zeros((3, 3))))
-    assert np.all(s.values == 0)
+    assert np.all(s == 0)
     assert np.all(r.upper == 0)
 
 
 def test_recover_scores_hand_example():
     s, r = recover_scores(new_additive(INCONSISTENT_3))
-    np.testing.assert_allclose(s.values, [4 / 3, 0.0, -4 / 3], atol=1e-15)
+    np.testing.assert_allclose(s, [4 / 3, 0.0, -4 / 3], atol=1e-15)
     np.testing.assert_allclose(r.upper, [-1 / 3, 1 / 3, -1 / 3], atol=1e-15)
 
 

@@ -2,6 +2,7 @@
 are immutable."""
 
 import copy
+import importlib
 import pickle
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import pcgeom as pg
+from pcgeom.errors import ReadOnly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,8 +37,6 @@ def _value_types():
     return [
         (a, "n upper"),
         (pg.to_multiplicative(a), "n entries"),
-        (pg.recover_scores(a)[0], "n values"),
-        (pg.all_triad_deviations(a), "n values"),
         (pg.coupling_coefficients(4), "n ij_pos jk_pos ik_pos"),
         (e, "n vectors kind"),
         (pg.wedge([1, 2, 3], [0, 1, 5]), "n coords"),
@@ -66,3 +66,41 @@ def test_value_types_copy_and_pickle(record, fields):
     assert repr(record).startswith(type(record).__name__ + "(")
     for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is type(record) and repr(twin) == repr(record)
+
+
+def test_every_value_type_has_a_sample():
+    for module in pg._SUBMODULES:
+        importlib.import_module(f"pcgeom.{module}")
+    assert set(ReadOnly.__subclasses__()) == {type(r) for r, _ in VALUE_TYPES}
+
+
+@pytest.mark.parametrize("record, fields", VALUE_TYPES, ids=VALUE_TYPE_NAMES)
+def test_value_types_construct_by_position_or_name(record, fields):
+    names = fields.split()
+    values = [getattr(record, name) for name in names]
+    kind = type(record)
+    by_position = kind(*values)
+    by_name = kind(**dict(zip(names, values)))
+    mixed = kind(*values[:1], **dict(zip(names[1:], values[1:])))
+    for built in (by_position, by_name, mixed):
+        assert repr(built) == repr(record)
+        assert all(getattr(built, n) is v for n, v in zip(names, values))
+        for twin in (copy.copy(built), pickle.loads(pickle.dumps(built))):
+            assert type(twin) is kind and repr(twin) == repr(record)
+
+
+@pytest.mark.parametrize("record, fields", VALUE_TYPES, ids=VALUE_TYPE_NAMES)
+def test_value_types_refuse_a_missing_unknown_or_repeated_field(record, fields):
+    names = fields.split()
+    values = [getattr(record, name) for name in names]
+    kind = type(record)
+    with pytest.raises(TypeError, match=f"missing field\\(s\\) {names[-1]}"):
+        kind(*values[:-1])
+    with pytest.raises(TypeError, match="missing field"):
+        kind()
+    with pytest.raises(TypeError, match="unknown field 'bogus'"):
+        kind(*values, bogus=1)
+    with pytest.raises(TypeError, match=f"takes {len(names)} fields"):
+        kind(*values, None)
+    with pytest.raises(TypeError, match=f"field {names[0]!r} twice"):
+        kind(*values, **{names[0]: values[0]})

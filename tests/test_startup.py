@@ -208,7 +208,8 @@ def test_unknown_name_raises_attribute_error():
                  "planar_pair_subspaces", "diagnose", "SpectralDiagnosis",
                  "CouplingMatrix", "regularize", "quadratic_inconsistency",
                  "GeometricDeviation", "evaluation_table", "dumps_report",
-                 "nearest_consistent_oracle"]:
+                 "nearest_consistent_oracle", "ScoreVector", "DeviationVector",
+                 "UnsupportedSizeError"]:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(pcgeom, name)
 
