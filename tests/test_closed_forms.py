@@ -446,23 +446,38 @@ def test_closed_form_spectrum_matches_dense_eigh(n, lam):
     assert got == want
 
 
-@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-12, 0.5])
-def test_closed_form_report_is_pinned(lam):
+def pinned_report(n, lam):
     # The eigenvalues are exact, so any lambda > 0 fills the rank, however
     # small; lambda = 0 leaves the image dimension (n-1)(n-2)/2.
+    t_count, image = math.comb(n, 3), (n - 1) * (n - 2) // 2
+    rank = t_count if lam > 0 else image
+    return {
+        "rank": rank,
+        "T": t_count,
+        "degenerate": rank < t_count,
+        "eigenvalues": [n + lam] * image + [lam] * (t_count - image),
+        "kernel_dim": t_count - rank,
+    }
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-12, 0.5])
+@pytest.mark.parametrize("rank_tol", [1e-9, 0.5])
+def test_closed_form_report_is_pinned(capsys, tmp_path, lam, rank_tol):
     for n in range(3, 65):
-        t_count, image = math.comb(n, 3), (n - 1) * (n - 2) // 2
-        rank = t_count if lam > 0 else image
         got = closed_form_diagnosis(n, lam)
-        assert got == {
-            "rank": rank,
-            "T": t_count,
-            "degenerate": rank < t_count,
-            "eigenvalues": [n + lam] * image + [lam] * (t_count - image),
-            "kernel_dim": t_count - rank,
-        }
+        assert got == pinned_report(n, lam)
         assert all(type(v) is float for v in got["eigenvalues"])
         assert type(got["rank"]) is int and type(got["kernel_dim"]) is int
+    # diagnose --tol once set a relative rank threshold on the eigenvalues;
+    # it now only checks the input, so no tolerance moves the report.
+    for n in (3, 4, 9):
+        path = tmp_path / f"m{n}.csv"
+        path.write_text(
+            "\n".join(",".join(str(j - i) for j in range(n)) for i in range(n))
+        )
+        argv = ["diagnose", str(path), "--tol", str(rank_tol), "--lambda", str(lam)]
+        report = json.loads(run_cli(capsys, argv))
+        assert {k: report[k] for k in pinned_report(n, lam)} == pinned_report(n, lam)
 
 
 def test_closed_form_spectrum_keeps_dense_limits():
