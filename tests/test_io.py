@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -269,6 +270,120 @@ def test_trajectory_lines_match_plain_writer():
     assert written(pio.write_trajectory_jsonl, trajectory) == written(
         oracles.write_trajectory_jsonl, trajectory
     )
+
+
+# The documents above hold fewer numbers than _ORJSON_FROM, so their
+# numbers are formatted by float.__repr__; the same tests run again with
+# every array number from orjson.
+
+
+@pytest.fixture
+def by_orjson(monkeypatch):
+    """Every document's array numbers from orjson, whatever its size."""
+    monkeypatch.setattr(pio, "_ORJSON_FROM", 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_matrix_bytes_match_plain_writers_by_orjson(by_orjson, n, fmt):
+    test_matrix_bytes_match_plain_writers(n, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_bytes_match_plain_writers_by_orjson(by_orjson, fmt):
+    test_report_bytes_match_plain_writers(fmt)
+
+
+def test_long_tables_and_arrays_are_written_in_blocks_by_orjson(
+    by_orjson, monkeypatch
+):
+    test_long_tables_and_arrays_are_written_in_blocks(monkeypatch)
+
+
+def test_trajectory_lines_match_plain_writer_by_orjson(by_orjson):
+    test_trajectory_lines_match_plain_writer()
+
+
+def neighbours(x, k=50):
+    """x and the k doubles on each side of it, without inf."""
+    down, up = [x], [x]
+    with np.errstate(over="ignore"):
+        for _ in range(k):
+            down.append(np.nextafter(down[-1], -math.inf))
+            up.append(np.nextafter(up[-1], math.inf))
+    family = np.array(down[::-1] + up[1:])
+    return family[np.isfinite(family)]
+
+
+#: Where orjson's layout of a float leaves float.__repr__'s (1e-4 and
+#: 1e16), one step inside it (1e-5), and the ends of the doubles.
+BOUNDARY = np.concatenate([
+    sign * neighbours(x)
+    for x in [1e-4, 1e-5, 1e16, 5e-324, sys.float_info.max]
+    for sign in (1.0, -1.0)
+])
+
+
+def assert_written_as_plain(report, grid):
+    for fmt in ("json", "csv"):
+        assert written(pio.write_report, report, fmt=fmt) == written(
+            oracles.write_report, report, fmt=fmt
+        )
+    assert written(pio.write_grid_csv, grid) == written(
+        oracles.write_grid_csv, grid
+    )
+
+
+@pytest.mark.parametrize("threshold", [0, pio._ORJSON_FROM])
+@pytest.mark.parametrize("in_range", [0, 2])
+def test_boundary_floats_match_plain_writers(monkeypatch, threshold, in_range):
+    """The boundary floats alone, mostly out of orjson's layout, so that a
+    block of them is left to float.__repr__; and followed by twice as many
+    in-range floats, so that orjson writes the block and each number out
+    of its layout is patched in."""
+    monkeypatch.setattr(pio, "_ORJSON_FROM", threshold)
+    rng = np.random.default_rng(4)
+    values = np.concatenate([BOUNDARY, rng.normal(size=in_range * len(BOUNDARY))])
+    rows = values[: len(values) // 3 * 3].reshape(-1, 3)
+    assert_written_as_plain({"values": values, "rows": rows}, rows)
+
+
+@pytest.mark.parametrize("odd", [1e-05, -5e-324, 1e16, -1.7976931348623157e308])
+def test_row_with_one_out_of_range_float_matches_plain_writers(by_orjson, odd):
+    rows = np.random.default_rng(2).normal(size=(6, 5))
+    rows[2, 3] = odd
+    table = pio.Table(i=np.arange(6), row=rows)
+    assert_written_as_plain({"rows": rows, "table": table}, rows)
+
+
+def test_large_document_takes_orjson_numbers_at_the_real_threshold():
+    rng = np.random.default_rng(11)
+    values = np.concatenate([rng.normal(size=pio._ORJSON_FROM), BOUNDARY])
+    rows = rng.normal(size=(300, 7))
+    rows[::17, 3] = 1e-7
+    report = {
+        "values": values,
+        "rows": rows,
+        "table": pio.Table(quad=rng.integers(0, 99, size=(300, 4)), value=rows[:, 0]),
+        "matrix": pio.matrix_document(special_matrix(30, rng)),
+    }
+    assert pio._use_orjson(report)
+    assert_written_as_plain(report, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60
+    ),
+    width=st.integers(1, 6),
+)
+def test_orjson_numbers_match_plain_writers(values, width):
+    a = np.array(values)
+    rows = np.resize(a, (-(-len(a) // width), width))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pio, "_ORJSON_FROM", 0)
+        assert_written_as_plain({"values": a, "rows": rows}, rows)
 
 
 @pytest.mark.parametrize(

@@ -32,14 +32,17 @@ CLI_MODULES = {
 USAGE_MODULES = {"pcgeom", "pcgeom.usage"}
 
 #: Runs ``python -m pcgeom ARGS`` through runpy, as ``-m`` does, and prints
-#: the loaded pcgeom modules, and numpy and dataclasses if they loaded, to
-#: stderr from an atexit handler. The value types are plain classes, so no
-#: command loads dataclasses (numpy itself imports none).
+#: the loaded pcgeom modules, and numpy, dataclasses and orjson if they
+#: loaded, to stderr from an atexit handler. The value types are plain
+#: classes, so no command loads dataclasses (numpy itself imports none);
+#: orjson loads only to write a document of many numbers, and the
+#: commands run below write small ones.
 PROBE = (
     "import atexit, json, runpy, sys\n"
     "atexit.register(lambda: print(json.dumps(sorted(\n"
     "    m for m in sys.modules\n"
-    "    if m in ('numpy', 'dataclasses') or m.split('.')[0] == 'pcgeom')),\n"
+    "    if m in ('numpy', 'dataclasses', 'orjson')\n"
+    "    or m.split('.')[0] == 'pcgeom')),\n"
     "    file=sys.stderr))\n"
     "sys.argv[0] = 'pcgeom'\n"
     "runpy.run_module('pcgeom', run_name='__main__', alter_sys=True)\n"
@@ -70,13 +73,16 @@ def test_import_cli_loads_only_shared_modules():
     assert loaded == CLI_MODULES
 
 
-@pytest.fixture
-def matrix_csv(tmp_path):
-    rng = np.random.default_rng(8)
-    raw = np.triu(rng.normal(size=(8, 8)), 1)
-    path = tmp_path / "a.csv"
+def write_matrix_csv(path, n):
+    rng = np.random.default_rng(n)
+    raw = np.triu(rng.normal(size=(n, n)), 1)
     np.savetxt(path, raw - raw.T, delimiter=",", fmt="%.17g")
     return str(path)
+
+
+@pytest.fixture
+def matrix_csv(tmp_path):
+    return write_matrix_csv(tmp_path / "a.csv", 8)
 
 
 def loaded_by(argv: list[str]) -> set[str]:
@@ -169,6 +175,32 @@ def test_parser_answers_without_numpy(argv, code):
     )
     assert proc.returncode == code
     assert set(json.loads(proc.stderr.splitlines()[-1])) == USAGE_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["--version"], False),
+        (["check", "m40.csv"], False),
+        (["deviations", "m8.csv"], False),
+        (["deviations", "m40.csv"], True),
+    ],
+)
+def test_orjson_loads_only_for_a_document_over_the_threshold(tmp_path, argv, loads):
+    """The deviations report holds 4 numbers a triad: 224 at n=8, under
+    io._ORJSON_FROM, and 39520 at n=40, over it. check writes a few
+    numbers whatever n is."""
+    from pcgeom import io as pio
+
+    assert 4 * comb(8, 3) < pio._ORJSON_FROM <= 4 * comb(40, 3)
+    paths = {f"m{n}.csv": write_matrix_csv(tmp_path / f"m{n}.csv", n) for n in (8, 40)}
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *(paths.get(arg, arg) for arg in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode in (0, 1)
+    assert ("orjson" in json.loads(proc.stderr.splitlines()[-1])) is loads
 
 
 def test_module_help_matches_in_process_help(capsys, monkeypatch):
