@@ -13,13 +13,14 @@ time, with the bytes of ``json.dumps(doc)`` for the equivalent document
 of plain lists and dicts (and of ``csv.writer`` for CSV output). Every
 value is checked finite before the first byte is written.
 
-The number text is chosen once per document. One whose arrays, tables
-and matrices hold at least ``_ORJSON_FROM`` numbers takes their text
-from ``orjson``, block by block; orjson writes the digits of
-``float.__repr__``, and the items holding a float it lays out otherwise
-(0 < |x| < 1e-4, |x| >= 1e16) are formatted by ``float.__repr__``. A
-smaller document is formatted by ``float.__repr__`` and never imports
-orjson.
+Arrays, tables and additive matrices are written a block of rows at a
+time, and one formatter gives the number text of JSON and CSV alike. A
+document whose arrays, tables and matrices hold at least
+``_ORJSON_FROM`` floats takes it from ``orjson``, which writes the
+digits of ``float.__repr__``; the items holding a float it lays out
+otherwise (0 < |x| < 1e-4, |x| >= 1e16) are formatted by
+``float.__repr__``. A smaller document is formatted by
+``float.__repr__`` and never imports orjson.
 """
 
 from __future__ import annotations
@@ -312,12 +313,13 @@ def steps_table(trajectory: ReductionTrajectory) -> Table:
 _BLOCK = 1 << 14
 #: Characters gathered before one write to the destination.
 _WRITE = 1 << 16
-#: A document whose arrays hold at least this many numbers takes their
+#: A document whose arrays hold at least this many floats takes their
 #: text from orjson. Importing orjson after numpy costs about 10 ms (it
 #: loads uuid, zoneinfo and sysconfig); it then formats a float in about
 #: 0.16 us against 1.1 us for float.__repr__ (blocks of 16384 N(0,1)
 #: numbers, by timeit on a 2-vCPU machine). So it pays from about 10^4
-#: numbers, and a smaller document never imports it.
+#: floats, and a smaller document never imports it. Integers are not
+#: counted: orjson saves only about 0.1 us on each.
 _ORJSON_FROM = 10_000
 #: Text of one array item by dtype kind, as json.dumps writes it.
 _NUMBER_TEXT = {
@@ -329,11 +331,11 @@ _NUMBER_TEXT = {
 
 
 def _check_finite(value: Any) -> int:
-    """The count of numbers that value's arrays and matrices hold; raises
+    """The count of floats that value's arrays and matrices hold; raises
     NonFiniteResultError if any value, in them or not, is not finite."""
     if isinstance(value, np.ndarray):
-        finite = value.dtype.kind != "f" or bool(np.isfinite(value).all())
-        count = value.size
+        count = value.size if value.dtype.kind == "f" else 0
+        finite = not count or bool(np.isfinite(value).all())
     elif isinstance(value, AdditiveMatrix):
         return _check_finite(value.upper)
     elif isinstance(value, dict):
@@ -352,62 +354,9 @@ def _check_finite(value: Any) -> int:
 
 def _use_orjson(value: Any) -> bool:
     """Check every value finite, and say whether the arrays hold enough
-    numbers for their text to come from orjson. Chosen once per document:
+    floats for their text to come from orjson. Chosen once per document:
     a table's blocks are each too small to pay for the import."""
     return _check_finite(value) >= _ORJSON_FROM
-
-
-def _orjson_items(block: np.ndarray) -> list[str]:
-    """The text of each item along the first axis of a 1-D or 2-D numeric
-    block, a number or a row's numbers joined by ",", from orjson.
-
-    orjson writes the digits of float.__repr__, and 0.0 and -0.0 as it
-    does, but lays out 0 < |x| < 1e-4 and |x| >= 1e16 its own way
-    (0.00001 for 1e-05, 1e16 for 1e+16): the items that hold such a
-    number are formatted by float.__repr__, and so is a block made mostly
-    of them, such as the residuals of a decomposable 2-vector.
-    """
-    import orjson
-
-    block = np.ascontiguousarray(block)
-    odd = np.empty(0, dtype=np.intp)
-    if block.dtype.kind == "f":
-        size = np.abs(block)
-        mask = (block != 0) & (size < 1e-4) | (size >= 1e16)
-        odd = np.flatnonzero(mask if block.ndim == 1 else mask.any(axis=1))
-    if 2 * len(odd) > len(block):
-        odd = np.arange(len(block))
-        items = [""] * len(block)
-    else:
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-        items = text[1:-1].split(",") if block.ndim == 1 else text[2:-2].split("],[")
-    values = block[odd].tolist()
-    if block.ndim == 1:
-        texts = map(float.__repr__, values)
-    else:
-        texts = (",".join(map(float.__repr__, row)) for row in values)
-    for k, item in zip(odd.tolist(), texts):
-        items[k] = item
-    return items
-
-
-def _items(block: np.ndarray, fast: bool) -> list[str]:
-    """JSON text of each item along the first axis of a 1-D or 2-D
-    block: a number, or a row of numbers as a list."""
-    dtype = block.dtype
-    # orjson writes these dtypes as float.__repr__ and int.__repr__ do.
-    if fast and dtype.isnative and (dtype.kind in "iub" or dtype == np.float64):
-        items = _orjson_items(block)
-        if block.ndim == 1:
-            return items
-        return ["[" + row.replace(",", ", ") + "]" for row in items]
-    text = _NUMBER_TEXT[block.dtype.kind]
-    if block.ndim == 1:
-        return list(map(text, block.tolist()))
-    if block.dtype.kind == "b":
-        return ["[" + ", ".join(map(text, row)) + "]" for row in block.tolist()]
-    # A list of Python ints or floats reprs exactly as JSON writes it.
-    return list(map(repr, block.tolist()))
 
 
 def _blocks(rows: int, width: int) -> Iterator[slice]:
@@ -417,35 +366,65 @@ def _blocks(rows: int, width: int) -> Iterator[slice]:
     return (slice(k, k + step) for k in range(0, rows, step))
 
 
-def _skew_rows(a: AdditiveMatrix, fast: bool) -> Iterator[list[str]]:
-    """Entry texts of the full matrix, row by row, from the upper triangle
-    alone: each upper entry is formatted once, its mirror is that text
-    with the sign flipped (as ``to_array`` negates it, -0.0 included), and
-    the diagonal is 0.0.
-
-    Row i is column i of the upper triangle, flipped, then 0.0, then row i
-    of the upper triangle. Entry (j, i) sits at pair_index(n, j, 0) + i.
-    """
-    n = a.n
-    texts = (_items(a.upper[rows], fast) for rows in _blocks(len(a.upper), 1))
-    upper = np.array(list(chain.from_iterable(texts)), dtype=object)
-    column_base = indexing.pair_index(n, np.arange(n), 0)
-    start = 0
-    for i in range(n):
-        column = upper[column_base[:i] + i].tolist()
-        lower = [t[1:] if t[0] == "-" else "-" + t for t in column]
-        yield lower + ["0.0"] + upper[start:start + n - 1 - i].tolist()
-        start += n - 1 - i
+def _row_blocks(value: np.ndarray | AdditiveMatrix) -> Iterator[np.ndarray]:
+    """The rows of an array, or of an additive matrix's ``to_array()``,
+    about _BLOCK numbers at a time. Additive rows are gathered from the
+    upper triangle, negated below the diagonal (-0.0 included) and 0.0 on
+    it, as ``to_array`` builds them."""
+    if isinstance(value, np.ndarray):
+        yield from (value[rows] for rows in _blocks(len(value), value[:1].size))
+        return
+    n = value.n
+    j = np.arange(n)
+    for rows in _blocks(n, n):
+        i = j[rows, None]
+        pairs = indexing.pair_index(n, np.minimum(i, j), np.maximum(i, j))
+        block = value.upper[pairs]
+        np.negative(block, out=block, where=j < i)
+        block[i == j] = 0.0
+        yield block
 
 
-def _grid_rows(entries: AdditiveMatrix | np.ndarray, fast: bool) -> Iterator[str]:
-    """CSV text of each row of a matrix, without its line end."""
-    if isinstance(entries, AdditiveMatrix):
-        return map(",".join, _skew_rows(entries, fast))
-    if fast:
-        blocks = _blocks(len(entries), entries[:1].size)
-        return chain.from_iterable(_orjson_items(entries[rows]) for rows in blocks)
-    return (",".join(map(float.__repr__, row.tolist())) for row in entries)
+def _texts(block: np.ndarray, fast: bool) -> list[str]:
+    """The text of each item along the first axis of a 1-D or 2-D numeric
+    block: a number as json.dumps writes it, or a row's numbers joined by
+    ",". With fast, orjson writes the block: the digits of float.__repr__,
+    and 0.0 and -0.0 as it does, but 0 < |x| < 1e-4 and |x| >= 1e16 laid
+    out its own way (0.00001 for 1e-05, 1e16 for 1e+16). The items holding
+    such a number are formatted by float.__repr__, and so is a block made
+    mostly of them, such as the residuals of a decomposable 2-vector."""
+    dtype = block.dtype
+    # orjson writes these dtypes as float.__repr__ and int.__repr__ do.
+    if fast and dtype.isnative and (dtype.kind in "iub" or dtype == np.float64):
+        odd = np.empty(0, dtype=np.intp)
+        if dtype.kind == "f":
+            size = np.abs(block)
+            mask = (block != 0) & (size < 1e-4) | (size >= 1e16)
+            odd = np.flatnonzero(mask if block.ndim == 1 else mask.any(axis=1))
+        if 2 * len(odd) <= len(block):
+            import orjson
+
+            text = orjson.dumps(
+                np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY
+            ).decode()
+            items = text[1:-1].split(",") if block.ndim == 1 else text[2:-2].split("],[")
+            for k, item in zip(odd.tolist(), _texts(block[odd], False)):
+                items[k] = item
+            return items
+    number = _NUMBER_TEXT[dtype.kind]
+    if block.ndim == 1:
+        return list(map(number, block.tolist()))
+    return [",".join(map(number, row)) for row in block.tolist()]
+
+
+def _json_items(block: np.ndarray, fast: bool) -> list[str]:
+    """JSON text of each item along the first axis of a 1-D or 2-D block:
+    a number, or a row of numbers as a list."""
+    if block.ndim == 1:
+        return _texts(block, fast)
+    if not fast and block.dtype.kind in "iuf":  # the repr of such a list is JSON
+        return list(map(repr, block.tolist()))
+    return ["[" + row.replace(",", ", ") + "]" for row in _texts(block, fast)]
 
 
 def _table_rows(table: Table, fast: bool) -> Iterator[list[str]]:
@@ -458,7 +437,7 @@ def _table_rows(table: Table, fast: bool) -> Iterator[list[str]]:
     width = sum(column[:1].size for column in columns)
     for rows in _blocks(len(columns[0]) if columns else 0, width):
         parts = chain.from_iterable(
-            (repeat(head), _items(column[rows], fast))
+            (repeat(head), _json_items(column[rows], fast))
             for head, column in zip(heads, columns)
         )
         yield list(map("".join, zip(*parts, repeat("}"))))
@@ -488,12 +467,8 @@ def _pieces(value: Any, fast: bool) -> Iterator[str]:
             yield from _pieces(item, fast)
             sep = ", "
         yield "}" if value else "{}"
-    elif isinstance(value, np.ndarray):
-        blocks = _blocks(len(value), value[:1].size)
-        yield from _list(_items(value[rows], fast) for rows in blocks)
-    elif isinstance(value, AdditiveMatrix):
-        rows = _skew_rows(value, fast)
-        yield from _list(["[" + ", ".join(row) + "]"] for row in rows)
+    elif isinstance(value, (np.ndarray, AdditiveMatrix)):
+        yield from _list(_json_items(block, fast) for block in _row_blocks(value))
     else:
         yield json.dumps(value)
 
@@ -555,7 +530,8 @@ def write_grid_csv(entries: AdditiveMatrix | np.ndarray, dest: TextIO) -> None:
     if not isinstance(entries, AdditiveMatrix):
         entries = np.asarray(entries, dtype=float)
     fast = _use_orjson(entries)
-    _write(dest, (row + "\r\n" for row in _grid_rows(entries, fast)))
+    rows = chain.from_iterable(_texts(block, fast) for block in _row_blocks(entries))
+    _write(dest, (row + "\r\n" for row in rows))
 
 
 def write_matrix(

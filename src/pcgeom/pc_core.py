@@ -124,7 +124,8 @@ def new_additive(raw, tol: float = DEFAULT_TOLERANCE) -> AdditiveMatrix:
             f"diagonal entry ({i + 1},{i + 1}) = {float(arr[i, i])!r} exceeds "
             f"tolerance {tol:g}"
         )
-    asym = arr + arr.T
+    with np.errstate(over="ignore"):  # an inf sum exceeds tol
+        asym = arr + arr.T
     if np.any(np.abs(asym) > tol):
         i, j = np.argwhere(np.abs(asym) > tol)[0]
         raise NotSkewSymmetricError(
@@ -199,13 +200,15 @@ def new_multiplicative(
             f"diagonal entry ({i + 1},{i + 1}) = {float(arr[i, i])!r} differs "
             f"from 1 beyond tolerance {tol:g}"
         )
-    recip = np.abs(arr * arr.T - 1.0)
+    with np.errstate(over="ignore"):  # an inf product exceeds tol
+        product = arr * arr.T
+    recip = np.abs(product - 1.0)
     if np.any(recip > tol):
         i, j = np.argwhere(recip > tol)[0]
         raise NotReciprocalError(
             f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}): "
             f"m[{i + 1},{j + 1}] * m[{j + 1},{i + 1}] = "
-            f"{float(arr[i, j] * arr[j, i])!r} "
+            f"{float(product[i, j])!r} "
             f"differs from 1 beyond tolerance {tol:g}"
         )
     return MultiplicativeMatrix(n=arr.shape[0], entries=_readonly(arr))

@@ -428,9 +428,15 @@ def test_scalar_embedding_vectors_exit_two(capsys, tmp_path, inconsistent_csv):
          "beyond tolerance 1e-09"),
         ([[0, 1e308], [-1e308, 0]], ["convert"],
          "exp overflow at entry (1,2); additive value 1e+308 is too large"),
+        # A sum or product past the largest double fails the same check.
+        ([[0, 8.988465674311579e+307], [8.98846567431158e+307, 0]], ["check"],
+         "entries (1,2) and (2,1): a[1,2] + a[2,1] = inf exceeds tolerance 1e-09"),
+        ([[1, 1e200], [1e200, 1]], ["check", "--mode", "multiplicative"],
+         "entries (1,2) and (2,1): m[1,2] * m[2,1] = inf differs from 1 "
+         "beyond tolerance 1e-09"),
     ],
     ids=["diagonal", "skew", "non-positive", "reciprocal-diagonal", "reciprocal",
-         "exp-overflow"],
+         "exp-overflow", "skew-overflow", "reciprocal-overflow"],
 )
 def test_validation_messages_print_plain_floats(capsys, tmp_path, rows, argv, message):
     path = write_csv(tmp_path / "m.csv", rows)

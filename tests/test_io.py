@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcgeom import (
@@ -106,15 +106,20 @@ def test_reader_matches_csv_reader_and_float(csv_path, text, limit):
         csv.field_size_limit(default)
 
 
+@st.composite
+def square_grids(draw):
+    n = draw(st.integers(2, 4))
+    return [[draw(NUMBERS) for _ in range(n)] for _ in range(n)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(2, 4), data=st.data())
-def test_square_grids_reach_the_same_validation(csv_path, n, data):
+@given(grid=square_grids())
+# a[1,2] + a[2,1] overflows to inf, which must fail the skew check, not warn.
+@example(grid=[["0", "8.988465674311579e+307"], ["8.98846567431158e+307", "0"]])
+def test_square_grids_reach_the_same_validation(csv_path, grid):
     # inf and nan cells end in the same NonFiniteEntryError, finite ones
     # in the same matrix or the same validation message.
-    rows = [
-        ",".join(data.draw(NUMBERS) for _ in range(n)) for _ in range(n)
-    ]
-    csv_path.write_text("\n".join(rows) + "\n")
+    csv_path.write_text("".join(",".join(row) + "\n" for row in grid))
     assert matrix_outcome(lambda: pio.read_matrix(csv_path)) == matrix_outcome(
         lambda: new_additive(oracles.parse_csv_grid(csv_path))
     )
@@ -356,6 +361,21 @@ def test_row_with_one_out_of_range_float_matches_plain_writers(by_orjson, odd):
     assert_written_as_plain({"rows": rows, "table": table}, rows)
 
 
+def sprinkled_matrix(n, rng):
+    """A skew matrix of N(0,1) entries with n // 10 upper ones ±0.0 and
+    n // 10 drawn from SPECIAL and BOUNDARY, so that most rows take
+    orjson's text and the rows holding a float outside its layout are
+    patched in."""
+    raw = np.triu(rng.normal(size=(n, n)), 1)
+    rows, cols = np.triu_indices(n, k=1)
+    picks = rng.choice(len(rows), size=n // 10 * 2, replace=False)
+    raw[rows[picks], cols[picks]] = np.concatenate([
+        rng.choice([0.0, -0.0], size=n // 10),
+        rng.choice(np.concatenate([SPECIAL, BOUNDARY]), size=n // 10),
+    ])
+    return new_additive(raw - raw.T)
+
+
 def test_large_document_takes_orjson_numbers_at_the_real_threshold():
     rng = np.random.default_rng(11)
     values = np.concatenate([rng.normal(size=pio._ORJSON_FROM), BOUNDARY])
@@ -369,6 +389,14 @@ def test_large_document_takes_orjson_numbers_at_the_real_threshold():
     }
     assert pio._use_orjson(report)
     assert_written_as_plain(report, rows)
+    # C(150, 2) = 11175 upper floats: nearly every row of the special
+    # matrix holds a float outside orjson's layout, few of the sprinkled.
+    for m in (special_matrix(150, rng), sprinkled_matrix(150, rng)):
+        assert pio._use_orjson(m)
+        for fmt in ("json", "csv"):
+            assert written(pio.write_matrix, m, fmt=fmt) == written(
+                oracles.write_matrix, m, fmt=fmt
+            )
 
 
 @settings(max_examples=300, deadline=None)

@@ -183,17 +183,21 @@ def test_parser_answers_without_numpy(argv, code):
         (["--version"], False),
         (["check", "m40.csv"], False),
         (["deviations", "m8.csv"], False),
-        (["deviations", "m40.csv"], True),
+        (["deviations", "m41.csv"], True),
+        (["deviations", "m40.csv"], False),
     ],
 )
 def test_orjson_loads_only_for_a_document_over_the_threshold(tmp_path, argv, loads):
-    """The deviations report holds 4 numbers a triad: 224 at n=8, under
-    io._ORJSON_FROM, and 39520 at n=40, over it. check writes a few
-    numbers whatever n is."""
+    """io._ORJSON_FROM counts floats. The deviations report holds one float
+    a triad, next to its three integer labels: 9880 at n=40, just under
+    the threshold, and 10660 at n=41, over it. check writes a few numbers
+    whatever n is."""
     from pcgeom import io as pio
 
-    assert 4 * comb(8, 3) < pio._ORJSON_FROM <= 4 * comb(40, 3)
-    paths = {f"m{n}.csv": write_matrix_csv(tmp_path / f"m{n}.csv", n) for n in (8, 40)}
+    assert comb(40, 3) < pio._ORJSON_FROM <= comb(41, 3)
+    paths = {
+        f"m{n}.csv": write_matrix_csv(tmp_path / f"m{n}.csv", n) for n in (8, 40, 41)
+    }
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *(paths.get(arg, arg) for arg in argv)],
         capture_output=True,
