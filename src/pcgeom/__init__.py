@@ -46,16 +46,14 @@ _EXPORTS = {
     "planar_embedding": "embedding",
     "custom_embedding": "embedding",
     "scores_to_coefficients": "embedding",
-    "pair_subspace": "embedding",
     "pair_wedges": "embedding",
-    "geometric_deviation": "embedding",
     "geometric_inconsistency": "embedding",
     "planar_pair_wedges": "embedding",
     "planar_matrix_inconsistency": "embedding",
     # coupling form
     "CouplingMap": "coupling",
     "coupling_coefficients": "coupling",
-    "build_M": "coupling",
+    "gram_rows": "coupling",
     "closed_form_diagnosis": "coupling",
     # reduction
     "ReductionStep": "reduction",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, indexing, io
 # Not on demand: bench/launcher.py wraps CouplingMap right after importing cli.
-from .coupling import build_M, closed_form_diagnosis
+from .coupling import closed_form_diagnosis, gram_rows
 from .errors import DivergentStepError, PCGeomError
 from .pc_core import (
     AdditiveMatrix,
@@ -296,9 +296,11 @@ def _cmd_plucker(config: RunConfig):
 def _cmd_diagnose(config: RunConfig):
     matrix = _read_additive(config)
     if config.format == "csv":
-        # The matrix itself is the output, so only this path builds it.
-        m = build_M(matrix.n, config.lam)
-        return 0, lambda dest: io.write_grid_csv(m, dest)
+        # The matrix itself is the output: its rows are computed as they
+        # are written, a block at a time.
+        t_count = indexing.triad_count(matrix.n)
+        rows = io.RowStream((t_count, t_count), gram_rows(matrix.n, config.lam))
+        return 0, lambda dest: io.write_grid_csv(rows, dest)
     spectrum = closed_form_diagnosis(matrix.n, config.lam)
     return 0, _report(config, n=matrix.n, **spectrum, **{"lambda": config.lam})
 

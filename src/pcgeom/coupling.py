@@ -14,27 +14,27 @@ every diagonal entry 3, eigenvalue n on an image of dimension
 kernel. Deviation vectors that actually come from a matrix lie in the
 image, which is why minimizing the form still drives real deviations to
 zero. :func:`closed_form_diagnosis` reads the spectrum of M + lam I off
-that identity; :func:`build_M` builds the dense M + lam I, which only
-``diagnose --format csv`` writes out.
+that identity. :func:`gram_rows` computes rows of M + lam I from C, a
+block at a time, for ``diagnose --format csv`` to write; no T-by-T array
+is ever held.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 
 import numpy as np
 
 from . import indexing
-from .errors import (
-    DimensionMismatchError,
-    NonPositiveLambdaError,
-    ReadOnly,
-    TooSmallError,
-)
+from .errors import DimensionMismatchError, ReadOnly, TooSmallError
+from .pc_core import _check_lambda
 
-#: Largest n for which a dense T-by-T Gram matrix is built (T = C(n,3)),
-#: or a spectral report listing all T eigenvalues is written.
+#: Largest n for which a spectral report listing all T = C(n,3)
+#: eigenvalues is written.
 MAX_DENSE_N = 64
+#: Most entries of M + lam I that :func:`gram_rows` serves: T^2 is
+#: 1.75e8 at n = 44 and 2.01e8 at n = 45.
+MAX_GRID_NUMBERS = 2 * 10**8
 
 
 class CouplingMap(ReadOnly):
@@ -74,66 +74,63 @@ class CouplingMap(ReadOnly):
             )
         return a[self.ij_pos] + a[self.jk_pos] - a[self.ik_pos]
 
-    def to_dense(self) -> np.ndarray:
-        """Dense pair-by-triad incidence matrix."""
-        c = np.zeros((self.pair_count, self.triad_count))
-        cols = np.arange(self.triad_count)
-        c[self.ij_pos, cols] += 1.0
-        c[self.jk_pos, cols] += 1.0
-        c[self.ik_pos, cols] -= 1.0
-        return c
-
 
 def coupling_coefficients(n: int) -> CouplingMap:
-    """Signed incidence between triads and the pairs they touch."""
+    """Signed incidence between triads and the pairs they touch: the pair
+    positions (i,j), (j,k), (i,k) of every triad, as read-only index
+    arrays, so that triad t's deviation reads
+    entry[ij] + entry[jk] - entry[ik]."""
     if n < 3:
         raise TooSmallError(f"need at least 3 alternatives, got {n}")
-    ij, jk, ik = indexing.triad_pair_positions(n)
-    return CouplingMap(n=n, ij_pos=ij, jk_pos=jk, ik_pos=ik)
+    i, j, k = indexing.subsets(n, 3)
+    positions = [indexing.pair_index(n, *pair) for pair in ((i, j), (j, k), (i, k))]
+    for arr in positions:
+        arr.setflags(write=False)
+    return CouplingMap(n, *positions)
 
 
-def _check_lambda(lam: float) -> None:
-    """Refuse a negative, NaN or infinite regularization weight."""
-    if not 0 <= lam < math.inf:
-        raise NonPositiveLambdaError(
-            f"regularization weight must be nonnegative and finite, got {lam!r}"
-        )
+def gram_rows(n: int, lam: float = 0.0) -> Callable[[slice], np.ndarray]:
+    """Rows of M + lam I: the function returned maps a slice of triads
+    to their rows, a new array of T = C(n,3) columns.
 
-
-def build_M(n: int, lam: float = 0.0) -> np.ndarray:
-    """Dense Gram matrix M of the coupling map shifted by lam on the
-    diagonal (M + lam I), scattered from its incidences; read-only.
-
-    The 3·C(n,3) incidences (pair, triad, sign) are grouped by pair with
-    one stable sort; every pair lies in exactly n - 2 triads, so the
-    groups form a (C(n,2), n - 2) table. Each pair contributes the outer
-    product of its triads' signs, and two distinct triads share at most
-    one pair, so a single scatter of those blocks writes every
-    off-diagonal entry (-1, 0 or +1) exactly once; the diagonal is 3 + lam.
+    The 3·C(n,3) incidences are grouped by pair with one stable sort;
+    every pair lies in exactly n - 2 triads, so the groups form a
+    (C(n,2), n - 2) table. Row t holds, at the triads through each of its
+    pairs, its sign there times theirs (two triads share at most one
+    pair, so no entry is written twice), and 3 + lam on the diagonal.
+    A matrix of more than MAX_GRID_NUMBERS entries is refused first.
     """
-    if n > MAX_DENSE_N:
+    t_count = indexing.triad_count(n)
+    if t_count**2 > MAX_GRID_NUMBERS:
         raise ValueError(
-            f"dense Gram matrix capped at n={MAX_DENSE_N} "
-            f"(C({n},3) triads would be too large)"
+            f"M + lambda I for n={n} has C({n},3)^2 = {t_count**2} entries, "
+            f"over the limit of {MAX_GRID_NUMBERS}"
         )
     _check_lambda(lam)
     cmap = coupling_coefficients(n)
-    t_count = cmap.triad_count
-    pairs = np.concatenate((cmap.ij_pos, cmap.jk_pos, cmap.ik_pos))
-    order = np.argsort(pairs, kind="stable")
+    positions = (cmap.ij_pos, cmap.jk_pos, cmap.ik_pos)
+    order = np.argsort(np.concatenate(positions), kind="stable")
     triads = np.tile(np.arange(t_count), 3)[order].reshape(cmap.pair_count, n - 2)
     signs = np.repeat([1.0, 1.0, -1.0], t_count)[order].reshape(triads.shape)
-    m = np.zeros((t_count, t_count))
-    m[triads[:, :, None], triads[:, None, :]] = signs[:, :, None] * signs[:, None, :]
-    np.fill_diagonal(m, 3.0 + lam)
-    m.setflags(write=False)
-    return m
+    diagonal = 3.0 + lam
+
+    def rows(s: slice) -> np.ndarray:
+        t = np.arange(*s.indices(t_count))
+        block = np.zeros((t.size, t_count))
+        at = np.arange(t.size)[:, None]
+        for pos, sign in zip(positions, (1.0, 1.0, -1.0)):
+            pairs = pos[t]
+            block[at, triads[pairs]] = sign * signs[pairs]
+        block[at[:, 0], t] = diagonal
+        return block
+
+    return rows
 
 
 def closed_form_diagnosis(n: int, lam: float = 0.0) -> dict:
-    """Spectral report of M + lam I for M = build_M(n), without building M:
-    its rank, size T, whether it is degenerate, its eigenvalues in
-    descending order and its kernel dimension.
+    """Spectral report of M + lam I, without building M: its rank, size
+    T, whether it is degenerate, its eigenvalues in descending order and
+    its kernel dimension.
 
     M = C^T C for the pair-by-triad incidence C, and C C^T = n (I - P) on
     the complete comparison structure, with P the projection onto

@@ -17,13 +17,9 @@ diagnostic rather than a consistency test.
 
 from __future__ import annotations
 
-import warnings
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .errors import (
-    DegeneratePairWarning,
     DimensionMismatchError,
     IndexOutOfRangeError,
     NonFiniteEntryError,
@@ -31,9 +27,6 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .pc_core import AdditiveMatrix, _as_score_array, algebraic_inconsistency
-
-if TYPE_CHECKING:
-    from .exterior import TwoVector
 
 ORTHOGONAL = "orthogonal"
 PLANAR = "planar"
@@ -123,29 +116,6 @@ def scores_to_coefficients(s) -> np.ndarray:
     return np.exp(_as_score_array(s) / 2.0)
 
 
-def pair_subspace(e: Embedding, i: int, j: int) -> TwoVector:
-    """Wedge v_i ^ v_j for 1-based i != j.
-
-    Emits DegeneratePairWarning (and still returns the zero 2-vector)
-    when the two vectors are parallel; downstream sums stay well defined.
-    """
-    from .exterior import wedge
-
-    for idx in (i, j):
-        if not 1 <= idx <= e.n:
-            raise IndexOutOfRangeError(f"index {idx} outside 1..{e.n}")
-    if i == j:
-        raise IndexOutOfRangeError(f"pair indices must differ, got ({i},{j})")
-    w = wedge(e.vectors[i - 1], e.vectors[j - 1])
-    if w.is_zero():
-        warnings.warn(
-            f"pair ({i},{j}) spans no plane (parallel vectors)",
-            DegeneratePairWarning,
-            stacklevel=2,
-        )
-    return w
-
-
 def pair_wedges(vectors) -> np.ndarray:
     """Matrix of all pair wedges: row p holds v_i ^ v_j for the p-th pair
     i < j, bit-identical to ``wedge(v_i, v_j).coords``."""
@@ -154,25 +124,6 @@ def pair_wedges(vectors) -> np.ndarray:
     v = np.asarray(vectors, dtype=float)
     i, j = np.triu_indices(v.shape[0], k=1)
     return wedge_rows(v[i], v[j])
-
-
-def geometric_deviation(
-    e: Embedding, i: int, j: int, k: int, convention: str = "cyclic"
-) -> TwoVector:
-    """Deviation 2-vector of the 1-based triad i < j < k."""
-    _check_convention(convention)
-    if not i < j < k:
-        raise IndexOutOfRangeError(
-            f"triad ({i},{j},{k}) must satisfy i < j < k"
-        )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneratePairWarning)
-        w_ij = pair_subspace(e, i, j)
-        w_jk = pair_subspace(e, j, k)
-        w_ki = pair_subspace(e, k, i)
-    if convention == "cyclic":
-        return w_ij + w_jk + w_ki
-    return w_ij + w_jk - w_ki
 
 
 def _e2_squared_singular_values(x: np.ndarray) -> float:

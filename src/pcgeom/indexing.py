@@ -72,16 +72,3 @@ def labels(n: int, r: int) -> np.ndarray:
     table += 1
     return table
 
-
-def triad_pair_positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair positions (i,j), (j,k), (i,k) for every triad, as read-only
-    index arrays.
-
-    These three arrays realize the signed triad-to-pair incidence: the
-    deviation of triad t reads entry[ij] + entry[jk] - entry[ik].
-    """
-    i, j, k = subsets(n, 3)
-    positions = (pair_index(n, i, j), pair_index(n, j, k), pair_index(n, i, k))
-    for arr in positions:
-        arr.setflags(write=False)
-    return positions

@@ -11,7 +11,9 @@ written compactly on a single line followed by a newline.
 Documents are written straight from numpy arrays, a block of rows at a
 time, with the bytes of ``json.dumps(doc)`` for the equivalent document
 of plain lists and dicts (and of ``csv.writer`` for CSV output). Every
-value is checked finite before the first byte is written.
+value is checked finite before the first byte is written, except the
+rows of a :class:`RowStream`, each block of which is checked as it is
+computed.
 
 Arrays, tables and additive matrices are written a block of rows at a
 time, and one formatter gives the number text of JSON and CSV alike. A
@@ -29,7 +31,7 @@ import json
 import math
 from itertools import chain, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -285,6 +287,17 @@ class Table(dict):
             raise ValueError("table columns differ in length")
 
 
+class RowStream:
+    """A grid of ``shape`` numbers whose rows ``rows(s)`` computes for a
+    slice s, written a block at a time and checked finite block by block;
+    its size counts as its floats in the orjson choice."""
+
+    __slots__ = ("shape", "rows")
+
+    def __init__(self, shape: tuple[int, int], rows: Callable) -> None:
+        self.shape, self.rows = shape, rows
+
+
 def matrix_document(
     m: AdditiveMatrix | MultiplicativeMatrix, version: str | None = None
 ) -> dict:
@@ -338,6 +351,8 @@ def _check_finite(value: Any) -> int:
         finite = not count or bool(np.isfinite(value).all())
     elif isinstance(value, AdditiveMatrix):
         return _check_finite(value.upper)
+    elif isinstance(value, RowStream):
+        return value.shape[0] * value.shape[1]
     elif isinstance(value, dict):
         return sum(map(_check_finite, value.values()))
     elif isinstance(value, (list, tuple)):
@@ -366,13 +381,21 @@ def _blocks(rows: int, width: int) -> Iterator[slice]:
     return (slice(k, k + step) for k in range(0, rows, step))
 
 
-def _row_blocks(value: np.ndarray | AdditiveMatrix) -> Iterator[np.ndarray]:
-    """The rows of an array, or of an additive matrix's ``to_array()``,
-    about _BLOCK numbers at a time. Additive rows are gathered from the
-    upper triangle, negated below the diagonal (-0.0 included) and 0.0 on
-    it, as ``to_array`` builds them."""
+def _row_blocks(
+    value: np.ndarray | AdditiveMatrix | RowStream,
+) -> Iterator[np.ndarray]:
+    """The rows of an array, a row stream or an additive matrix's
+    ``to_array()``, about _BLOCK numbers at a time. Additive rows are
+    gathered from the upper triangle, negated below the diagonal (-0.0
+    included) and 0.0 on it, as ``to_array`` builds them."""
     if isinstance(value, np.ndarray):
         yield from (value[rows] for rows in _blocks(len(value), value[:1].size))
+        return
+    if isinstance(value, RowStream):
+        for rows in _blocks(*value.shape):
+            block = value.rows(rows)
+            _check_finite(block)
+            yield block
         return
     n = value.n
     j = np.arange(n)
@@ -524,10 +547,12 @@ def _csv_text(value: Any, fast: bool) -> Iterator[str]:
     return _csv_cell(["" if value is None else str(value)])
 
 
-def write_grid_csv(entries: AdditiveMatrix | np.ndarray, dest: TextIO) -> None:
+def write_grid_csv(
+    entries: AdditiveMatrix | RowStream | np.ndarray, dest: TextIO
+) -> None:
     """Write a matrix as CSV rows of its entries; nothing unless every
-    entry is finite."""
-    if not isinstance(entries, AdditiveMatrix):
+    entry is finite (a row stream: nothing past a non-finite block)."""
+    if not isinstance(entries, (AdditiveMatrix, RowStream)):
         entries = np.asarray(entries, dtype=float)
     fast = _use_orjson(entries)
     rows = chain.from_iterable(_texts(block, fast) for block in _row_blocks(entries))

@@ -12,6 +12,7 @@ notation for comparison matrices; array layouts are plain 0-based numpy.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     NonFiniteEntryError,
     NonIncreasingTriadError,
     NonPositiveEntryError,
+    NonPositiveLambdaError,
     NonSquareError,
     NotReciprocalError,
     NotSkewSymmetricError,
@@ -78,6 +80,14 @@ class MultiplicativeMatrix(ReadOnly):
 def _check_index(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise IndexOutOfRangeError(f"index {i} outside 1..{n}")
+
+
+def _check_lambda(lam: float) -> None:
+    """Refuse a negative, NaN or infinite regularization weight."""
+    if not 0 <= lam < math.inf:
+        raise NonPositiveLambdaError(
+            f"regularization weight must be nonnegative and finite, got {lam!r}"
+        )
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

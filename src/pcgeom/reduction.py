@@ -20,10 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .coupling import _check_lambda
 from .errors import NonPositiveStepError, ReadOnly
 from .pc_core import (
     AdditiveMatrix,
+    _check_lambda,
     _from_upper,
     from_scores,
     recover_scores,

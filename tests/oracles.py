@@ -1,21 +1,28 @@
 """The forms that pcgeom's kernels replaced, kept as test oracles: the
 ``csv.reader`` + ``float()`` grid parser, the writers that built every
 document as plain dicts and lists for ``json.dumps`` and ``csv.writer``,
-the geometric index read off the matrix of all pair wedges, the coupling
-spectrum from a dense eigensolver, and a grid search for the nearest
-consistent matrix."""
+the per-triad deviation 2-vectors and the geometric index read off the
+matrix of all pair wedges, the dense triad incidence, its Gram matrix and
+the coupling spectrum from a dense eigensolver, and a grid search for the
+nearest consistent matrix."""
 
 import csv
 import json
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 
 from pcgeom import io as pio
-from pcgeom.coupling import build_M
-from pcgeom.embedding import pair_wedges
-from pcgeom.exterior import wedge_rows
-from pcgeom.errors import NonFiniteResultError
+from pcgeom.embedding import _check_convention, pair_wedges
+from pcgeom.exterior import wedge, wedge_rows
+from pcgeom.errors import (
+    DegeneratePairWarning,
+    IndexOutOfRangeError,
+    NonFiniteResultError,
+)
+from pcgeom.indexing import pair_count, triad_count
 from pcgeom.pc_core import AdditiveMatrix, from_scores, recover_scores
 
 
@@ -137,6 +144,8 @@ def write_any_grid_csv(entries, dest):
     """The old grid writer, given what the new one takes."""
     if isinstance(entries, AdditiveMatrix):
         entries = entries.to_array()
+    elif isinstance(entries, pio.RowStream):
+        entries = entries.rows(slice(None))
     write_grid_csv(entries, dest)
 
 
@@ -171,14 +180,73 @@ def geometric_index_w(vectors, convention):
     return max((n - 4) * float(np.vdot(w, w)) + float(np.vdot(bw, bw)), 0.0)
 
 
+def pair_subspace(e, i, j):
+    """Wedge v_i ^ v_j for 1-based i != j.
+
+    Emits DegeneratePairWarning (and still returns the zero 2-vector)
+    when the two vectors are parallel; downstream sums stay well defined.
+    """
+    for idx in (i, j):
+        if not 1 <= idx <= e.n:
+            raise IndexOutOfRangeError(f"index {idx} outside 1..{e.n}")
+    if i == j:
+        raise IndexOutOfRangeError(f"pair indices must differ, got ({i},{j})")
+    w = wedge(e.vectors[i - 1], e.vectors[j - 1])
+    if w.is_zero():
+        warnings.warn(
+            f"pair ({i},{j}) spans no plane (parallel vectors)",
+            DegeneratePairWarning,
+            stacklevel=2,
+        )
+    return w
+
+
+def geometric_deviation(e, i, j, k, convention="cyclic"):
+    """Deviation 2-vector of the 1-based triad i < j < k: w_ij + w_jk +
+    w_ki (cyclic) or w_ij + w_jk - w_ki (anticyclic)."""
+    _check_convention(convention)
+    if not i < j < k:
+        raise IndexOutOfRangeError(
+            f"triad ({i},{j},{k}) must satisfy i < j < k"
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneratePairWarning)
+        w_ij = pair_subspace(e, i, j)
+        w_jk = pair_subspace(e, j, k)
+        w_ki = pair_subspace(e, k, i)
+    if convention == "cyclic":
+        return w_ij + w_jk + w_ki
+    return w_ij + w_jk - w_ki
+
+
 # ------------------------------------------------------ coupling, reduction
+
+
+def incidence_oracle(n):
+    """Dense signed pair-by-triad incidence built straight from the triad
+    definition."""
+    pair_idx = {p: i for i, p in enumerate(combinations(range(n), 2))}
+    c = np.zeros((pair_count(n), triad_count(n)))
+    for t, (i, j, k) in enumerate(combinations(range(n), 3)):
+        c[pair_idx[(i, j)], t] = 1.0
+        c[pair_idx[(j, k)], t] = 1.0
+        c[pair_idx[(i, k)], t] = -1.0
+    return c
+
+
+def dense_M(n, lam=0.0):
+    """The Gram matrix of the incidence shifted on the diagonal,
+    C^T C + lam I; adding lam I also turns any -0.0 of the product into
+    0.0."""
+    c = incidence_oracle(n)
+    return c.T @ c + lam * np.eye(triad_count(n))
 
 
 def dense_spectral_report(n, lam=0.0, rank_tol=1e-9):
     """The diagnose report from the eigenvalues of the dense M + lam I,
     sorted descending; those at most rank_tol times the largest count as
     zero."""
-    eigenvalues = np.linalg.eigvalsh(build_M(n, lam))[::-1]
+    eigenvalues = np.linalg.eigvalsh(dense_M(n, lam))[::-1]
     threshold = rank_tol * max(float(eigenvalues[0]), 0.0)
     t_count = int(eigenvalues.size)
     rank = int(np.count_nonzero(eigenvalues > threshold))

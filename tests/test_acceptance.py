@@ -14,12 +14,12 @@ import numpy as np
 
 from pcgeom import (
     algebraic_inconsistency,
-    build_M,
     closed_form_diagnosis,
     coupling_coefficients,
     evaluation_columns,
     from_scores,
     geometric_inconsistency,
+    gram_rows,
     is_closed_discrete,
     is_consistent,
     max_abs_triad_deviation,
@@ -37,7 +37,7 @@ from pcgeom import (
 from pcgeom.cli import main
 from pcgeom.indexing import triad_count
 
-from oracles import dense_spectral_report, nearest_consistent_oracle
+from oracles import dense_M, dense_spectral_report, nearest_consistent_oracle
 
 CONSISTENT_3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
@@ -146,7 +146,8 @@ def test_criterion_04_score_matrices_and_perturbations():
 def test_criterion_05_coupling_structure():
     start = time.perf_counter()
     for n in range(3, 9):
-        values = build_M(n)
+        values = dense_M(n)
+        assert np.array_equal(gram_rows(n)(slice(None)), values)
         assert np.array_equal(values, values.T)
         assert np.all(np.diagonal(values) == 3.0)
         eigs = np.linalg.eigvalsh(values)
@@ -167,7 +168,7 @@ def test_criterion_05_coupling_structure():
 def test_criterion_06_gram_identity():
     rng = np.random.default_rng(606)
     for n in range(3, 8):
-        m = build_M(n)
+        m = gram_rows(n)(slice(None))
         cmap = coupling_coefficients(n)
         for _ in range(1000):
             d = rng.normal(size=triad_count(n))

@@ -365,21 +365,52 @@ def test_diagnose_csv_dumps_matrix(capsys, inconsistent_csv):
     assert grid == [[3.0]]
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_diagnose_csv_with_lambda_writes_the_shifted_gram_matrix(tmp_path, n):
-    from pcgeom import build_M
-
+def write_random_csv(path, n):
     rng = np.random.default_rng(n)
     raw = np.triu(rng.uniform(-2, 2, size=(n, n)), k=1)
-    path, out = tmp_path / "m.csv", tmp_path / "m-out.csv"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows((raw - raw.T).tolist())
-    argv = ["diagnose", str(path), "--format", "csv", "--lambda", "0.5", "-o", str(out)]
-    assert main(argv) == 0
-    grid = build_M(n) + 0.5 * np.eye(math.comb(n, 3))
-    want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in grid)
-    assert out.read_bytes() == want.encode()
-    assert "3.5" in want and "-1.0" in want
+    return str(path)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_diagnose_csv_with_lambda_writes_the_shifted_gram_matrix(
+    tmp_path, monkeypatch, n
+):
+    from oracles import dense_M
+
+    path, out = write_random_csv(tmp_path / "m.csv", n), tmp_path / "m-out.csv"
+    # At n >= 9, T^2 >= 7056 floats: threshold 0 takes every block's text
+    # from orjson, and the real one does so from n = 11 on.
+    for threshold in (0, pio._ORJSON_FROM):
+        monkeypatch.setattr(pio, "_ORJSON_FROM", threshold)
+        for lam in (0.0, 0.5, 1e20):
+            argv = ["diagnose", path, "--format", "csv", "--lambda", repr(lam),
+                    "-o", str(out)]
+            assert main(argv) == 0
+            grid = dense_M(n, lam)
+            want = "".join(
+                ",".join(repr(float(v)) for v in row) + "\r\n" for row in grid
+            )
+            assert out.read_bytes() == want.encode()
+    # Two triads share a pair with opposite signs from n = 4 on.
+    assert "1e+20" in want and ("-1.0" in want) is (n > 3)
+
+
+def test_diagnose_csv_refuses_a_grid_over_the_size_rule(tmp_path, capsys):
+    # C(45,3)^2 = 201356100 entries, over the 2e8 limit; the JSON report
+    # of the same matrix is still served.
+    path, out = write_random_csv(tmp_path / "m45.csv", 45), tmp_path / "m-out.csv"
+    for dest in ([], ["-o", str(out)]):
+        assert main(["diagnose", path, "--format", "csv", *dest]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("pcgeom: error: ")
+        assert "201356100 entries" in captured.err
+        assert not out.exists()
+    assert main(["diagnose", path]) == 0
+    assert json.loads(capsys.readouterr().out)["T"] == math.comb(45, 3)
 
 
 # ---------------------------------------------------------------------- reduce

@@ -39,7 +39,7 @@ from pcgeom import (
     residuals_decomposable,
     wedge,
 )
-from pcgeom import indexing
+from pcgeom import coupling, indexing
 from pcgeom import io as pio
 from pcgeom.cli import main
 
@@ -229,7 +229,12 @@ def test_arithmetic_pair_index_matches_dict(n):
 def test_arithmetic_triad_table_matches_combinations(n):
     pos = {pair: idx for idx, pair in enumerate(combinations(range(n), 2))}
     triads = list(combinations(range(n), 3))
-    ij, jk, ik = indexing.triad_pair_positions(n)
+    if n < 3:
+        with pytest.raises(TooSmallError):
+            coupling_coefficients(n)
+        return
+    cmap = coupling_coefficients(n)
+    ij, jk, ik = cmap.ij_pos, cmap.jk_pos, cmap.ik_pos
     assert ij.tolist() == [pos[(i, j)] for i, j, _ in triads]
     assert jk.tolist() == [pos[(j, k)] for _, j, k in triads]
     assert ik.tolist() == [pos[(i, k)] for i, _, k in triads]
@@ -266,7 +271,8 @@ def test_triad_lead_starts_are_pair_positions(n):
 
 
 def test_tables_are_read_only():
-    for arr in indexing.triad_pair_positions(6):
+    cmap = coupling_coefficients(6)
+    for arr in (cmap.ij_pos, cmap.jk_pos, cmap.ik_pos):
         assert not arr.flags.writeable
 
 
@@ -276,7 +282,8 @@ def test_tables_are_read_only():
 def gathered_deviations(a):
     """The scan ``check`` and ``all_triad_deviations`` made before the
     per-lead kernel: one gather through the three C(n,3) index tables."""
-    ij, jk, ik = indexing.triad_pair_positions(a.n)
+    i, j, k = indexing.subsets(a.n, 3)
+    ij, jk, ik = (indexing.pair_index(a.n, *p) for p in ((i, j), (j, k), (i, k)))
     return a.upper[ij] + a.upper[jk] - a.upper[ik]
 
 
@@ -311,7 +318,7 @@ def test_verdicts_build_no_triad_tables(monkeypatch, capsys, cli_inputs):
     def refuse(n):
         raise AssertionError("triad index tables built")
 
-    monkeypatch.setattr(indexing, "triad_pair_positions", refuse)
+    monkeypatch.setattr(coupling, "coupling_coefficients", refuse)
     matrix = str(cli_inputs / "a.csv")
     for argv in (["check", matrix], ["twoform", matrix]):
         report = json.loads(run_cli(capsys, argv))
@@ -751,14 +758,19 @@ def test_nan_in_any_report_exits_two_with_one_line(
     assert "not finite" in captured.err
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_diagnose_above_dense_cap_exits_two(capsys, tmp_path, fmt):
+@pytest.mark.parametrize(
+    "fmt, reason",
+    # The eigenvalue list is capped by n; the grid by its C(n,3)^2 entries.
+    [("json", "capped at n=64"), ("csv", "C(65,3)^2 = 1907942400 entries")],
+    ids=["json", "csv"],
+)
+def test_diagnose_above_dense_cap_exits_two(capsys, tmp_path, fmt, reason):
     path = tmp_path / "a65.csv"
     path.write_text("\n".join(",".join(["0"] * 65) for _ in range(65)) + "\n")
     assert main(["diagnose", str(path), "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "capped at n=64" in captured.err
+    assert reason in captured.err
     assert captured.err.count("\n") == 1
 
 

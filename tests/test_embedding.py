@@ -10,13 +10,11 @@ from pcgeom import (
     algebraic_inconsistency,
     custom_embedding,
     from_scores,
-    geometric_deviation,
     geometric_inconsistency,
     max_abs_triad_deviation,
     new_additive,
     new_two_vector,
     orthogonal_embedding,
-    pair_subspace,
     planar_embedding,
     planar_matrix_inconsistency,
     planar_pair_wedges,
@@ -24,6 +22,8 @@ from pcgeom import (
     scores_to_coefficients,
     wedge,
 )
+
+from oracles import geometric_deviation, pair_subspace
 
 INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
 

@@ -442,3 +442,30 @@ def test_non_finite_step_writes_no_line():
     with pytest.raises(NonFiniteResultError):
         pio._write_json(steps, buf)
     assert buf.getvalue() == ""
+
+
+def test_row_stream_is_written_in_blocks_and_stops_at_a_non_finite_one(monkeypatch):
+    # Blocks of 7 numbers: two 3-wide rows each. The stream's rows come
+    # from a function of the row slice, and its declared size counts for
+    # the orjson choice, as an array of that shape would.
+    monkeypatch.setattr(pio, "_BLOCK", 7)
+    grid = np.arange(30.0).reshape(10, 3) - 7.5
+    asked = []
+
+    def rows(s):
+        asked.append(s)
+        return grid[s].copy()
+
+    stream = pio.RowStream(grid.shape, rows)
+    assert pio._check_finite(stream) == 30 and asked == []
+    assert written(pio.write_grid_csv, stream) == written(oracles.write_grid_csv, grid)
+    assert [s.stop - s.start for s in asked] == [2] * 5
+    assert pio._use_orjson(pio.RowStream((100, 100), rows))
+    assert not pio._use_orjson(pio.RowStream((99, 101), rows))
+    grid[5, 1] = math.inf
+    buf = io.StringIO()
+    monkeypatch.setattr(pio, "_WRITE", 1)
+    with pytest.raises(NonFiniteResultError):
+        pio.write_grid_csv(pio.RowStream(grid.shape, rows), buf)
+    # The two blocks before the non-finite one were written; nothing after.
+    assert buf.getvalue() == written(oracles.write_grid_csv, grid[:4])

@@ -152,11 +152,11 @@ def test_regularized_descent_same_fixed_point():
 
 
 def test_trajectory_i_geom_tracks_quadratic_form():
-    from pcgeom import build_M
+    from pcgeom import gram_rows
 
     a = new_additive(INCONSISTENT_3)
     trajectory = reduce_iterative(a, eta=0.1, max_steps=5, tol=1e-16)
-    m = build_M(3)
+    m = gram_rows(3)(slice(None))
     for step in trajectory.steps:
         d = all_triad_deviations(step.matrix)
         expected = float(d @ m @ d)

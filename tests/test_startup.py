@@ -73,6 +73,14 @@ def test_import_cli_loads_only_shared_modules():
     assert loaded == CLI_MODULES
 
 
+def test_import_reduction_loads_no_coupling():
+    # The descent takes its lambda check from pc_core, not coupling.
+    assert loaded_after("import pcgeom.reduction") == {
+        "pcgeom", "pcgeom.errors", "pcgeom.indexing", "pcgeom.pc_core",
+        "pcgeom.reduction",
+    }
+
+
 def write_matrix_csv(path, n):
     rng = np.random.default_rng(n)
     raw = np.triu(rng.normal(size=(n, n)), 1)
@@ -245,7 +253,8 @@ def test_unknown_name_raises_attribute_error():
                  "CouplingMatrix", "regularize", "quadratic_inconsistency",
                  "GeometricDeviation", "evaluation_table", "dumps_report",
                  "nearest_consistent_oracle", "ScoreVector", "DeviationVector",
-                 "UnsupportedSizeError"]:
+                 "UnsupportedSizeError", "build_M", "pair_subspace",
+                 "geometric_deviation"]:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(pcgeom, name)
 
