@@ -26,9 +26,9 @@ def run() -> None:
     """
     gc.disable()
     args = build_parser().parse_args()
-    from .cli import config_from_args, run as run_command
+    from .cli import run as run_command
 
-    code = run_command(config_from_args(args))
+    code = run_command(args)
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()

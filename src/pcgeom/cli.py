@@ -1,5 +1,6 @@
 """Command-line front end: the handlers of the commands that ``usage``
-declares, and ``main``, which parses with ``usage.build_parser``.
+declares, each given the parsed command line as its configuration, and
+``main``, which parses with ``usage.build_parser``.
 
 One subcommand per operation family; all reports are machine readable
 (JSON by default, CSV for matrix-shaped output) and carry the library
@@ -10,10 +11,10 @@ memory, with a one-line diagnostic on stderr.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from argparse import Namespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,71 +42,31 @@ ENV_TOL = "PCGEOM_TOL"
 ENV_FORMAT = "PCGEOM_FORMAT"
 
 
-class RunConfig:
-    """Invocation parameters for a single command.
-
-    ``format`` None means PCGEOM_FORMAT, else from the output extension,
-    else json; ``mode`` None means the file's own mode declaration, else
-    additive; ``tol`` None means PCGEOM_TOL, else DEFAULT_TOLERANCE.
-    """
-
-    __slots__ = (
-        "command", "input_path", "output_path", "format", "mode", "convention",
-        "embedding_kind", "embedding_file", "tol", "lam", "eta", "max_steps",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        input_path: str,
-        output_path: str | None = None,
-        format: str | None = None,
-        mode: str | None = None,
-        convention: str = "cyclic",
-        embedding_kind: str = "planar",
-        embedding_file: str | None = None,
-        tol: float | None = None,
-        lam: float = 0.0,
-        eta: float | None = None,
-        max_steps: int = 1000,
-    ) -> None:
-        self.command = command
-        self.input_path = input_path
-        self.output_path = output_path
-        self.format = format
-        self.mode = mode
-        self.convention = convention
-        self.embedding_kind = embedding_kind
-        self.embedding_file = embedding_file
-        self.tol = tol
-        self.lam = lam
-        self.eta = eta
-        self.max_steps = max_steps
-
-    def validate(self) -> None:
-        if self.command not in _HANDLERS:
-            raise PCGeomError(f"unknown command {self.command!r}")
-        if not self.tol > 0:
-            raise PCGeomError("tol must be positive")
-        if self.lam < 0:
-            raise PCGeomError("lambda must be nonnegative")
-        if self.eta is not None and not self.eta > 0:
-            raise PCGeomError("eta must be positive")
-        for name, value in (("tol", self.tol), ("lambda", self.lam), ("eta", self.eta)):
-            if value is not None and not math.isfinite(value):
-                raise PCGeomError(f"{name} must be finite")
-        if self.max_steps < 1:
-            raise PCGeomError("max-steps must be at least 1")
-        if self.embedding_file is not None and self.embedding_kind != "custom":
-            raise PCGeomError("--embedding-file requires --embedding custom")
-        if self.embedding_kind == "custom" and not self.embedding_file:
-            raise PCGeomError("custom embedding requires --embedding-file")
+def _validate(config: Namespace) -> None:
+    if config.command not in _HANDLERS:
+        raise PCGeomError(f"unknown command {config.command!r}")
+    if not config.tol > 0:
+        raise PCGeomError("tol must be positive")
+    if config.lam < 0:
+        raise PCGeomError("lambda must be nonnegative")
+    if config.eta is not None and not config.eta > 0:
+        raise PCGeomError("eta must be positive")
+    for name, value in (("tol", config.tol), ("lambda", config.lam),
+                        ("eta", config.eta)):
+        if value is not None and not math.isfinite(value):
+            raise PCGeomError(f"{name} must be finite")
+    if config.max_steps < 1:
+        raise PCGeomError("max-steps must be at least 1")
+    if config.embedding_file is not None and config.embedding_kind != "custom":
+        raise PCGeomError("--embedding-file requires --embedding custom")
+    if config.embedding_kind == "custom" and not config.embedding_file:
+        raise PCGeomError("custom embedding requires --embedding-file")
 
 
-def _with_environment(config: RunConfig) -> RunConfig:
-    """The config with its tolerance and output format resolved: the
-    flag, else PCGEOM_TOL / PCGEOM_FORMAT, else the default tolerance and
-    the format of the output extension, else json."""
+def _with_environment(config: Namespace) -> Namespace:
+    """A copy of the config with its tolerance and output format resolved:
+    the flag, else PCGEOM_TOL / PCGEOM_FORMAT, else the default tolerance
+    and the format of the output extension, else json."""
     tol, fmt = config.tol, config.format
     if tol is None:
         env = os.environ.get(ENV_TOL)
@@ -124,26 +85,24 @@ def _with_environment(config: RunConfig) -> RunConfig:
         # Only the descent has records to write one per line.
         kind = "matrix" if config.command == "convert" else "report"
         raise io.FormatError(f"unsupported {kind} format {fmt!r}")
-    fields = {name: getattr(config, name) for name in RunConfig.__slots__}
-    fields.update(tol=tol, format=fmt)
-    return RunConfig(**fields)
+    return Namespace(**{**vars(config), "tol": tol, "format": fmt})
 
 
-def _read_matrix(config: RunConfig):
+def _read_matrix(config: Namespace):
     fmt = io.infer_format(config.input_path, fallback="csv")
     return io.read_matrix(
         config.input_path, fmt=fmt, mode=config.mode, tol=config.tol
     )
 
 
-def _read_additive(config: RunConfig) -> AdditiveMatrix:
+def _read_additive(config: Namespace) -> AdditiveMatrix:
     matrix = _read_matrix(config)
     if isinstance(matrix, AdditiveMatrix):
         return matrix
     return to_additive(matrix)
 
 
-def _emit(config: RunConfig, writer) -> None:
+def _emit(config: Namespace, writer) -> None:
     if not config.output_path:
         writer(sys.stdout)
         # A full device or a closed pipe fails here, inside run's error
@@ -162,13 +121,13 @@ def _emit(config: RunConfig, writer) -> None:
         raise
 
 
-def _report(config: RunConfig, **fields):
+def _report(config: Namespace, **fields):
     """Writer of the command's report: its name, the version, then fields."""
     report = {"command": config.command, "version": __version__, **fields}
     return lambda dest: io.write_report(report, dest, config.format)
 
 
-def _cmd_check(config: RunConfig):
+def _cmd_check(config: Namespace):
     matrix = _read_additive(config)
     max_dev = max_abs_triad_deviation(matrix)
     consistent = max_dev <= config.tol
@@ -182,7 +141,7 @@ def _cmd_check(config: RunConfig):
     )
 
 
-def _cmd_convert(config: RunConfig):
+def _cmd_convert(config: Namespace):
     matrix = _read_matrix(config)
     if isinstance(matrix, AdditiveMatrix):
         converted = to_multiplicative(matrix)
@@ -193,7 +152,7 @@ def _cmd_convert(config: RunConfig):
     )
 
 
-def _embedding(config: RunConfig, matrix: AdditiveMatrix) -> Embedding | None:
+def _embedding(config: Namespace, matrix: AdditiveMatrix) -> Embedding | None:
     """The orthogonal or custom embedding the config names; None for the
     planar family, which is built pair by pair from the matrix entries."""
     from .embedding import orthogonal_embedding, scores_to_coefficients
@@ -213,7 +172,7 @@ def _embedding(config: RunConfig, matrix: AdditiveMatrix) -> Embedding | None:
     raise PCGeomError(f"unknown embedding kind {config.embedding_kind!r}")
 
 
-def _geometric_index(config: RunConfig, matrix: AdditiveMatrix) -> float:
+def _geometric_index(config: Namespace, matrix: AdditiveMatrix) -> float:
     from .embedding import geometric_inconsistency, planar_matrix_inconsistency
 
     emb = _embedding(config, matrix)
@@ -222,7 +181,7 @@ def _geometric_index(config: RunConfig, matrix: AdditiveMatrix) -> float:
     return geometric_inconsistency(emb, config.convention)
 
 
-def _cmd_indices(config: RunConfig):
+def _cmd_indices(config: Namespace):
     matrix = _read_additive(config)
     return 0, _report(
         config,
@@ -234,7 +193,7 @@ def _cmd_indices(config: RunConfig):
     )
 
 
-def _cmd_deviations(config: RunConfig):
+def _cmd_deviations(config: Namespace):
     matrix = _read_additive(config)
     return 0, _report(
         config,
@@ -244,7 +203,7 @@ def _cmd_deviations(config: RunConfig):
     )
 
 
-def _cmd_embed(config: RunConfig):
+def _cmd_embed(config: Namespace):
     from .embedding import pair_wedges, planar_pair_wedges
 
     matrix = _read_additive(config)
@@ -264,7 +223,7 @@ def _cmd_embed(config: RunConfig):
     )
 
 
-def _cmd_wedge(config: RunConfig):
+def _cmd_wedge(config: Namespace):
     from .exterior import wedge
 
     u, v = io.read_vector_pair(config.input_path)
@@ -277,7 +236,7 @@ def _cmd_wedge(config: RunConfig):
     )
 
 
-def _cmd_plucker(config: RunConfig):
+def _cmd_plucker(config: Namespace):
     from .exterior import quad_residuals, residuals_decomposable
 
     p = io.read_two_vector(config.input_path)
@@ -293,7 +252,7 @@ def _cmd_plucker(config: RunConfig):
     )
 
 
-def _cmd_diagnose(config: RunConfig):
+def _cmd_diagnose(config: Namespace):
     matrix = _read_additive(config)
     if config.format == "csv":
         # The matrix itself is the output: its rows are computed as they
@@ -305,7 +264,7 @@ def _cmd_diagnose(config: RunConfig):
     return 0, _report(config, n=matrix.n, **spectrum, **{"lambda": config.lam})
 
 
-def _cmd_reduce(config: RunConfig):
+def _cmd_reduce(config: Namespace):
     from .reduction import reduce_iterative
 
     matrix = _read_additive(config)
@@ -342,7 +301,7 @@ def _cmd_reduce(config: RunConfig):
     )
 
 
-def _cmd_twoform(config: RunConfig):
+def _cmd_twoform(config: Namespace):
     from .twoform import evaluation_columns, is_closed_discrete
 
     matrix = _read_additive(config)
@@ -382,11 +341,12 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; never raises for input problems (exit 2)."""
+def run(config: Namespace) -> int:
+    """Execute the command of a parsed command line; never raises for
+    input problems (exit 2)."""
     try:
         config = _with_environment(config)
-        config.validate()
+        _validate(config)
         # Overflow raises instead of warning, so no inf or nan reaches a
         # report and no numpy warning reaches stderr.
         with np.errstate(over="raise", invalid="raise"):
@@ -413,15 +373,8 @@ def run(config: RunConfig) -> int:
         return 2
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the flags given; run fills --tol and --format from
-    the environment and the field defaults fill the rest."""
-    return RunConfig(**vars(args))
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

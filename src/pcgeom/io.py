@@ -20,7 +20,7 @@ time, and one formatter gives the number text of JSON and CSV alike. A
 document whose arrays, tables and matrices hold at least
 ``_ORJSON_FROM`` floats takes it from ``orjson``, which writes the
 digits of ``float.__repr__``; the items holding a float it lays out
-otherwise (0 < |x| < 1e-4, |x| >= 1e16) are formatted by
+otherwise (1e-9 <= |x| < 1e-4, |x| >= 1e16) are formatted by
 ``float.__repr__``. A smaller document is formatted by
 ``float.__repr__`` and never imports orjson.
 """
@@ -411,18 +411,18 @@ def _row_blocks(
 def _texts(block: np.ndarray, fast: bool) -> list[str]:
     """The text of each item along the first axis of a 1-D or 2-D numeric
     block: a number as json.dumps writes it, or a row's numbers joined by
-    ",". With fast, orjson writes the block: the digits of float.__repr__,
-    and 0.0 and -0.0 as it does, but 0 < |x| < 1e-4 and |x| >= 1e16 laid
-    out its own way (0.00001 for 1e-05, 1e16 for 1e+16). The items holding
-    such a number are formatted by float.__repr__, and so is a block made
-    mostly of them, such as the residuals of a decomposable 2-vector."""
+    ",". With fast, orjson writes the block: the text of float.__repr__,
+    but 1e-9 <= |x| < 1e-4 and |x| >= 1e16 laid out its own way (0.00001
+    for 1e-05, 1e-9 for 1e-09, 1e16 for 1e+16). The items holding such a
+    number are formatted by float.__repr__, and so is a block made mostly
+    of them."""
     dtype = block.dtype
     # orjson writes these dtypes as float.__repr__ and int.__repr__ do.
     if fast and dtype.isnative and (dtype.kind in "iub" or dtype == np.float64):
         odd = np.empty(0, dtype=np.intp)
         if dtype.kind == "f":
             size = np.abs(block)
-            mask = (block != 0) & (size < 1e-4) | (size >= 1e16)
+            mask = (size >= 1e-9) & (size < 1e-4) | (size >= 1e16)
             odd = np.flatnonzero(mask if block.ndim == 1 else mask.any(axis=1))
         if 2 * len(odd) <= len(block):
             import orjson

@@ -13,6 +13,24 @@ from . import __version__
 
 FORMATS = ("json", "csv", "jsonl")
 
+#: The default of every setting, the same for every command, so a handler
+#: can read any of them. ``format`` None is PCGEOM_FORMAT, else the output
+#: extension's, else json; ``tol`` None is PCGEOM_TOL, else
+#: pc_core.DEFAULT_TOLERANCE; ``mode`` None is the file's own
+#: declaration, else additive.
+DEFAULTS = {
+    "output_path": None,
+    "format": None,
+    "mode": None,
+    "tol": None,
+    "convention": "cyclic",
+    "embedding_kind": "planar",
+    "embedding_file": None,
+    "lam": 0.0,
+    "eta": None,
+    "max_steps": 1000,
+}
+
 #: argparse settings of the flags only some commands take.
 _FLAGS = {
     "--convention": {"choices": ["cyclic", "anticyclic"]},
@@ -71,11 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, reads_matrix, extra_flags) in COMMANDS.items():
-        # Destinations are RunConfig field names; a flag left out is
-        # absent from the namespace rather than set to a default.
-        p = sub.add_parser(
-            name, help=help_text, argument_default=argparse.SUPPRESS
-        )
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(**DEFAULTS)
         p.add_argument("input_path", metavar="input", help="input file")
         p.add_argument(
             "-o",

@@ -548,3 +548,10 @@ def test_help_still_prints_usage(capsys):
 
 def test_every_command_has_a_handler():
     assert list(cli._HANDLERS) == list(usage.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(usage.COMMANDS))
+def test_every_command_parses_to_every_declared_default(command):
+    # A handler may read any setting, whether or not its command has the flag.
+    args = usage.build_parser().parse_args([command, "in"])
+    assert vars(args) == {"command": command, "input_path": "in", **usage.DEFAULTS}

@@ -2,6 +2,7 @@
 that makes the descent diverge, and entries so large the indices overflow.
 Either way the CLI prints one diagnostic line and writes no output."""
 
+import argparse
 import csv
 import errno
 import io
@@ -17,7 +18,8 @@ import pytest
 
 from pcgeom import NonFiniteResultError
 from pcgeom import io as pio
-from pcgeom.cli import RunConfig, _emit, main
+from pcgeom.cli import _emit, main, run
+from pcgeom.usage import build_parser
 
 INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
 
@@ -153,7 +155,7 @@ def test_grid_writer_refuses_non_finite():
 def test_output_file_with_non_finite_value_is_removed(tmp_path):
     # The writer refuses the infinity; the file _emit opened must not survive.
     out = tmp_path / "report.json"
-    config = RunConfig(command="check", input_path="in.csv", output_path=str(out))
+    config = build_parser().parse_args(["check", "in.csv", "-o", str(out)])
     report = {"ok": 1.0, "bad": math.inf}
     with pytest.raises(NonFiniteResultError):
         _emit(config, lambda dest: pio.write_report(report, dest))
@@ -198,6 +200,10 @@ def test_out_of_memory_exits_two_and_leaves_no_file(
         (["reduce", "--lambda", "nan"], {}, "lambda must be finite"),
         (["reduce", "--lambda", "inf", "--eta", "1e-9"], {}, "lambda must be finite"),
         (["reduce", "--eta", "inf"], {}, "eta must be finite"),
+        (["check", "--tol=0"], {}, "tol must be positive"),
+        (["diagnose", "--lambda=-1"], {}, "lambda must be nonnegative"),
+        (["reduce", "--eta=0"], {}, "eta must be positive"),
+        (["reduce", "--max-steps", "0"], {}, "max-steps must be at least 1"),
     ],
 )
 def test_bad_tolerance_and_parameters_exit_two_naming_them(
@@ -209,6 +215,21 @@ def test_bad_tolerance_and_parameters_exit_two_naming_them(
     err = run_failing(capsys, [argv[0], inconsistent_csv, *argv[1:], "-o", str(out)])
     assert err == f"pcgeom: error: {message}\n"
     assert not out.exists()
+
+
+def test_run_of_an_unknown_command_exits_two_naming_it(capsys, inconsistent_csv):
+    # A caller that builds its own namespace can name any command; run
+    # refuses it before the input is read.
+    config = argparse.Namespace(
+        command="bogus", input_path=inconsistent_csv, output_path=None,
+        format=None, mode=None, tol=None, convention="cyclic",
+        embedding_kind="planar", embedding_file=None, lam=0.0, eta=None,
+        max_steps=1000,
+    )
+    assert run(config) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pcgeom: error: unknown command 'bogus'\n"
 
 
 def test_bad_tolerance_variable_via_module_is_one_clean_line(inconsistent_csv):

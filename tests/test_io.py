@@ -320,11 +320,12 @@ def neighbours(x, k=50):
     return family[np.isfinite(family)]
 
 
-#: Where orjson's layout of a float leaves float.__repr__'s (1e-4 and
-#: 1e16), one step inside it (1e-5), and the ends of the doubles.
+#: Where orjson's layout of a float leaves float.__repr__'s (1e-9, 1e-4
+#: and 1e16), one step inside it (1e-5) and outside it (1e-10), and the
+#: ends of the doubles.
 BOUNDARY = np.concatenate([
     sign * neighbours(x)
-    for x in [1e-4, 1e-5, 1e16, 5e-324, sys.float_info.max]
+    for x in [1e-10, 1e-9, 1e-4, 1e-5, 1e16, 5e-324, sys.float_info.max]
     for sign in (1.0, -1.0)
 ])
 
@@ -353,12 +354,35 @@ def test_boundary_floats_match_plain_writers(monkeypatch, threshold, in_range):
     assert_written_as_plain({"values": values, "rows": rows}, rows)
 
 
-@pytest.mark.parametrize("odd", [1e-05, -5e-324, 1e16, -1.7976931348623157e308])
+@pytest.mark.parametrize(
+    "odd", [1e-05, -5e-324, 1e16, -1.7976931348623157e308, -1e-9]
+)
 def test_row_with_one_out_of_range_float_matches_plain_writers(by_orjson, odd):
     rows = np.random.default_rng(2).normal(size=(6, 5))
     rows[2, 3] = odd
     table = pio.Table(i=np.arange(6), row=rows)
     assert_written_as_plain({"rows": rows, "table": table}, rows)
+
+
+def test_orjson_lays_out_floats_below_1e_9_as_repr():
+    """_texts leaves 0 < |x| < 1e-9 to orjson, subnormals included: its
+    text of them is float.__repr__'s. An orjson that lays them out its own
+    way fails here rather than in a report."""
+    import orjson
+
+    rng = np.random.default_rng(9)
+    top = np.array(1e-9).view(np.int64)
+    bits = rng.integers(1, top, size=50_000).view(np.float64)
+    scaled = np.concatenate([rng.normal(size=200) * 10.0**k for k in range(-324, -8)])
+    values = np.concatenate([
+        bits,
+        scaled[(scaled != 0) & (np.abs(scaled) < 1e-9)],
+        neighbours(1e-9)[:50],
+        5e-324 * np.arange(1, 100),
+    ])
+    values = np.concatenate([values, -values])
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    assert text[1:-1].split(",") == list(map(float.__repr__, values.tolist()))
 
 
 def sprinkled_matrix(n, rng):
