@@ -85,7 +85,6 @@ _EXPORTS = {
     "NonPositiveStepError": "errors",
     "DivergentStepError": "errors",
     "NonFiniteResultError": "errors",
-    "DegeneratePairWarning": "errors",
 }
 
 #: Submodules that resolve as attributes without an explicit import.

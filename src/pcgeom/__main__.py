@@ -11,12 +11,14 @@ def run() -> None:
 
     The command line is parsed before ``cli`` is imported, so argparse
     answers ``--version``, ``--help`` and usage errors without loading
-    numpy. A command that runs has written its output when it returns, so
-    the process runs the atexit handlers, flushes stdout and stderr and
-    ends with ``os._exit``, skipping the interpreter teardown that would
-    free numpy's objects and modules one by one. A failed flush keeps the
-    command's nonzero code, else 120, as the interpreter's own exit
-    would. An uncaught exception ends the normal way, with a traceback.
+    numpy. Its answer ends the process as a command's run does: once the
+    output is written, the atexit handlers run, stdout and stderr are
+    flushed, and ``os._exit`` skips the interpreter teardown that would
+    free every loaded module one by one. argparse's ``SystemExit`` code is
+    mapped as the interpreter maps it. A flush that fails (a full device,
+    a closed pipe) costs one ``pcgeom: error:`` line and exit 2, unless
+    the code is already nonzero: a command has then reported its own
+    failure. An uncaught exception ends the normal way, with a traceback.
     ``cli.main`` never exits, because tests and library callers run it
     in-process.
 
@@ -25,17 +27,31 @@ def run() -> None:
     make while numpy imports free next to nothing.
     """
     gc.disable()
-    args = build_parser().parse_args()
-    from .cli import run as run_command
-
-    code = run_command(args)
-    atexit._run_exitfuncs()
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        # cli.run has already reported a report that could not be written.
-        code = code or 120
+        args = build_parser().parse_args()
+    except SystemExit as answer:
+        code = answer.code
+        if code is not None and not isinstance(code, int):
+            print(code, file=sys.stderr)
+            code = 1
+        code = code or 0
+    else:
+        from .cli import run as run_command
+
+        code = run_command(args)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            # None when the process started with that descriptor closed.
+            if stream is not None:
+                stream.flush()
+        except OSError as exc:
+            if not code:
+                code = 2
+                try:
+                    print(f"pcgeom: error: {exc}", file=sys.stderr)
+                except OSError:
+                    pass
     os._exit(code)
 
 

@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the
-read-only base of its value types.
+"""Exception types shared across the package, and the read-only base of
+its value types.
 
 Every error subclasses :class:`PCGeomError`, which itself subclasses
 ``ValueError`` so that callers who do not care about the fine-grained
@@ -69,10 +69,6 @@ class DivergentStepError(PCGeomError):
 
 class NonFiniteResultError(PCGeomError):
     """A computed result overflowed and cannot be reported."""
-
-
-class DegeneratePairWarning(UserWarning):
-    """A pair of alternatives produced the zero wedge (parallel vectors)."""
 
 
 class ReadOnly:

@@ -17,11 +17,7 @@ import numpy as np
 from pcgeom import io as pio
 from pcgeom.embedding import _check_convention, pair_wedges
 from pcgeom.exterior import wedge, wedge_rows
-from pcgeom.errors import (
-    DegeneratePairWarning,
-    IndexOutOfRangeError,
-    NonFiniteResultError,
-)
+from pcgeom.errors import IndexOutOfRangeError, NonFiniteResultError
 from pcgeom.indexing import pair_count, triad_count
 from pcgeom.pc_core import AdditiveMatrix, from_scores, recover_scores
 
@@ -178,6 +174,10 @@ def geometric_index_w(vectors, convention):
     sums = np.cumsum(v, axis=0)
     bw = wedge_rows(v, (sums[-1] - sums) - (sums - v))
     return max((n - 4) * float(np.vdot(w, w)) + float(np.vdot(bw, bw)), 0.0)
+
+
+class DegeneratePairWarning(UserWarning):
+    """A pair of alternatives produced the zero wedge (parallel vectors)."""
 
 
 def pair_subspace(e, i, j):

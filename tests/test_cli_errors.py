@@ -248,12 +248,18 @@ def test_bad_tolerance_variable_via_module_is_one_clean_line(inconsistent_csv):
 ENTRY_MODULES = ("pcgeom", "pcgeom.cli")
 
 
-def run_module_to(module, stdout, inconsistent_csv):
-    """``python -m MODULE check`` with its stdout on the given file
+def stdout_answers(csv_path):
+    """Requests whose answer goes to stdout: a command's report, and the
+    answers argparse gives on its own."""
+    return [["check", csv_path], ["--help"], ["--version"], ["check", "--help"]]
+
+
+def run_module_to(module, argv, stdout):
+    """``python -m MODULE ARGV`` with its stdout on the given file
     descriptor, buffered as it is by default."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
-        [sys.executable, "-m", module, "check", inconsistent_csv],
+        [sys.executable, "-m", module, *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
@@ -268,22 +274,24 @@ def errno_line(code):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_report_to_full_stdout_exits_two_with_one_line(inconsistent_csv):
     for module in ENTRY_MODULES:
-        with open("/dev/full", "w") as full:
-            proc = run_module_to(module, full, inconsistent_csv)
-        assert (module, proc.returncode) == (module, 2)
-        assert proc.stderr == errno_line(errno.ENOSPC)
+        for argv in stdout_answers(inconsistent_csv):
+            with open("/dev/full", "w") as full:
+                proc = run_module_to(module, argv, full)
+            assert (module, argv, proc.returncode) == (module, argv, 2)
+            assert proc.stderr == errno_line(errno.ENOSPC)
 
 
 def test_report_to_closed_pipe_exits_two_with_one_line(inconsistent_csv):
     for module in ENTRY_MODULES:
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = run_module_to(module, write_end, inconsistent_csv)
-        finally:
-            os.close(write_end)
-        assert (module, proc.returncode) == (module, 2)
-        assert proc.stderr == errno_line(errno.EPIPE)
+        for argv in stdout_answers(inconsistent_csv):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = run_module_to(module, argv, write_end)
+            finally:
+                os.close(write_end)
+            assert (module, argv, proc.returncode) == (module, argv, 2)
+            assert proc.stderr == errno_line(errno.EPIPE)
 
 
 def test_csv_cell_over_field_limit_exits_two_naming_the_file(capsys, tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pcgeom import (
-    DegeneratePairWarning,
     IndexOutOfRangeError,
     ZeroCoefficientError,
     algebraic_inconsistency,
@@ -23,7 +22,7 @@ from pcgeom import (
     wedge,
 )
 
-from oracles import geometric_deviation, pair_subspace
+from oracles import DegeneratePairWarning, geometric_deviation, pair_subspace
 
 INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
 

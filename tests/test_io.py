@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -197,6 +198,20 @@ def written(writer, *args, **kwargs):
     return buf.getvalue()
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Assert got == want. On a mismatch, report both lengths, the first
+    differing offset and 60 characters either side of it: pytest's diff
+    of two whole documents of up to ~170 kB takes minutes to render."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        window = slice(max(at - 60, 0), at + 60)
+        pytest.fail(
+            f"texts differ: lengths {len(got)} and {len(want)}, "
+            f"first at offset {at}\n"
+            f"got:  {got[window]!r}\nwant: {want[window]!r}"
+        )
+
+
 @pytest.mark.parametrize("n", [2, 3, 7, 40])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_matrix_bytes_match_plain_writers(n, fmt):
@@ -208,8 +223,9 @@ def test_matrix_bytes_match_plain_writers(n, fmt):
     for m in matrices:
         for version in (None, "0.1.0"):
             kwargs = {"version": version} if fmt == "json" else {}
-            assert written(pio.write_matrix, m, fmt=fmt, **kwargs) == written(
-                oracles.write_matrix, m, fmt=fmt, **kwargs
+            assert_same_text(
+                written(pio.write_matrix, m, fmt=fmt, **kwargs),
+                written(oracles.write_matrix, m, fmt=fmt, **kwargs),
             )
 
 
@@ -251,8 +267,9 @@ def test_report_bytes_match_plain_writers(fmt):
     rng = np.random.default_rng(3)
     for _ in range(5):
         report = special_report(rng)
-        assert written(pio.write_report, report, fmt=fmt) == written(
-            oracles.write_report, report, fmt=fmt
+        assert_same_text(
+            written(pio.write_report, report, fmt=fmt),
+            written(oracles.write_report, report, fmt=fmt),
         )
 
 
@@ -263,8 +280,9 @@ def test_long_tables_and_arrays_are_written_in_blocks(monkeypatch):
     rng = np.random.default_rng(5)
     for fmt in ("json", "csv"):
         report = special_report(rng)
-        assert written(pio.write_report, report, fmt=fmt) == written(
-            oracles.write_report, report, fmt=fmt
+        assert_same_text(
+            written(pio.write_report, report, fmt=fmt),
+            written(oracles.write_report, report, fmt=fmt),
         )
 
 
@@ -272,8 +290,9 @@ def test_trajectory_lines_match_plain_writer():
     rng = np.random.default_rng(9)
     raw = np.triu(rng.normal(size=(12, 12)), 1)
     trajectory = reduce_iterative(new_additive(raw - raw.T), eta=1e-3, max_steps=60)
-    assert written(pio.write_trajectory_jsonl, trajectory) == written(
-        oracles.write_trajectory_jsonl, trajectory
+    assert_same_text(
+        written(pio.write_trajectory_jsonl, trajectory),
+        written(oracles.write_trajectory_jsonl, trajectory),
     )
 
 
@@ -332,11 +351,13 @@ BOUNDARY = np.concatenate([
 
 def assert_written_as_plain(report, grid):
     for fmt in ("json", "csv"):
-        assert written(pio.write_report, report, fmt=fmt) == written(
-            oracles.write_report, report, fmt=fmt
+        assert_same_text(
+            written(pio.write_report, report, fmt=fmt),
+            written(oracles.write_report, report, fmt=fmt),
         )
-    assert written(pio.write_grid_csv, grid) == written(
-        oracles.write_grid_csv, grid
+    assert_same_text(
+        written(pio.write_grid_csv, grid),
+        written(oracles.write_grid_csv, grid),
     )
 
 
@@ -418,8 +439,9 @@ def test_large_document_takes_orjson_numbers_at_the_real_threshold():
     for m in (special_matrix(150, rng), sprinkled_matrix(150, rng)):
         assert pio._use_orjson(m)
         for fmt in ("json", "csv"):
-            assert written(pio.write_matrix, m, fmt=fmt) == written(
-                oracles.write_matrix, m, fmt=fmt
+            assert_same_text(
+                written(pio.write_matrix, m, fmt=fmt),
+                written(oracles.write_matrix, m, fmt=fmt),
             )
 
 
@@ -482,7 +504,10 @@ def test_row_stream_is_written_in_blocks_and_stops_at_a_non_finite_one(monkeypat
 
     stream = pio.RowStream(grid.shape, rows)
     assert pio._check_finite(stream) == 30 and asked == []
-    assert written(pio.write_grid_csv, stream) == written(oracles.write_grid_csv, grid)
+    assert_same_text(
+        written(pio.write_grid_csv, stream),
+        written(oracles.write_grid_csv, grid),
+    )
     assert [s.stop - s.start for s in asked] == [2] * 5
     assert pio._use_orjson(pio.RowStream((100, 100), rows))
     assert not pio._use_orjson(pio.RowStream((99, 101), rows))
@@ -492,4 +517,4 @@ def test_row_stream_is_written_in_blocks_and_stops_at_a_non_finite_one(monkeypat
     with pytest.raises(NonFiniteResultError):
         pio.write_grid_csv(pio.RowStream(grid.shape, rows), buf)
     # The two blocks before the non-finite one were written; nothing after.
-    assert buf.getvalue() == written(oracles.write_grid_csv, grid[:4])
+    assert_same_text(buf.getvalue(), written(oracles.write_grid_csv, grid[:4]))

@@ -1,8 +1,9 @@
 """Start-up contract: ``import pcgeom`` is lazy, a CLI process loads only
 the modules its command runs, ``--version``, ``--help`` and usage errors
 load neither numpy nor the command modules, and the ``python -m pcgeom``
-exit path still ends with every byte written and the command's exit
-code."""
+exit path, which skips interpreter teardown after parse answers and
+commands alike, still ends with every byte written and the command's
+exit code."""
 
 import json
 import subprocess
@@ -185,6 +186,51 @@ def test_parser_answers_without_numpy(argv, code):
     assert set(json.loads(proc.stderr.splitlines()[-1])) == USAGE_MODULES
 
 
+#: Holds an object until interpreter teardown, whose finalizer then
+#: writes a marker to stderr; a process that ends with os._exit skips the
+#: teardown and never writes it.
+TEARDOWN_MARKER = (
+    "import os\n"
+    "class Teardown:\n"
+    "    def __del__(self, write=os.write):\n"
+    "        write(2, b'teardown\\n')\n"
+    "held = Teardown()\n"
+)
+
+
+def run_with_teardown_marker(code: str, argv: list[str]):
+    return subprocess.run(
+        [sys.executable, "-c", TEARDOWN_MARKER + code, *argv],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_teardown_marker_shows_an_interpreter_exit():
+    proc = run_with_teardown_marker("import pcgeom.usage", [])
+    assert (proc.returncode, proc.stderr) == (0, "teardown\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["check", "--help"], 0),
+        (["check"], 2),
+        (["check", "a.csv"], 1),
+    ],
+)
+def test_every_ending_skips_interpreter_teardown(matrix_csv, argv, code):
+    """Parse answers, usage errors and commands all end with os._exit,
+    after the atexit handlers have run."""
+    argv = [matrix_csv if arg == "a.csv" else arg for arg in argv]
+    proc = run_with_teardown_marker(PROBE, argv)
+    assert proc.returncode == code
+    assert "teardown" not in proc.stderr
+    assert proc.stderr.endswith("]\n")
+
+
 @pytest.mark.parametrize(
     "argv, loads",
     [
@@ -254,7 +300,7 @@ def test_unknown_name_raises_attribute_error():
                  "GeometricDeviation", "evaluation_table", "dumps_report",
                  "nearest_consistent_oracle", "ScoreVector", "DeviationVector",
                  "UnsupportedSizeError", "build_M", "pair_subspace",
-                 "geometric_deviation"]:
+                 "geometric_deviation", "DegeneratePairWarning"]:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(pcgeom, name)
 
