@@ -6,6 +6,16 @@ import sys
 from .usage import build_parser
 
 
+def _report(exc: OSError) -> int:
+    """Print the error line of an answer that could not be written, if
+    stderr takes it, and return exit code 2."""
+    try:
+        print(f"pcgeom: error: {exc}", file=sys.stderr)
+    except OSError:
+        pass
+    return 2
+
+
 def run() -> None:
     """Entry point of ``python -m pcgeom`` and of the ``pcgeom`` script.
 
@@ -15,10 +25,11 @@ def run() -> None:
     output is written, the atexit handlers run, stdout and stderr are
     flushed, and ``os._exit`` skips the interpreter teardown that would
     free every loaded module one by one. argparse's ``SystemExit`` code is
-    mapped as the interpreter maps it. A flush that fails (a full device,
-    a closed pipe) costs one ``pcgeom: error:`` line and exit 2, unless
-    the code is already nonzero: a command has then reported its own
-    failure. An uncaught exception ends the normal way, with a traceback.
+    mapped as the interpreter maps it. A write or flush that fails (a full
+    device, a closed pipe) costs one ``pcgeom: error:`` line and exit 2,
+    unless the code is already nonzero: a command has then reported its
+    own failure. (Unbuffered, argparse's answer fails as it is written.)
+    An uncaught exception ends the normal way, with a traceback.
     ``cli.main`` never exits, because tests and library callers run it
     in-process.
 
@@ -35,6 +46,8 @@ def run() -> None:
             print(code, file=sys.stderr)
             code = 1
         code = code or 0
+    except OSError as exc:
+        code = _report(exc)
     else:
         from .cli import run as run_command
 
@@ -47,11 +60,7 @@ def run() -> None:
                 stream.flush()
         except OSError as exc:
             if not code:
-                code = 2
-                try:
-                    print(f"pcgeom: error: {exc}", file=sys.stderr)
-                except OSError:
-                    pass
+                code = _report(exc)
     os._exit(code)
 
 

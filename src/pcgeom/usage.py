@@ -8,6 +8,7 @@ usage errors are answered before numpy or any other pcgeom module loads.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from . import __version__
 
@@ -74,6 +75,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         self.exit(2, f"pcgeom: error: {message}\n")
+
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse drops an OSError of this write, so an unbuffered answer
+        # to a full device would exit 0 having written nothing.
+        file = file or sys.stderr
+        if message and file is not None:
+            file.write(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -254,10 +255,18 @@ def stdout_answers(csv_path):
     return [["check", csv_path], ["--help"], ["--version"], ["check", "--help"]]
 
 
-def run_module_to(module, argv, stdout):
+#: stdout buffered as by default, and unbuffered (PYTHONUNBUFFERED=1, as
+#: python -u), where argparse's answer fails as it is written rather than
+#: at the final flush.
+BUFFERING = (False, True)
+
+
+def run_module_to(module, argv, stdout, unbuffered):
     """``python -m MODULE ARGV`` with its stdout on the given file
-    descriptor, buffered as it is by default."""
+    descriptor, buffered or not."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
         stdout=stdout,
@@ -273,24 +282,26 @@ def errno_line(code):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_report_to_full_stdout_exits_two_with_one_line(inconsistent_csv):
-    for module in ENTRY_MODULES:
+    for unbuffered, module in product(BUFFERING, ENTRY_MODULES):
         for argv in stdout_answers(inconsistent_csv):
             with open("/dev/full", "w") as full:
-                proc = run_module_to(module, argv, full)
-            assert (module, argv, proc.returncode) == (module, argv, 2)
+                proc = run_module_to(module, argv, full, unbuffered)
+            case = (unbuffered, module, argv)
+            assert (case, proc.returncode) == (case, 2)
             assert proc.stderr == errno_line(errno.ENOSPC)
 
 
 def test_report_to_closed_pipe_exits_two_with_one_line(inconsistent_csv):
-    for module in ENTRY_MODULES:
+    for unbuffered, module in product(BUFFERING, ENTRY_MODULES):
         for argv in stdout_answers(inconsistent_csv):
             read_end, write_end = os.pipe()
             os.close(read_end)
             try:
-                proc = run_module_to(module, argv, write_end)
+                proc = run_module_to(module, argv, write_end, unbuffered)
             finally:
                 os.close(write_end)
-            assert (module, argv, proc.returncode) == (module, argv, 2)
+            case = (unbuffered, module, argv)
+            assert (case, proc.returncode) == (case, 2)
             assert proc.stderr == errno_line(errno.EPIPE)
 
 

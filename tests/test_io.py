@@ -386,7 +386,7 @@ def test_row_with_one_out_of_range_float_matches_plain_writers(by_orjson, odd):
 
 
 def test_orjson_lays_out_floats_below_1e_9_as_repr():
-    """_texts leaves 0 < |x| < 1e-9 to orjson, subnormals included: its
+    """_text leaves 0 < |x| < 1e-9 to orjson, subnormals included: its
     text of them is float.__repr__'s. An orjson that lays them out its own
     way fails here rather than in a report."""
     import orjson
@@ -434,8 +434,8 @@ def test_large_document_takes_orjson_numbers_at_the_real_threshold():
     }
     assert pio._use_orjson(report)
     assert_written_as_plain(report, rows)
-    # C(150, 2) = 11175 upper floats: nearly every row of the special
-    # matrix holds a float outside orjson's layout, few of the sprinkled.
+    # 150^2 = 22500 floats: nearly every row of the special matrix holds
+    # a float outside orjson's layout, few of the sprinkled.
     for m in (special_matrix(150, rng), sprinkled_matrix(150, rng)):
         assert pio._use_orjson(m)
         for fmt in ("json", "csv"):
@@ -458,6 +458,127 @@ def test_orjson_numbers_match_plain_writers(values, width):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pio, "_ORJSON_FROM", 0)
         assert_written_as_plain({"values": a, "rows": rows}, rows)
+
+
+#: Floats orjson lays out its own way, either sign.
+ODD_FLOATS = st.one_of(
+    st.floats(1e-9, 1e-4, exclude_max=True),
+    st.floats(min_value=1e16, allow_infinity=False),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+#: Floats it writes as float.__repr__ does: signed zeros, subnormals,
+#: 0 < |x| < 1e-9, and 1e-4 <= |x| < 1e16.
+PLAIN_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-1e-9, 1e-9, exclude_min=True, exclude_max=True),
+    st.floats(1e-4, 1e16, exclude_max=True).flatmap(
+        lambda x: st.sampled_from([x, -x])
+    ),
+)
+
+
+@st.composite
+def float_blocks(draw):
+    """A 1-D or 2-D float64 block of one or several items (rows), the items
+    holding a float outside orjson's layout placed as one item, a run,
+    every other item, a majority or at random."""
+    length = draw(st.integers(1, 12))
+    width = draw(st.sampled_from([None, 1, 3]))
+    shape = (length,) if width is None else (length, width)
+    size = math.prod(shape)
+    items = draw(st.lists(PLAIN_FLOATS, min_size=size, max_size=size))
+    block = np.array(items).reshape(shape)
+    k = np.arange(length)
+    start, stop = sorted(draw(st.lists(st.integers(0, length), min_size=2, max_size=2)))
+    odd = draw(st.sampled_from([
+        k == start % length,
+        (start <= k) & (k < stop),
+        k % 2 == start % 2,
+        k != start % length,
+        np.array(draw(st.lists(st.booleans(), min_size=length, max_size=length))),
+    ]))
+    for item in np.flatnonzero(odd):
+        column = () if width is None else (draw(st.integers(0, width - 1)),)
+        block[(item, *column)] = draw(ODD_FLOATS)
+    return block
+
+
+@st.composite
+def integer_blocks(draw):
+    """A 1-D or 2-D int64, uint8 or bool block of one or several items."""
+    dtype, values = draw(st.sampled_from([
+        (np.int64, st.integers(-2**63, 2**63 - 1)),
+        (np.uint8, st.integers(0, 255)),
+        (np.bool_, st.booleans()),
+    ]))
+    shape = draw(st.sampled_from([(1,), (5,), (1, 3), (4, 2)]))
+    size = math.prod(shape)
+    items = draw(st.lists(values, min_size=size, max_size=size))
+    return np.array(items, dtype=dtype).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=st.one_of(float_blocks(), integer_blocks()), fast=st.booleans())
+def test_block_text_is_compact_json_dumps(block, fast):
+    """One call writes a block's text: json.dumps's compact text of its
+    lists, whichever of json.dumps and orjson writes it."""
+    want = json.dumps(block.tolist(), separators=(",", ":"))
+    assert pio._text(block, fast) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=float_blocks(), integers=integer_blocks(), fast=st.booleans())
+def test_float32_and_byte_swapped_blocks_take_json_dumps(block, integers, fast):
+    """orjson writes a float32's digits, not the double's that json.dumps
+    writes, and reads a byte-swapped array's bytes in native order."""
+    import orjson
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("orjson asked to write a float32 or byte-swapped block")
+
+    # Clipped to float32's range, so that the cast stays finite.
+    others = [np.clip(block, -1e38, 1e38).astype(np.float32)]
+    for native in (block, integers):
+        if native.dtype.itemsize > 1:
+            others.append(native.astype(native.dtype.newbyteorder()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orjson, "dumps", refuse)
+        for other in others:
+            want = json.dumps(other.tolist(), separators=(",", ":"))
+            assert pio._text(other, fast) == want
+
+
+@pytest.mark.parametrize("threshold", [0, pio._ORJSON_FROM])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_of_1d_2d_and_bool_columns_matches_plain_writers(
+    monkeypatch, threshold, fmt
+):
+    monkeypatch.setattr(pio, "_ORJSON_FROM", threshold)
+    rng = np.random.default_rng(13)
+    rows = rng.normal(size=(40, 3))
+    rows[5, 1], rows[9:13, 0], rows[20:40:2, 2] = 1e-5, 1e16, -3e-7
+    table = pio.Table(
+        i=np.arange(40),
+        row=rows,
+        flag=rows[:, 0] > 0,
+        pair=rng.integers(0, 9, size=(40, 2)),
+        signs=rows > 0,
+        value=rows[:, 2],
+        none=np.empty((40, 0)),
+    )
+    report = {"table": table, "last": pio.Table(row=rows[:3])}
+    assert_same_text(
+        written(pio.write_report, report, fmt=fmt),
+        written(oracles.write_report, report, fmt=fmt),
+    )
+
+
+def test_additive_matrix_counts_as_all_its_entries():
+    """An additive matrix is written as its n^2 entries, so orjson writes
+    it from n = 100, 10^4 floats, though its upper triangle holds 4950."""
+    rng = np.random.default_rng(100)
+    for n, fast in ((99, False), (100, True)):
+        raw = np.triu(rng.normal(size=(n, n)), 1)
+        assert pio._use_orjson(pio.matrix_document(new_additive(raw - raw.T))) is fast
 
 
 @pytest.mark.parametrize(
