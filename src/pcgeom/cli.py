@@ -121,6 +121,13 @@ def _emit(config: Namespace, writer) -> None:
         raise
 
 
+def _labels(n: int, r: int) -> io.RowStream:
+    """The 1-based r-sets of 1..n, one row each, computed as written."""
+    count, unrank = math.comb(n, r), indexing.unranker(n, r)
+    rows = lambda s: np.column_stack(unrank(np.arange(*s.indices(count)))) + 1
+    return io.RowStream((count, r), rows, int)
+
+
 def _report(config: Namespace, **fields):
     """Writer of the command's report: its name, the version, then fields."""
     report = {"command": config.command, "version": __version__, **fields}
@@ -198,7 +205,7 @@ def _cmd_deviations(config: Namespace):
     return 0, _report(
         config,
         n=matrix.n,
-        triads=indexing.labels(matrix.n, 3),
+        triads=_labels(matrix.n, 3),
         values=all_triad_deviations(matrix),
     )
 
@@ -209,14 +216,14 @@ def _cmd_embed(config: Namespace):
     matrix = _read_additive(config)
     emb = _embedding(config, matrix)
     w = planar_pair_wedges(matrix) if emb is None else pair_wedges(emb.vectors)
-    pairs = indexing.labels(matrix.n, 2)
+    i, j = indexing.members(matrix.n, 2, np.arange(indexing.pair_count(matrix.n)))
     return 0, _report(
         config,
         n=matrix.n,
         embedding=config.embedding_kind,
         pairs=io.Table(
-            i=pairs[:, 0],
-            j=pairs[:, 1],
+            i=i + 1,
+            j=j + 1,
             coords=w,
             degenerate=np.all(w == 0.0, axis=1),
         ),
@@ -231,24 +238,26 @@ def _cmd_wedge(config: Namespace):
     return 0, _report(
         config,
         n=w.n,
-        pairs=indexing.labels(w.n, 2),
+        pairs=_labels(w.n, 2),
         coords=w.coords,
     )
 
 
 def _cmd_plucker(config: Namespace):
-    from .exterior import quad_residuals, residuals_decomposable
+    from .exterior import quad_residual_values, residuals_decomposable
 
     p = io.read_two_vector(config.input_path)
-    quads, values = quad_residuals(p)
+    values = quad_residual_values(p)
+    # The largest |residual|, with no C(n,4) temporary; 0.0 first, as abs(-0.0).
+    largest = float(max(0.0, values.max(initial=0.0), -values.min(initial=0.0)))
     return 0, _report(
         config,
         n=p.n,
         norm_squared=p.norm_squared(),
-        max_abs_residual=float(np.max(np.abs(values), initial=0.0)),
-        decomposable=residuals_decomposable(p, values, config.tol),
+        max_abs_residual=largest,
+        decomposable=residuals_decomposable(p, np.array([largest]), config.tol),
         tolerance=config.tol,
-        residuals=io.Table(quad=quads, value=values),
+        residuals=io.Table(quad=_labels(p.n, 4), value=values),
     )
 
 
@@ -306,15 +315,15 @@ def _cmd_twoform(config: Namespace):
 
     matrix = _read_additive(config)
     omega, entry, abs_error = evaluation_columns(matrix)
-    pairs = indexing.labels(matrix.n, 2)
+    i, j = indexing.members(matrix.n, 2, np.arange(indexing.pair_count(matrix.n)))
     # Discrete closedness is the consistency predicate; scan triads once.
     closed = is_closed_discrete(matrix, config.tol)
     return 0, _report(
         config,
         n=matrix.n,
         rows=io.Table(
-            i=pairs[:, 0],
-            j=pairs[:, 1],
+            i=i + 1,
+            j=j + 1,
             omega=omega,
             entry=entry,
             abs_error=abs_error,

@@ -8,12 +8,13 @@ satisfying every quadratic relation
 
     p_kl p_mo - p_km p_lo + p_ko p_lm = 0
 
-over the 4-subsets {k < l < m < o}, and the nonzero ones are in bijection
+over the 4-sets {k < l < m < o}, and the nonzero ones are in bijection
 with 2-dimensional subspaces of R^n.
 """
 
 from __future__ import annotations
 
+from math import comb
 from numbers import Real
 
 import numpy as np
@@ -160,7 +161,7 @@ def _residuals_by_lead(p: TwoVector):
     O(n^3) memory is live at a time.
     """
     n, q, pos = p.n, p.coords, indexing.pair_index
-    l, m, o = indexing.subsets(n, 3)
+    l, m, o = indexing.members(n, 3, np.arange(indexing.triad_count(n)))
     lm, lo, mo = pos(n, l, m), pos(n, l, o), pos(n, m, o)
     for k, start in zip(range(n - 3), indexing.lead_starts(n, 4)):
         base = pos(n, k, 0)
@@ -169,15 +170,21 @@ def _residuals_by_lead(p: TwoVector):
                + q[base + o[start:]] * q[lm[start:]])
 
 
+def quad_residual_values(p: TwoVector) -> np.ndarray:
+    """The residuals of :func:`quad_residuals`, without their quads."""
+    return indexing.collect(_residuals_by_lead(p), comb(p.n, 4))
+
+
 def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
     """Every 4-subset and its quadratic-relation residual.
 
-    Returns the 1-based subsets k < l < m < o as the rows of a (Q, 4)
+    Returns the 1-based quads k < l < m < o as the rows of a (Q, 4)
     array and the aligned residuals p_kl p_mo - p_km p_lo + p_ko p_lm;
     both are empty for n < 4, where the relations are vacuous.
     """
-    values = np.concatenate([np.empty(0), *_residuals_by_lead(p)])
-    return indexing.labels(p.n, 4), values
+    quads = np.column_stack(indexing.members(p.n, 4, np.arange(comb(p.n, 4))))
+    quads += 1
+    return quads, quad_residual_values(p)
 
 
 def residuals_decomposable(

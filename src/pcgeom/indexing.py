@@ -1,13 +1,9 @@
-"""Lexicographic pair, triad and quad bookkeeping.
+"""Lexicographic pair, triad and quad bookkeeping, all 0-based.
 
-Everything in this module is 0-based except :func:`labels`, which gives
-the 1-based labels used everywhere else. Index tables are built with numpy
-arithmetic from the lexicographic pair position
-
-    pos(i, j) = i*n - i*(i+1)/2 + j - i - 1        (i < j)
-
-and from :func:`lead_starts`, so no Python loop ever runs over triads or
-quads. Nothing is cached: every table is built for the call that asks.
+Index tables are built with numpy arithmetic from the lexicographic pair
+position pos(i, j) = i*n - i*(i+1)/2 + j - i - 1 (i < j) and from
+:func:`lead_starts`, so no Python loop ever runs over triads or quads.
+Nothing is cached: every table is built for the call that asks.
 """
 
 from __future__ import annotations
@@ -34,41 +30,41 @@ def pair_index(n: int, i, j):
 
 
 def lead_starts(n: int, r: int) -> np.ndarray:
-    """Where the r-subsets led by i begin in the (r-1)-subset list, for
-    every i in 0..n-1 (r >= 2).
-
-    The r-subsets of 0..n-1 led by i are i followed by the (r-1)-subsets
-    of i+1..n-1, and in lexicographic order those form the tail of the
-    (r-1)-subset list from its first subset led by i+1. That position is
-    the number of (r-1)-subsets led by 0..i, C(n-1-j, r-2) for each lead j.
-    """
-    counts = np.array([comb(n - 1 - j, r - 2) for j in range(n)], dtype=np.intp)
-    return counts.cumsum()
+    """Where the r-sets led by i begin in the (r-1)-set list, for every i
+    in 0..n-1 (r >= 2): the r-sets led by i are i followed by the tail of
+    that list from its first set led by i+1, whose position counts the
+    (r-1)-sets led by 0..i, C(n-1-j, r-2) for each lead j."""
+    return np.cumsum([comb(n - 1 - j, r - 2) for j in range(n)], dtype=np.intp)
 
 
-def subsets(n: int, r: int) -> tuple[np.ndarray, ...]:
-    """Members of every r-subset of 0..n-1, lexicographically, one array
-    per position.
-
-    Block i is i followed by the tail of the (r-1)-subset list from
-    ``lead_starts(n, r)[i]``.
-    """
-    first = np.arange(n)
-    if r == 1:
-        return (first,)
-    tails = subsets(n, r - 1)
-    total = tails[0].size
-    starts = lead_starts(n, r)
-    blocks = [np.arange(start, total) for start in starts]
-    rows = np.concatenate(blocks) if blocks else first
-    lead = np.repeat(first, total - starts)
-    return (lead,) + tuple(column[rows] for column in tails)
+def members(n: int, r: int, positions) -> tuple[np.ndarray, ...]:
+    """Members of the r-sets of 0..n-1 at these lexicographic positions,
+    one array per place: ``unranker(n, r)(positions)``."""
+    return unranker(n, r)(positions)
 
 
-def labels(n: int, r: int) -> np.ndarray:
-    """1-based members of every r-subset of 1..n, lexicographically, one
-    row per subset."""
-    table = np.column_stack(subsets(n, r))
-    table += 1
-    return table
+def unranker(n: int, r: int):
+    """:func:`members` of n and r as a function of the positions, its tables
+    built once. The r-sets led by i end at ``lead_starts(n, r + 1)[i]`` and
+    are i followed by the tail of the (r-1)-set list, which ends at C(n, r-1):
+    so per place one searchsorted finds the lead, one gather the shift to the
+    position in that list, and at r = 1 the member is the position."""
+    tables = [lead_starts(n, s + 1) for s in range(r, 1, -1)]
+    levels = [(t, comb(n, s - 1) - t) for s, t in zip(range(r, 1, -1), tables)]
 
+    def unrank(positions) -> tuple[np.ndarray, ...]:
+        p, leads = np.asarray(positions, dtype=np.intp), []
+        for ends, shifts in levels:
+            leads.append(np.searchsorted(ends, p, side="right"))
+            p = p + shifts[leads[-1]]
+        return (*leads, p)
+
+    return unrank
+
+
+def collect(blocks, count: int) -> np.ndarray:
+    """The blocks laid end to end in one new array of count floats."""
+    values, end = np.empty(count), 0
+    for block in blocks:
+        values[end:(end := end + block.size)] = block
+    return values

@@ -282,14 +282,23 @@ class Table(dict):
 
 
 class RowStream:
-    """A grid of ``shape`` numbers whose rows ``rows(s)`` computes for a
-    slice s, written a block at a time and checked finite block by block;
-    its size counts as its floats in the orjson choice."""
+    """A grid of ``shape`` numbers of ``dtype`` whose rows ``rows(s)`` computes
+    for a slice s. It has an array's length, slices (each checked finite) and
+    float count, so it stands for an array in reports, tables and CSV grids."""
 
-    __slots__ = ("shape", "rows")
+    __slots__ = ("shape", "rows", "dtype")
+    ndim = 2
 
-    def __init__(self, shape: tuple[int, int], rows: Callable) -> None:
-        self.shape, self.rows = shape, rows
+    def __init__(self, shape: tuple[int, int], rows: Callable, dtype=float) -> None:
+        self.shape, self.rows, self.dtype = shape, rows, np.dtype(dtype)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        block = self.rows(s)
+        _check_finite(block)
+        return block
 
 
 def matrix_document(
@@ -333,14 +342,12 @@ _ORJSON_FROM = 10_000
 def _check_finite(value: Any) -> int:
     """The count of floats that value's arrays and matrices hold; raises
     NonFiniteResultError if any value, in them or not, is not finite."""
-    if isinstance(value, np.ndarray):
-        count = value.size if value.dtype.kind == "f" else 0
-        finite = not count or bool(np.isfinite(value).all())
+    if isinstance(value, (np.ndarray, RowStream)):  # streams check their slices
+        count = math.prod(value.shape) if value.dtype.kind == "f" else 0
+        finite = isinstance(value, RowStream) or not count or np.isfinite(value).all()
     elif isinstance(value, AdditiveMatrix):  # written as all n^2 entries
         _check_finite(value.upper)
         return value.n**2
-    elif isinstance(value, RowStream):
-        return value.shape[0] * value.shape[1]
     elif isinstance(value, dict):
         return sum(map(_check_finite, value.values()))
     elif isinstance(value, (list, tuple)):
@@ -376,14 +383,9 @@ def _row_blocks(
     ``to_array()``, about _BLOCK numbers at a time. Additive rows are
     gathered from the upper triangle, negated below the diagonal (-0.0
     included) and 0.0 on it, as ``to_array`` builds them."""
-    if isinstance(value, np.ndarray):
-        yield from (value[rows] for rows in _blocks(len(value), value[:1].size))
-        return
-    if isinstance(value, RowStream):
-        for rows in _blocks(*value.shape):
-            block = value.rows(rows)
-            _check_finite(block)
-            yield block
+    if isinstance(value, (np.ndarray, RowStream)):
+        width = math.prod(value.shape[1:])
+        yield from (value[rows] for rows in _blocks(len(value), width))
         return
     n = value.n
     j = np.arange(n)
@@ -453,7 +455,7 @@ def _table_rows(table: Table, fast: bool) -> Iterator[list[str]]:
         for close, sep, key, column in zip(closes, seps, table, columns)
     ]
     end = closes[-1] + "}"
-    width = sum(column[:1].size for column in columns)
+    width = sum(math.prod(column.shape[1:]) for column in columns)
     for rows in _blocks(len(columns[0]) if columns else 0, width):
         parts = chain.from_iterable(
             (repeat(head), _cells(column[rows], fast))
@@ -486,7 +488,7 @@ def _pieces(value: Any, fast: bool) -> Iterator[str]:
             yield from _pieces(item, fast)
             sep = ", "
         yield "}" if value else "{}"
-    elif isinstance(value, (np.ndarray, AdditiveMatrix)):
+    elif isinstance(value, (np.ndarray, AdditiveMatrix, RowStream)):
         texts = (_text(b, fast)[1:-1].replace(",", ", ") for b in _row_blocks(value))
         yield from _list(texts)
     else:
@@ -537,7 +539,7 @@ def _csv_cell(pieces: Iterable[str]) -> Iterator[str]:
 def _csv_text(value: Any, fast: bool) -> Iterator[str]:
     """The cell csv.writer writes for a report value: JSON for lists,
     dicts, arrays and tables, the repr of a float, str of the rest."""
-    if isinstance(value, (list, dict, np.ndarray, AdditiveMatrix)):
+    if isinstance(value, (list, dict, np.ndarray, AdditiveMatrix, RowStream)):
         return _csv_cell(_pieces(value, fast))
     if isinstance(value, float):
         return _csv_cell([float.__repr__(value)])

@@ -279,11 +279,7 @@ def _deviations_by_lead(a: AdditiveMatrix):
 def all_triad_deviations(a: AdditiveMatrix) -> np.ndarray:
     """Every triad deviation a_ij + a_jk - a_ik, lexicographic over
     i < j < k, as a read-only array."""
-    values = np.empty(indexing.triad_count(a.n))
-    end = 0
-    for block in _deviations_by_lead(a):
-        values[end:end + block.size] = block
-        end += block.size
+    values = indexing.collect(_deviations_by_lead(a), indexing.triad_count(a.n))
     values.setflags(write=False)
     return values
 

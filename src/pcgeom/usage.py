@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol",
             type=float,
             help=(
-                "absolute validation / decision tolerance, the same at every "
-                "scale of the entries (default 1e-9)"
+                "absolute validation / decision tolerance (default 1e-9), the "
+                "same at every scale; plucker's bound is tol * max(1, |p|^2)"
             ),
         )
         if reads_matrix:

@@ -79,13 +79,15 @@ def records(trajectory):
 
 def plain(value):
     """A document of the new writer as the plain dicts and lists the old
-    one was given: a Table as one dict per row, an array as its nested
-    lists, an additive matrix as its full entries."""
+    one was given: a Table as one dict per row, an array or a row stream
+    as its nested lists, an additive matrix as its full entries."""
     if isinstance(value, pio.Table):
-        columns = [column.tolist() for column in value.values()]
+        columns = [plain(column) for column in value.values()]
         return [dict(zip(value, row)) for row in zip(*columns)]
     if isinstance(value, dict):
         return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, pio.RowStream):
+        return value.rows(slice(None)).tolist()
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, AdditiveMatrix):

@@ -546,6 +546,17 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: pcgeom check [-h]")
 
 
+def test_plucker_help_gives_its_scaled_tolerance(capsys):
+    # The residuals are quadratic in p, so plucker's bound scales with it.
+    with pytest.raises(SystemExit) as exc:
+        main(["plucker", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--tol TOL absolute validation / decision tolerance (default "
+            "1e-9), the same at every scale; plucker's bound is "
+            "tol * max(1, |p|^2)") in text
+
+
 def test_every_command_has_a_handler():
     assert list(cli._HANDLERS) == list(usage.COMMANDS)
 

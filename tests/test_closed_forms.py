@@ -252,14 +252,60 @@ def test_arithmetic_quad_table_matches_combinations(n):
     assert bits(values) == bits(want_values)
 
 
+def labels(n, r):
+    """The 1-based r-subsets of 1..n, one row each, from the positions."""
+    return np.column_stack(indexing.members(n, r, np.arange(math.comb(n, r)))) + 1
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_labels_match_combinations(n):
     pairs = [(i + 1, j + 1) for i, j in combinations(range(n), 2)]
     triads = [(i + 1, j + 1, k + 1) for i, j, k in combinations(range(n), 3)]
     quads = [[x + 1 for x in q] for q in combinations(range(n), 4)]
-    assert indexing.labels(n, 2).tolist() == [list(p) for p in pairs]
-    assert indexing.labels(n, 3).tolist() == [list(t) for t in triads]
-    assert indexing.labels(n, 4).tolist() == quads
+    assert labels(n, 2).tolist() == [list(p) for p in pairs]
+    assert labels(n, 3).tolist() == [list(t) for t in triads]
+    assert labels(n, 4).tolist() == quads
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+@pytest.mark.parametrize("n", range(0, 13))
+def test_members_match_combinations_at_every_position(n, r):
+    # n < r has no subset: every place is an empty array.
+    want = list(combinations(range(n), r))
+    got = indexing.members(n, r, np.arange(len(want)))
+    assert len(got) == r
+    assert all(place.dtype == np.intp for place in got)
+    assert list(zip(*(place.tolist() for place in got))) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(4, 24), st.data())
+def test_members_of_a_run_of_positions_match_combinations(r, n, data):
+    # Runs start anywhere and may cross many lead boundaries; the run is
+    # given as a sorted array, and a shuffled copy unranks alike.
+    want = list(combinations(range(n), r))
+    start = data.draw(st.integers(0, len(want) - 1))
+    stop = data.draw(st.integers(start, len(want)))
+    positions = np.arange(start, stop)
+    got = indexing.members(n, r, positions)
+    assert list(zip(*(place.tolist() for place in got))) == want[start:stop]
+    shuffled = np.random.default_rng(stop).permutation(positions)
+    got = indexing.members(n, r, shuffled)
+    assert list(zip(*(place.tolist() for place in got))) == [want[p] for p in shuffled]
+
+
+def test_unranker_builds_its_tables_once(monkeypatch):
+    # A stream of calls reuses the per-level tables of its first.
+    built = []
+    lead_starts = indexing.lead_starts
+    monkeypatch.setattr(indexing, "lead_starts",
+                        lambda n, r: built.append(r) or lead_starts(n, r))
+    unrank = indexing.unranker(30, 4)
+    assert built == [5, 4, 3]
+    blocks = [unrank(np.arange(k, min(k + 1000, 27405))) for k in range(0, 27405, 1000)]
+    assert built == [5, 4, 3]
+    want = indexing.members(30, 4, np.arange(27405))
+    assert all(np.array_equal(np.concatenate(b), w) for b, w in zip(zip(*blocks), want))
 
 
 @pytest.mark.parametrize("n", range(0, 13))
@@ -282,7 +328,7 @@ def test_tables_are_read_only():
 def gathered_deviations(a):
     """The scan ``check`` and ``all_triad_deviations`` made before the
     per-lead kernel: one gather through the three C(n,3) index tables."""
-    i, j, k = indexing.subsets(a.n, 3)
+    i, j, k = np.array(list(combinations(range(a.n), 3)), dtype=np.intp).reshape(-1, 3).T
     ij, jk, ik = (indexing.pair_index(a.n, *p) for p in ((i, j), (j, k), (i, k)))
     return a.upper[ij] + a.upper[jk] - a.upper[ik]
 
@@ -601,8 +647,8 @@ def test_evaluation_table_matches_per_pair_evaluate(a):
     form, emb = matrix_form(a)
     omega, entry, abs_error = evaluation_columns(a)
     assert omega.shape == entry.shape == abs_error.shape == (a.upper.size,)
-    labels = indexing.labels(a.n, 2).tolist()
-    for (i, j), o, e, err, stored in zip(labels, omega, entry, abs_error, a.upper):
+    pairs = labels(a.n, 2).tolist()
+    for (i, j), o, e, err, stored in zip(pairs, omega, entry, abs_error, a.upper):
         want = evaluate(form, emb.vector(i), emb.vector(j))
         assert close(o, want, abs(want))
         assert e == stored

@@ -43,7 +43,8 @@ def minor_oracle(u, v):
 def test_wedge_basis_example():
     w = wedge([1, 0, 0], [0, 1, 0])
     assert w.coords.tolist() == [1.0, 0.0, 0.0]
-    assert indexing.labels(w.n, 2).tolist() == [[1, 2], [1, 3], [2, 3]]
+    pairs = np.column_stack(indexing.members(w.n, 2, np.arange(3))) + 1
+    assert pairs.tolist() == [[1, 2], [1, 3], [2, 3]]
 
 
 def test_wedge_of_equal_vectors_is_zero():

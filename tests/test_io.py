@@ -639,3 +639,32 @@ def test_row_stream_is_written_in_blocks_and_stops_at_a_non_finite_one(monkeypat
         pio.write_grid_csv(pio.RowStream(grid.shape, rows), buf)
     # The two blocks before the non-finite one were written; nothing after.
     assert_same_text(buf.getvalue(), written(oracles.write_grid_csv, grid[:4]))
+
+
+def test_row_stream_stands_for_an_array_in_reports_and_tables(monkeypatch):
+    # An integer stream counts no floats and computes no row until written;
+    # as a report array, a table column or a CSV cell it writes the bytes of
+    # the array it stands for, and a float stream's slices in a table are
+    # checked finite as they are computed.
+    monkeypatch.setattr(pio, "_BLOCK", 7)
+    labels = np.arange(1, 31).reshape(10, 3)
+    values = np.linspace(-1.0, 1.0, 10)
+    asked = []
+
+    def rows(s):
+        asked.append(s)
+        return labels[s]
+
+    stream = pio.RowStream(labels.shape, rows, int)
+    assert len(stream) == 10 and pio._check_finite(stream) == 0 and asked == []
+    got = {"labels": stream, "rows": pio.Table(label=stream, value=values)}
+    want = {"labels": labels, "rows": pio.Table(label=labels, value=values)}
+    for fmt in ("json", "csv"):
+        assert_same_text(written(pio.write_report, got, fmt=fmt),
+                         written(oracles.write_report, want, fmt=fmt))
+    grid = np.ones((10, 2))
+    grid[7, 1] = math.inf
+    buf = io.StringIO()
+    with pytest.raises(NonFiniteResultError):
+        pio.write_report({"rows": pio.Table(
+            label=stream, value=pio.RowStream(grid.shape, lambda s: grid[s]))}, buf)
