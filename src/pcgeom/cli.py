@@ -279,8 +279,15 @@ def _cmd_reduce(config: Namespace):
     matrix = _read_additive(config)
     eta = config.eta if config.eta is not None else 1.0 / matrix.n
     # Each step scales the residual by 1 - eta(n + lambda); refuse a step
-    # that cannot contract, whose records would grow into overflow.
-    if abs(1.0 - eta * (matrix.n + config.lam)) >= 1.0:
+    # that cannot contract, whose records would grow into overflow, and one
+    # so small that the factor rounds to 1 and no step moves the matrix.
+    factor = 1.0 - eta * (matrix.n + config.lam)
+    if factor == 1.0:
+        raise DivergentStepError(
+            f"eta={eta:g} is too small for n={matrix.n}, lambda={config.lam:g}: "
+            "1 - eta*(n+lambda) rounds to 1, so no step moves the matrix"
+        )
+    if abs(factor) >= 1.0:
         raise DivergentStepError(
             f"eta={eta:g} does not contract for n={matrix.n}, "
             f"lambda={config.lam:g}: need 0 < eta < 2/(n+lambda) = "

@@ -64,7 +64,8 @@ class NonPositiveStepError(PCGeomError):
 
 
 class DivergentStepError(PCGeomError):
-    """Descent step size too large for the residual to contract."""
+    """Descent step size too large for the residual to contract, or so
+    small that the contraction factor rounds to 1."""
 
 
 class NonFiniteResultError(PCGeomError):

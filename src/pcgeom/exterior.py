@@ -175,6 +175,10 @@ def quad_residual_values(p: TwoVector) -> np.ndarray:
     return indexing.collect(_residuals_by_lead(p), comb(p.n, 4))
 
 
+#: Rows of the quad table unranked at a time.
+_QUAD_BLOCK = 1 << 16
+
+
 def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
     """Every 4-subset and its quadratic-relation residual.
 
@@ -182,8 +186,15 @@ def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
     array and the aligned residuals p_kl p_mo - p_km p_lo + p_ko p_lm;
     both are empty for n < 4, where the relations are vacuous.
     """
-    quads = np.column_stack(indexing.members(p.n, 4, np.arange(comb(p.n, 4))))
-    quads += 1
+    count, unrank = comb(p.n, 4), indexing.unranker(p.n, 4)
+    quads = np.empty((count, 4), dtype=np.intp)
+    # Filled a block of rows at a time: four whole C(n,4) member columns
+    # would be held next to the table they fill.
+    for start in range(0, count, _QUAD_BLOCK):
+        block = quads[start:start + _QUAD_BLOCK]
+        members = unrank(np.arange(start, start + len(block)))
+        for column, values in zip(block.T, members):
+            np.add(values, 1, out=column)
     return quads, quad_residual_values(p)
 
 

@@ -218,7 +218,7 @@ def read_matrix(
         return new_additive(arr, tol=tol)
     if resolved_mode == MULTIPLICATIVE:
         return new_multiplicative(arr, tol=tol)
-    raise FormatError(f"unknown matrix mode {resolved_mode!r}")
+    raise FormatError(f"{path}: unknown matrix mode {resolved_mode!r}")
 
 
 def _flat(doc: dict, key: str, path: str | Path) -> np.ndarray:

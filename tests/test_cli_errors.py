@@ -78,6 +78,14 @@ def test_reduce_rejects_divergent_step(
     assert not (tmp_path / "steps.jsonl").exists()
 
 
+@pytest.mark.parametrize("extra", [["--eta", "1e-300"], ["--eta", "1e-17", "--lambda", "2"]])
+def test_reduce_rejects_step_too_small_to_move(capsys, inconsistent_csv, extra):
+    # 1 - eta*(n+lambda) rounds to 1.0 although eta lies inside (0, 2/(n+lambda)).
+    err = run_failing(capsys, ["reduce", inconsistent_csv, *extra])
+    assert "rounds to 1, so no step moves the matrix" in err
+    assert "0 < eta < 2/(n+lambda)" not in err
+
+
 def test_reduce_accepts_step_just_inside_bound(capsys, inconsistent_csv):
     argv = ["reduce", inconsistent_csv, "--eta", "0.66", "--max-steps", "5000"]
     code = main(argv)

@@ -39,7 +39,7 @@ from pcgeom import (
     residuals_decomposable,
     wedge,
 )
-from pcgeom import coupling, indexing
+from pcgeom import coupling, exterior, indexing
 from pcgeom import io as pio
 from pcgeom.cli import main
 
@@ -252,6 +252,17 @@ def test_arithmetic_quad_table_matches_combinations(n):
     assert bits(values) == bits(want_values)
 
 
+def test_quad_table_blocks_join_at_every_row(monkeypatch):
+    # Blocks of 7 rows end inside and at the ends of lead runs.
+    monkeypatch.setattr(exterior, "_QUAD_BLOCK", 7)
+    p = new_two_vector(12, np.random.default_rng(12).normal(size=66))
+    quads, values = quad_residuals(p)
+    want_quads, want_values = oracle_quad_residuals(p)
+    assert quads.dtype == np.intp
+    assert quads.tolist() == want_quads
+    assert bits(values) == bits(want_values)
+
+
 def labels(n, r):
     """The 1-based r-subsets of 1..n, one row each, from the positions."""
     return np.column_stack(indexing.members(n, r, np.arange(math.comb(n, r)))) + 1
@@ -455,6 +466,20 @@ def test_decomposable_verdict_memory_is_order_triads_not_quads():
     # The quad table held ten C(n,4)-long index arrays, 80 C(n,4) bytes or
     # (n-3)/4 * 10 = 142 times 8 C(n,3); the bound allows sixteen.
     assert peak < 16 * 8 * math.comb(n, 3)
+
+
+def test_quad_table_memory_is_about_its_result():
+    # The table is filled a block of rows at a time; stacking four whole
+    # C(n,4) member columns held them next to the table they filled.
+    n = 60
+    p = new_two_vector(n, np.random.default_rng(6).normal(size=math.comb(n, 2)))
+    tracemalloc.start()
+    try:
+        quads, values = quad_residuals(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < quads.nbytes + values.nbytes + 2 * 8 * math.comb(n, 4)
 
 
 def test_repeated_quad_walks_retain_no_memory():

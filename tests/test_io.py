@@ -177,6 +177,15 @@ def test_bytes_that_are_not_utf8_after_good_rows_name_the_file(tmp_path):
         pio.read_matrix(path)
 
 
+def test_unknown_json_mode_exits_two_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "mode": "weird", "entries": [[0, 1], [-1, 0]]}))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pcgeom: error: {path}: unknown matrix mode 'weird'\n"
+
+
 # ------------------------------------------------------------------ writing
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import pcgeom
+from pcgeom import usage
 from pcgeom.cli import main
 
 #: What ``import pcgeom.cli`` loads: the modules every matrix command uses,
@@ -32,22 +33,26 @@ CLI_MODULES = {
 #: What ``python -m pcgeom`` loads when argparse answers on its own.
 USAGE_MODULES = {"pcgeom", "pcgeom.usage"}
 
-#: Runs ``python -m pcgeom ARGS`` through runpy, as ``-m`` does, and prints
-#: the loaded pcgeom modules, and numpy, dataclasses and orjson if they
-#: loaded, to stderr from an atexit handler. The value types are plain
-#: classes, so no command loads dataclasses (numpy itself imports none);
-#: orjson loads only to write a document of many numbers, and the
-#: commands run below write small ones.
-PROBE = (
-    "import atexit, json, runpy, sys\n"
-    "atexit.register(lambda: print(json.dumps(sorted(\n"
-    "    m for m in sys.modules\n"
-    "    if m in ('numpy', 'dataclasses', 'orjson')\n"
-    "    or m.split('.')[0] == 'pcgeom')),\n"
-    "    file=sys.stderr))\n"
-    "sys.argv[0] = 'pcgeom'\n"
-    "runpy.run_module('pcgeom', run_name='__main__', alter_sys=True)\n"
-)
+def probe(tracked: tuple[str, ...]) -> str:
+    """Code that runs ``python -m pcgeom ARGS`` through runpy, as ``-m``
+    does, and prints the loaded pcgeom modules, and those of ``tracked``
+    that loaded, to stderr from an atexit handler."""
+    return (
+        "import atexit, json, runpy, sys\n"
+        "atexit.register(lambda: print(json.dumps(sorted(\n"
+        "    m for m in sys.modules\n"
+        f"    if m in {tracked!r}\n"
+        "    or m.split('.')[0] == 'pcgeom')),\n"
+        "    file=sys.stderr))\n"
+        "sys.argv[0] = 'pcgeom'\n"
+        "runpy.run_module('pcgeom', run_name='__main__', alter_sys=True)\n"
+    )
+
+
+#: The value types are plain classes, so no command loads dataclasses
+#: (numpy itself imports none); orjson loads only to write a document of
+#: many numbers, and the commands run below write small ones.
+PROBE = probe(("numpy", "dataclasses", "orjson"))
 
 
 def loaded_after(code: str) -> set[str]:
@@ -186,6 +191,19 @@ def test_parser_answers_without_numpy(argv, code):
     assert set(json.loads(proc.stderr.splitlines()[-1])) == USAGE_MODULES
 
 
+@pytest.mark.parametrize("argv, wraps", [(["--version"], False), (["--help"], True)])
+def test_version_skips_the_help_formatter(argv, wraps):
+    """--version writes its one line itself; argparse's help formatter,
+    which imports textwrap to wrap text, runs only for help."""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe(("textwrap",)), *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert ("textwrap" in json.loads(proc.stderr.splitlines()[-1])) is wraps
+
+
 #: Holds an object until interpreter teardown, whose finalizer then
 #: writes a marker to stderr; a process that ends with os._exit skips the
 #: teardown and never writes it.
@@ -271,6 +289,22 @@ def test_module_help_matches_in_process_help(capsys, monkeypatch):
     )
     assert proc.returncode == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(usage.COMMANDS))
+def test_module_command_help_matches_in_process_help(capsys, monkeypatch, command):
+    # Each subparser adds its flags when it first parses, in both processes.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgeom", command, "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.startswith(f"usage: pcgeom {command} [-h]")
 
 
 def test_exports_are_their_defining_objects():
