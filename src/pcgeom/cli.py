@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, indexing, io
 # Not on demand: bench/launcher.py wraps CouplingMap right after importing cli.
 from .coupling import closed_form_diagnosis, gram_rows
-from .errors import DivergentStepError, PCGeomError
+from .errors import PCGeomError
 from .pc_core import (
     AdditiveMatrix,
     DEFAULT_TOLERANCE,
@@ -216,7 +216,7 @@ def _cmd_embed(config: Namespace):
     matrix = _read_additive(config)
     emb = _embedding(config, matrix)
     w = planar_pair_wedges(matrix) if emb is None else pair_wedges(emb.vectors)
-    i, j = indexing.members(matrix.n, 2, np.arange(indexing.pair_count(matrix.n)))
+    i, j = np.triu_indices(matrix.n, k=1)
     return 0, _report(
         config,
         n=matrix.n,
@@ -278,21 +278,6 @@ def _cmd_reduce(config: Namespace):
 
     matrix = _read_additive(config)
     eta = config.eta if config.eta is not None else 1.0 / matrix.n
-    # Each step scales the residual by 1 - eta(n + lambda); refuse a step
-    # that cannot contract, whose records would grow into overflow, and one
-    # so small that the factor rounds to 1 and no step moves the matrix.
-    factor = 1.0 - eta * (matrix.n + config.lam)
-    if factor == 1.0:
-        raise DivergentStepError(
-            f"eta={eta:g} is too small for n={matrix.n}, lambda={config.lam:g}: "
-            "1 - eta*(n+lambda) rounds to 1, so no step moves the matrix"
-        )
-    if abs(factor) >= 1.0:
-        raise DivergentStepError(
-            f"eta={eta:g} does not contract for n={matrix.n}, "
-            f"lambda={config.lam:g}: need 0 < eta < 2/(n+lambda) = "
-            f"{2.0 / (matrix.n + config.lam):g}"
-        )
     trajectory = reduce_iterative(
         matrix,
         lam=config.lam,
@@ -322,7 +307,7 @@ def _cmd_twoform(config: Namespace):
 
     matrix = _read_additive(config)
     omega, entry, abs_error = evaluation_columns(matrix)
-    i, j = indexing.members(matrix.n, 2, np.arange(indexing.pair_count(matrix.n)))
+    i, j = np.triu_indices(matrix.n, k=1)
     # Discrete closedness is the consistency predicate; scan triads once.
     closed = is_closed_discrete(matrix, config.tol)
     return 0, _report(

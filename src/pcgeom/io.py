@@ -15,13 +15,16 @@ value is checked finite before the first byte is written, except the
 rows of a :class:`RowStream`, each block of which is checked as it is
 computed.
 
-Arrays, tables and additive matrices are written a block of rows at a
-time; each block's numbers come from one call that writes its compact
-JSON text. A document whose arrays, tables and matrices hold at least
-``_ORJSON_FROM`` floats takes that text from ``orjson``, which writes
-the digits of ``float.__repr__``; runs of items holding a float it lays
-out otherwise (1e-9 <= |x| < 1e-4, |x| >= 1e16) are written by
-``json.dumps``, as a smaller document is, which never imports orjson.
+Arrays, tables and CSV grids are written a block of rows at a time, and
+an additive matrix as the rows of its ``to_array()``; each block's
+numbers come from one call that writes its compact JSON text, and the
+pieces go to ``dest.writelines`` as they are made, so only one block's
+text is held at a time. A document whose arrays, tables and matrices
+hold at least ``_ORJSON_FROM`` floats takes that text from ``orjson``,
+which writes the digits of ``float.__repr__``; runs of items holding a
+float it lays out otherwise (1e-9 <= |x| < 1e-4, |x| >= 1e16) are
+written by ``json.dumps``, as a smaller document is, which never
+imports orjson.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from . import indexing
 from .errors import NonFiniteResultError, PCGeomError
 from .pc_core import (
     AdditiveMatrix,
@@ -305,7 +307,7 @@ def matrix_document(
     m: AdditiveMatrix | MultiplicativeMatrix, version: str | None = None
 ) -> dict:
     """The JSON document of a matrix; an additive matrix's entries are
-    written from its upper triangle."""
+    written as the rows of its ``to_array()``."""
     if isinstance(m, AdditiveMatrix):
         doc: dict[str, Any] = {"n": int(m.n), "mode": ADDITIVE, "entries": m}
     else:
@@ -327,8 +329,6 @@ def steps_table(trajectory: ReductionTrajectory) -> Table:
 #: Numbers per block of text: each block is formatted, written and freed
 #: before the next, so a document's text never exists whole.
 _BLOCK = 1 << 14
-#: Characters gathered before one write to the destination.
-_WRITE = 1 << 16
 #: A document whose arrays hold at least this many floats takes their
 #: text from orjson. Importing orjson after numpy costs about 10 ms (it
 #: loads uuid, zoneinfo and sysconfig); it then formats a float in about
@@ -380,22 +380,11 @@ def _row_blocks(
     value: np.ndarray | AdditiveMatrix | RowStream,
 ) -> Iterator[np.ndarray]:
     """The rows of an array, a row stream or an additive matrix's
-    ``to_array()``, about _BLOCK numbers at a time. Additive rows are
-    gathered from the upper triangle, negated below the diagonal (-0.0
-    included) and 0.0 on it, as ``to_array`` builds them."""
-    if isinstance(value, (np.ndarray, RowStream)):
-        width = math.prod(value.shape[1:])
-        yield from (value[rows] for rows in _blocks(len(value), width))
-        return
-    n = value.n
-    j = np.arange(n)
-    for rows in _blocks(n, n):
-        i = j[rows, None]
-        pairs = indexing.pair_index(n, np.minimum(i, j), np.maximum(i, j))
-        block = value.upper[pairs]
-        np.negative(block, out=block, where=j < i)
-        block[i == j] = 0.0
-        yield block
+    ``to_array()``, about _BLOCK numbers at a time."""
+    if isinstance(value, AdditiveMatrix):
+        value = value.to_array()
+    width = math.prod(value.shape[1:])
+    return (value[rows] for rows in _blocks(len(value), width))
 
 
 def _text(block: np.ndarray, fast: bool) -> str:
@@ -469,9 +458,8 @@ def _list(texts: Iterable[str]) -> Iterator[str]:
     yield "["
     sep = ""
     for text in texts:
-        if text:
-            yield sep + text
-            sep = ", "
+        yield sep + text
+        sep = ", "
     yield "]"
 
 
@@ -495,28 +483,15 @@ def _pieces(value: Any, fast: bool) -> Iterator[str]:
         yield json.dumps(value)
 
 
-def _write(dest: TextIO, pieces: Iterable[str]) -> None:
-    """Write the pieces in a few large writes."""
-    buf: list[str] = []
-    size = 0
-    for piece in pieces:
-        buf.append(piece)
-        size += len(piece)
-        if size >= _WRITE:
-            dest.write("".join(buf))
-            buf.clear()
-            size = 0
-    dest.write("".join(buf))
-
-
 def _write_json(doc: dict, dest: TextIO) -> None:
     """Write doc as one line of JSON; a Table as JSON Lines, one line per
-    row. Nothing is written unless every value is finite."""
+    row. Nothing is written unless every value is finite; then the pieces
+    go to dest.writelines as they are made, a block's text at a time."""
     fast = _use_orjson(doc)
     if isinstance(doc, Table):
-        _write(dest, ("\n".join(rows) + "\n" for rows in _table_rows(doc, fast)))
+        dest.writelines("\n".join(rows) + "\n" for rows in _table_rows(doc, fast))
     else:
-        _write(dest, _pieces(doc, fast))
+        dest.writelines(_pieces(doc, fast))
         dest.write("\n")
 
 
@@ -556,7 +531,7 @@ def write_grid_csv(
     fast = _use_orjson(entries)
     # One split and one join: a replace of "],[" runs about 25% slower.
     rows = (_text(block, fast)[2:-2].split("],[") for block in _row_blocks(entries))
-    _write(dest, ("\r\n".join(block) + "\r\n" for block in rows))
+    dest.writelines("\r\n".join(block) + "\r\n" for block in rows)
 
 
 def write_matrix(
@@ -582,7 +557,7 @@ def write_report(report: dict, dest: TextIO, fmt: str = "json") -> None:
         fast = _use_orjson(report)
         for key, value in report.items():
             cell = _csv_text(value, fast)
-            _write(dest, chain(_csv_cell([key]), ",", cell, "\r\n"))
+            dest.writelines(chain(_csv_cell([key]), ",", cell, "\r\n"))
     else:
         raise FormatError(f"unsupported report format {fmt!r}")
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonPositiveStepError, ReadOnly
+from .errors import DivergentStepError, NonPositiveStepError, ReadOnly
 from .pc_core import (
     AdditiveMatrix,
     _check_lambda,
@@ -109,8 +109,10 @@ def reduce_iterative(
     one split of a (see the module docstring) in O(n^2 + steps).
 
     eta defaults to 1/n, which reaches the exact projection in one step.
-    Failure to converge within max_steps is reported through the
-    ``converged`` flag, not as an error.
+    A step that cannot contract (|q| >= 1), whose records would grow into
+    overflow, or one so small that q rounds to 1 and no step moves the
+    matrix, raises DivergentStepError. Failure to converge within
+    max_steps is reported through the ``converged`` flag, not as an error.
     """
     n = a.n
     if eta is None:
@@ -122,11 +124,20 @@ def reduce_iterative(
         raise ValueError("max_steps must be at least 1")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
+    q = 1.0 - eta * (n + lam)
+    if q == 1.0:
+        raise DivergentStepError(
+            f"eta={eta:g} is too small for n={n}, lambda={lam:g}: "
+            "1 - eta*(n+lambda) rounds to 1, so no step moves the matrix"
+        )
+    if abs(q) >= 1.0:
+        raise DivergentStepError(
+            f"eta={eta:g} does not contract for n={n}, lambda={lam:g}: "
+            f"need 0 < eta < 2/(n+lambda) = {2.0 / (n + lam):g}"
+        )
 
     _, residual = recover_scores(a)
     r_sq = float(np.dot(residual.upper, residual.upper))
-    q = 1.0 - eta * (n + lam)
-    # A divergent run overflows to inf: float products do not raise.
     i_alg = [n * r_sq]
     while i_alg[-1] > tol and len(i_alg) <= max_steps:
         i_alg.append(i_alg[-1] * (q * q))

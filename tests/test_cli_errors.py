@@ -17,9 +17,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pcgeom import NonFiniteResultError
+from pcgeom import NonFiniteResultError, PCGeomError
 from pcgeom import io as pio
-from pcgeom.cli import _emit, main, run
+from pcgeom.cli import _embedding, _emit, main, run
 from pcgeom.usage import build_parser
 
 INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
@@ -448,6 +448,43 @@ def test_matrix_and_embedding_with_non_integer_n_are_refused(tmp_path, n_text):
 def test_matrix_and_embedding_n_may_be_an_integral_float(tmp_path, n_text):
     assert pio.read_matrix(write_matrix_json(tmp_path, n_text)).n == 3
     assert pio.read_embedding(write_embedding_json(tmp_path, n_text)).n == 3
+
+
+IDENTITY_4 = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+MATRIX_3 = f'{{"n": 3, "entries": {MATRIX_ROWS}}}'
+
+
+@pytest.mark.parametrize(
+    "matrix_doc, embedding_doc, error, message",
+    [
+        ('{"n": 3, "entries": [[0, 1]', None, pio.FormatError,
+         "{m}: invalid JSON (Expecting ',' delimiter: line 1 column 28 (char 27))"),
+        (f'{{"n": 4, "entries": {MATRIX_ROWS}}}', None, pio.FormatError,
+         "{m}: entries shape (3, 3) does not match n=4"),
+        (MATRIX_3, f'{{"n": 4, "vectors": {EMBEDDING_ROWS}}}', pio.FormatError,
+         "{e}: 3 vectors do not match n=4"),
+        (MATRIX_3, f'{{"vectors": {IDENTITY_4}}}', PCGeomError,
+         "embedding is for n=4, matrix has n=3"),
+    ],
+    ids=["invalid-json", "matrix-n", "embedding-n", "embedding-for-another-n"],
+)
+def test_documents_that_disagree_exit_two_naming_the_fault(
+    capsys, tmp_path, matrix_doc, embedding_doc, error, message
+):
+    matrix, emb = tmp_path / "m.json", tmp_path / "e.json"
+    matrix.write_text(matrix_doc)
+    argv = ["indices", str(matrix)]
+    if embedding_doc is not None:
+        emb.write_text(embedding_doc)
+        argv += ["--embedding", "custom", "--embedding-file", str(emb)]
+    message = message.format(m=matrix, e=emb)
+    config = build_parser().parse_args(argv)
+    with pytest.raises(error) as exc:
+        _embedding(config, pio.read_matrix(matrix))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    err = run_failing(capsys, argv)
+    assert err == f"pcgeom: error: {message}\n"
 
 
 def test_scalar_embedding_vectors_exit_two(capsys, tmp_path, inconsistent_csv):

@@ -151,31 +151,6 @@ def test_descent_matches_sparse_incidence_update(a, lam, eta_scale):
         )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    additive_matrices(min_n=3),
-    st.sampled_from([0.0, 0.5]),
-    st.sampled_from([2.5, 3.0]),
-)
-def test_divergent_descent_matches_sparse_incidence_update(a, lam, rate):
-    eta = rate / (a.n + lam)  # |1 - eta (n + lam)| > 1: the residual grows
-    tol = 1e-12
-    want, uppers, converged = sparse_descent(a, lam, eta, max_steps=10, tol=tol)
-    assume(all(abs(i_alg - tol) > 1e-6 * tol for i_alg, _ in want))
-    trajectory = reduce_iterative(a, lam=lam, eta=eta, max_steps=10, tol=tol)
-    assert trajectory.converged == converged
-    assert len(trajectory.steps) == len(want)
-    # The oracle's rounding grows with the residual, so the scale is the
-    # largest record, here the last; a descent's largest is its first.
-    scale = max(i_alg for i_alg, _ in want)
-    for step, (i_alg, i_geom), upper in zip(trajectory.steps, want, uppers):
-        assert close(step.i_alg, i_alg, scale)
-        assert close(step.i_geom, i_geom, a.n * a.n * scale)
-        np.testing.assert_allclose(
-            step.matrix.upper, upper, rtol=0, atol=1e-9 * max(1.0, scale)
-        )
-
-
 def test_descent_splits_the_input_once(monkeypatch):
     from pcgeom import reduction
 

@@ -169,6 +169,21 @@ def test_quadratic_inconsistency_dimension_check():
         quadratic_form(gram(4), np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "method, size, message",
+    [
+        ("apply", 3, "expected 4 deviations for n=4, got 3"),
+        ("apply_transpose", 5, "expected 6 pair values, got 5"),
+    ],
+    ids=["apply", "apply-transpose"],
+)
+def test_incidence_refuses_a_vector_of_the_wrong_size(method, size, message):
+    with pytest.raises(DimensionMismatchError) as exc:
+        getattr(coupling_coefficients(4), method)(np.ones(size))
+    assert type(exc.value) is DimensionMismatchError
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_gram_identity_random(n):
     rng = np.random.default_rng(50 + n)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pcgeom import (
+    DimensionMismatchError,
     IndexOutOfRangeError,
+    NonFiniteEntryError,
     ZeroCoefficientError,
     algebraic_inconsistency,
     custom_embedding,
@@ -57,6 +59,35 @@ def test_planar_embedding_rows():
 def test_custom_embedding_shape_validation():
     with pytest.raises(Exception):
         custom_embedding([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: orthogonal_embedding([1.0, 2.0, 3.0]).vector(4),
+         IndexOutOfRangeError, "index 4 outside 1..3"),
+        (lambda: orthogonal_embedding([1.0]), DimensionMismatchError,
+         "need at least 2 coefficients"),
+        (lambda: orthogonal_embedding([1.0, np.inf]), NonFiniteEntryError,
+         "coefficients must be finite"),
+        (lambda: planar_embedding([1.0]), DimensionMismatchError,
+         "need at least 2 scores"),
+        (lambda: planar_embedding([1.0, np.nan]), NonFiniteEntryError,
+         "score 2 is not finite"),
+        (lambda: custom_embedding([[1.0]]), DimensionMismatchError,
+         "need at least 2 vectors"),
+        (lambda: custom_embedding([[1.0, np.nan], [0.0, 1.0]]),
+         NonFiniteEntryError, "vectors must be finite"),
+    ],
+    ids=["vector-out-of-range", "orthogonal-too-few", "orthogonal-non-finite",
+         "planar-too-few", "planar-non-finite", "custom-too-few",
+         "custom-non-finite"],
+)
+def test_refusals_name_the_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def test_scores_to_coefficients_positive_monotone():

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from pcgeom import (
     DimensionMismatchError,
+    NonFiniteEntryError,
     ZeroTwoVectorError,
     chordal_distance,
     is_decomposable,
     new_two_vector,
     normalize_grassmann,
     quad_residuals,
+    residuals_decomposable,
     wedge,
 )
 from pcgeom import indexing
@@ -77,6 +79,36 @@ def test_wedge_refuses_nested_vectors(u, v):
 def test_new_two_vector_refuses_nested_coords():
     with pytest.raises(DimensionMismatchError, match="coords must be a flat"):
         new_two_vector(3, [[1, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: new_two_vector(1, []), DimensionMismatchError,
+         "dimension must be at least 2"),
+        (lambda: new_two_vector(3, [1.0, 2.0]), DimensionMismatchError,
+         "expected 3 coordinates for n=3, got 2"),
+        (lambda: new_two_vector(3, [1.0, np.nan, 0.0]), NonFiniteEntryError,
+         "2-vector coordinates must be finite"),
+        (lambda: wedge([1.0], [1.0]), DimensionMismatchError,
+         "u needs at least 2 components"),
+        (lambda: wedge([1.0, 2.0], [np.inf, 0.0]), NonFiniteEntryError,
+         "v has a non-finite component"),
+        (lambda: wedge([1, 0, 0], [0, 1, 0]).coord(1, 4), DimensionMismatchError,
+         "pair (1,4) invalid for dimension 3"),
+        (lambda: residuals_decomposable(wedge([1, 0, 0, 0], [0, 1, 0, 0]),
+                                        np.zeros(1), tol=0.0),
+         ValueError, "tolerance must be positive"),
+    ],
+    ids=["two-vector-n", "two-vector-length", "two-vector-non-finite",
+         "wedge-too-short", "wedge-non-finite", "coord-out-of-range",
+         "decomposable-tol"],
+)
+def test_refusals_name_the_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 @settings(max_examples=150, deadline=None)

@@ -186,6 +186,31 @@ def test_unknown_json_mode_exits_two_naming_the_file(capsys, tmp_path):
     assert captured.err == f"pcgeom: error: {path}: unknown matrix mode 'weird'\n"
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: pio.infer_format("m.txt"), pio.FormatError,
+         "cannot infer format from 'm.txt'; pass an explicit format"),
+        (lambda: pio.Table(a=np.zeros(2), b=np.zeros(3)), ValueError,
+         "table columns differ in length"),
+        (lambda: pio.read_matrix("m.csv", fmt="xml"), pio.FormatError,
+         "unsupported matrix format 'xml'"),
+        (lambda: pio.write_matrix(new_additive(np.zeros((2, 2))), io.StringIO(),
+                                  fmt="xml"),
+         pio.FormatError, "unsupported matrix format 'xml'"),
+        (lambda: pio.write_report({}, io.StringIO(), fmt="xml"), pio.FormatError,
+         "unsupported report format 'xml'"),
+    ],
+    ids=["infer-without-fallback", "table-ragged", "read-matrix-format",
+         "write-matrix-format", "write-report-format"],
+)
+def test_refusals_name_the_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 # ------------------------------------------------------------------ writing
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
@@ -285,7 +310,6 @@ def test_report_bytes_match_plain_writers(fmt):
 def test_long_tables_and_arrays_are_written_in_blocks(monkeypatch):
     # Blocks of 7 numbers, so every table and array spans several blocks.
     monkeypatch.setattr(pio, "_BLOCK", 7)
-    monkeypatch.setattr(pio, "_WRITE", 5)
     rng = np.random.default_rng(5)
     for fmt in ("json", "csv"):
         report = special_report(rng)
@@ -643,7 +667,6 @@ def test_row_stream_is_written_in_blocks_and_stops_at_a_non_finite_one(monkeypat
     assert not pio._use_orjson(pio.RowStream((99, 101), rows))
     grid[5, 1] = math.inf
     buf = io.StringIO()
-    monkeypatch.setattr(pio, "_WRITE", 1)
     with pytest.raises(NonFiniteResultError):
         pio.write_grid_csv(pio.RowStream(grid.shape, rows), buf)
     # The two blocks before the non-finite one were written; nothing after.

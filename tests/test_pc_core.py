@@ -102,6 +102,36 @@ def test_entry_accessor_is_one_based():
         a.entry(1, 4)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: from_scores([0.0, math.nan, 1.0]), NonFiniteEntryError,
+         "score 2 is not finite"),
+        (lambda: from_scores([1.0]), TooSmallError, "need at least 2 scores"),
+        (lambda: new_multiplicative([[1, math.inf], [0.5, 1]]),
+         NonFiniteEntryError, "entry (1,2) is not finite"),
+        (lambda: new_multiplicative(np.ones((2, 2))).entry(3, 1),
+         IndexOutOfRangeError, "index 3 outside 1..2"),
+        (lambda: new_additive(np.zeros((2, 2)), tol=0.0), ValueError,
+         "tolerance must be positive"),
+        (lambda: new_multiplicative(np.ones((2, 2)), tol=-1.0), ValueError,
+         "tolerance must be positive"),
+        (lambda: is_consistent(new_additive(CONSISTENT_3), tol=0.0), ValueError,
+         "tolerance must be positive"),
+        (lambda: permute(new_additive(CONSISTENT_3), [1, 1, 2]), ValueError,
+         "order must be a permutation of 1..3"),
+    ],
+    ids=["scores-non-finite", "scores-too-few", "multiplicative-non-finite",
+         "multiplicative-entry", "additive-tol", "multiplicative-tol",
+         "consistent-tol", "permute-not-permutation"],
+)
+def test_refusals_name_the_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 # ------------------------------------------------------------------ conversion
 
 

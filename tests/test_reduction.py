@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pcgeom import (
+    DivergentStepError,
     NonPositiveLambdaError,
     NonPositiveStepError,
     all_triad_deviations,
@@ -134,11 +135,25 @@ def test_monotone_descent_below_critical_step():
                 assert nxt < prev
 
 
-def test_divergent_step_reports_non_convergence():
+@pytest.mark.parametrize(
+    "eta, lam, message",
+    [
+        (1.0, 0.0, "eta=1 does not contract for n=3, lambda=0: "
+         "need 0 < eta < 2/(n+lambda) = 0.666667"),
+        (0.5, 1.0, "eta=0.5 does not contract for n=3, lambda=1: "
+         "need 0 < eta < 2/(n+lambda) = 0.5"),
+        (1e-300, 0.0, "eta=1e-300 is too small for n=3, lambda=0: "
+         "1 - eta*(n+lambda) rounds to 1, so no step moves the matrix"),
+    ],
+    ids=["too-large", "at-bound-with-lambda", "too-small"],
+)
+def test_step_that_cannot_contract_is_refused(eta, lam, message):
+    # Each step scales the residual by q = 1 - eta*(n + lam): |q| >= 1
+    # would grow the records into overflow, and q == 1 moves nothing.
     a = new_additive(INCONSISTENT_3)
-    trajectory = reduce_iterative(a, eta=1.0, max_steps=20)  # eta > 2/n
-    assert not trajectory.converged
-    assert len(trajectory.steps) == 21
+    with pytest.raises(DivergentStepError) as exc:
+        reduce_iterative(a, lam=lam, eta=eta, max_steps=20)
+    assert str(exc.value) == message
 
 
 def test_regularized_descent_same_fixed_point():
