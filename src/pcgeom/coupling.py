@@ -82,10 +82,8 @@ def coupling_coefficients(n: int) -> CouplingMap:
     entry[ij] + entry[jk] - entry[ik]."""
     if n < 3:
         raise TooSmallError(f"need at least 3 alternatives, got {n}")
-    i, j, k = indexing.members(n, 3, np.arange(indexing.triad_count(n)))
-    positions = [indexing.pair_index(n, *pair) for pair in ((i, j), (j, k), (i, k))]
-    for arr in positions:
-        arr.setflags(write=False)
+    positions = indexing.triad_pairs(n)
+    positions.setflags(write=False)
     return CouplingMap(n, *positions)
 
 

@@ -153,30 +153,23 @@ def wedge_rows(x, y) -> np.ndarray:
 
 
 def _residuals_by_lead(p: TwoVector):
-    """Yield the residuals of the quads led by k = 0, 1, ..., n-4.
-
-    The quads led by k are k followed by the tail of the lexicographic
-    triad list from ``lead_starts(n, 4)[k]``, so one block is one slice
-    of the triad columns (l, m, o) and of their pair positions. Only
-    O(n^3) memory is live at a time.
-    """
-    n, q, pos = p.n, p.coords, indexing.pair_index
-    l, m, o = indexing.members(n, 3, np.arange(indexing.triad_count(n)))
-    lm, lo, mo = pos(n, l, m), pos(n, l, o), pos(n, m, o)
-    for k, start in zip(range(n - 3), indexing.lead_starts(n, 4)):
-        base = pos(n, k, 0)
-        yield (q[base + l[start:]] * q[mo[start:]]
-               - q[base + m[start:]] * q[lo[start:]]
-               + q[base + o[start:]] * q[lm[start:]])
+    """Yield the residuals of the quads led by k = 0, 1, ..., n-4: k and a
+    slice of the triad list (:func:`~pcgeom.indexing.by_lead`), so one block
+    is one slice of the triad columns (l, m, o) and of their pair positions,
+    and only O(n^3) memory is live at a time."""
+    q = p.coords
+    rows, cols = np.triu_indices(p.n, k=1)
+    lm, mo, lo = indexing.triad_pairs(p.n)
+    l, m, o = rows[lm], rows[mo], cols[mo]
+    for base, lmo in indexing.by_lead(p.n, 4):
+        yield (q[base + l[lmo]] * q[mo[lmo]]
+               - q[base + m[lmo]] * q[lo[lmo]]
+               + q[base + o[lmo]] * q[lm[lmo]])
 
 
 def quad_residual_values(p: TwoVector) -> np.ndarray:
     """The residuals of :func:`quad_residuals`, without their quads."""
     return indexing.collect(_residuals_by_lead(p), comb(p.n, 4))
-
-
-#: Rows of the quad table unranked at a time.
-_QUAD_BLOCK = 1 << 16
 
 
 def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
@@ -186,16 +179,18 @@ def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
     array and the aligned residuals p_kl p_mo - p_km p_lo + p_ko p_lm;
     both are empty for n < 4, where the relations are vacuous.
     """
-    count, unrank = comb(p.n, 4), indexing.unranker(p.n, 4)
-    quads = np.empty((count, 4), dtype=np.intp)
-    # Filled a block of rows at a time: four whole C(n,4) member columns
-    # would be held next to the table they fill.
-    for start in range(0, count, _QUAD_BLOCK):
-        block = quads[start:start + _QUAD_BLOCK]
-        members = unrank(np.arange(start, start + len(block)))
-        for column, values in zip(block.T, members):
-            np.add(values, 1, out=column)
-    return quads, quad_residual_values(p)
+    values = quad_residual_values(p)
+    rows, cols = np.triu_indices(p.n, k=1)
+    lm, mo, _ = indexing.triad_pairs(p.n)
+    triads = np.column_stack([rows[lm], rows[mo], cols[mo]]) + 1
+    quads, end = np.empty((comb(p.n, 4), 4), dtype=np.intp), 0
+    # Filled one lead at a time, after the residuals: the walk's triad
+    # columns are freed before the table is written.
+    for k, (_, lmo) in enumerate(indexing.by_lead(p.n, 4)):
+        block = quads[end:(end := end + len(triads[lmo]))]
+        block[:, 0] = k + 1
+        block[:, 1:] = triads[lmo]
+    return quads, values
 
 
 def residuals_decomposable(

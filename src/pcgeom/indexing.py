@@ -37,18 +37,32 @@ def lead_starts(n: int, r: int) -> np.ndarray:
     return np.cumsum([comb(n - 1 - j, r - 2) for j in range(n)], dtype=np.intp)
 
 
-def members(n: int, r: int, positions) -> tuple[np.ndarray, ...]:
-    """Members of the r-sets of 0..n-1 at these lexicographic positions,
-    one array per place: ``unranker(n, r)(positions)``."""
-    return unranker(n, r)(positions)
+def by_lead(n: int, r: int):
+    """For each lead i = 0..n-r, yield pos(i, 0) and the slice of the
+    (r-1)-set list from ``lead_starts(n, r)[i]``: the r-sets led by i are i
+    and the sets of that slice, and (i, j) is pair pos(i, 0) + j. A slice,
+    not an index array, so that reading the tail takes a view, not a copy."""
+    for i, start in zip(range(n - r + 1), lead_starts(n, r)):
+        yield pair_index(n, i, 0), slice(start, None)
+
+
+def triad_pairs(n: int) -> np.ndarray:
+    """Pair positions (ij, jk, ik) of every triad i < j < k, as the rows of
+    one new (3, C(n,3)) array filled one lead at a time; empty for n < 3."""
+    rows, cols = np.triu_indices(n, k=1)
+    table, end = np.empty((3, triad_count(n)), dtype=np.intp), 0
+    for base, jk in by_lead(n, 3):
+        block = table[:, end:(end := end + rows[jk].size)]
+        block[:] = base + rows[jk], np.arange(jk.start, rows.size), base + cols[jk]
+    return table
 
 
 def unranker(n: int, r: int):
-    """:func:`members` of n and r as a function of the positions, its tables
-    built once. The r-sets led by i end at ``lead_starts(n, r + 1)[i]`` and
-    are i followed by the tail of the (r-1)-set list, which ends at C(n, r-1):
-    so per place one searchsorted finds the lead, one gather the shift to the
-    position in that list, and at r = 1 the member is the position."""
+    """Members of the r-sets of 0..n-1 at given positions, one array per
+    place, as a function with its tables built once. The r-sets led by i end
+    at ``lead_starts(n, r + 1)[i]`` and are i and the tail of the (r-1)-set
+    list, which ends at C(n, r-1): per place one searchsorted finds the lead,
+    one gather the shift, and at r = 1 the member is the position."""
     tables = [lead_starts(n, s + 1) for s in range(r, 1, -1)]
     levels = [(t, comb(n, s - 1) - t) for s, t in zip(range(r, 1, -1), tables)]
 

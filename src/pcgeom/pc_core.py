@@ -262,18 +262,17 @@ def triad_deviation(a: AdditiveMatrix, i: int, j: int, k: int) -> float:
 def _deviations_by_lead(a: AdditiveMatrix):
     """Yield the deviations of the triads led by i = 0, 1, ..., n-3.
 
-    The triads led by i are i followed by the tail of the lexicographic
-    pair list from ``lead_starts(n, 3)[i]``. So one block is one slice of
-    the pair list, with (i, j) and (i, k) found by shifting j and k by
-    pos(i, 0). Concatenated, the blocks are ``all_triad_deviations`` in
-    order, computed with the same sums; only O(n^2) memory is live at a
-    time, and no sum is evaluated that belongs to no triad.
+    The triads led by i are i followed by a slice of the pair list
+    (:func:`~pcgeom.indexing.by_lead`), with (i, j) and (i, k) found by
+    shifting j and k by pos(i, 0). Concatenated, the blocks are
+    ``all_triad_deviations`` in order, computed with the same sums; only
+    O(n^2) memory is live at a time, and no sum is evaluated that belongs
+    to no triad.
     """
-    n, u = a.n, a.upper
-    rows, cols = np.triu_indices(n, k=1)
-    for i, start in zip(range(n - 2), indexing.lead_starts(n, 3)):
-        base = indexing.pair_index(n, i, 0)
-        yield u[base + rows[start:]] + u[start:] - u[base + cols[start:]]
+    u = a.upper
+    rows, cols = np.triu_indices(a.n, k=1)
+    for base, jk in indexing.by_lead(a.n, 3):
+        yield u[base + rows[jk]] + u[jk] - u[base + cols[jk]]
 
 
 def all_triad_deviations(a: AdditiveMatrix) -> np.ndarray:

@@ -48,8 +48,7 @@ class ReductionStep(ReadOnly):
         t = self.trajectory
         if self.index == 0:
             return t.start
-        # A numpy power overflows to inf, where float ** int would raise.
-        shrink = 1.0 - np.float64(t.q) ** self.index
+        shrink = 1.0 - t.q ** self.index
         return _from_upper(t.start.n, t.start.upper - shrink * t.residual.upper)
 
 

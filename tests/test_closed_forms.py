@@ -39,7 +39,7 @@ from pcgeom import (
     residuals_decomposable,
     wedge,
 )
-from pcgeom import coupling, exterior, indexing
+from pcgeom import coupling, indexing
 from pcgeom import io as pio
 from pcgeom.cli import main
 
@@ -227,9 +227,8 @@ def test_arithmetic_quad_table_matches_combinations(n):
     assert bits(values) == bits(want_values)
 
 
-def test_quad_table_blocks_join_at_every_row(monkeypatch):
-    # Blocks of 7 rows end inside and at the ends of lead runs.
-    monkeypatch.setattr(exterior, "_QUAD_BLOCK", 7)
+def test_quad_table_blocks_join_at_every_row():
+    # The table is filled one lead at a time; at n = 12 nine lead runs join.
     p = new_two_vector(12, np.random.default_rng(12).normal(size=66))
     quads, values = quad_residuals(p)
     want_quads, want_values = oracle_quad_residuals(p)
@@ -240,7 +239,7 @@ def test_quad_table_blocks_join_at_every_row(monkeypatch):
 
 def labels(n, r):
     """The 1-based r-subsets of 1..n, one row each, from the positions."""
-    return np.column_stack(indexing.members(n, r, np.arange(math.comb(n, r)))) + 1
+    return np.column_stack(indexing.unranker(n, r)(np.arange(math.comb(n, r)))) + 1
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -258,7 +257,7 @@ def test_labels_match_combinations(n):
 def test_members_match_combinations_at_every_position(n, r):
     # n < r has no subset: every place is an empty array.
     want = list(combinations(range(n), r))
-    got = indexing.members(n, r, np.arange(len(want)))
+    got = indexing.unranker(n, r)(np.arange(len(want)))
     assert len(got) == r
     assert all(place.dtype == np.intp for place in got)
     assert list(zip(*(place.tolist() for place in got))) == want
@@ -273,10 +272,10 @@ def test_members_of_a_run_of_positions_match_combinations(r, n, data):
     start = data.draw(st.integers(0, len(want) - 1))
     stop = data.draw(st.integers(start, len(want)))
     positions = np.arange(start, stop)
-    got = indexing.members(n, r, positions)
+    got = indexing.unranker(n, r)(positions)
     assert list(zip(*(place.tolist() for place in got))) == want[start:stop]
     shuffled = np.random.default_rng(stop).permutation(positions)
-    got = indexing.members(n, r, shuffled)
+    got = indexing.unranker(n, r)(shuffled)
     assert list(zip(*(place.tolist() for place in got))) == [want[p] for p in shuffled]
 
 
@@ -290,8 +289,48 @@ def test_unranker_builds_its_tables_once(monkeypatch):
     assert built == [5, 4, 3]
     blocks = [unrank(np.arange(k, min(k + 1000, 27405))) for k in range(0, 27405, 1000)]
     assert built == [5, 4, 3]
-    want = indexing.members(30, 4, np.arange(27405))
+    want = indexing.unranker(30, 4)(np.arange(27405))
     assert all(np.array_equal(np.concatenate(b), w) for b, w in zip(zip(*blocks), want))
+
+
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("n", range(0, 13))
+def test_lead_blocks_laid_end_to_end_are_the_unranked_table(n, r):
+    # Lead i's block is i followed by the (r-1)-sets of its slice, and the
+    # pair (i, j) of each set's first member j sits at pos(i, 0) + j.
+    pos = {pair: idx for idx, pair in enumerate(combinations(range(n), 2))}
+    tails = np.column_stack(indexing.unranker(n, r - 1)(np.arange(math.comb(n, r - 1))))
+    blocks = [np.empty((0, r), dtype=np.intp)]
+    for i, (base, tail) in enumerate(indexing.by_lead(n, r)):
+        members = tails[tail]
+        assert (base + members[:, 0]).tolist() == [pos[(i, j)] for j in members[:, 0]]
+        blocks.append(np.column_stack([np.full(len(members), i), members]))
+    assert len(blocks) == 1 + max(n - r + 1, 0)
+    want = np.column_stack(indexing.unranker(n, r)(np.arange(math.comb(n, r))))
+    assert np.concatenate(blocks).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_triad_pairs_are_the_pair_positions_of_the_unranked_triads(n):
+    i, j, k = indexing.unranker(n, 3)(np.arange(math.comb(n, 3)))
+    got = indexing.triad_pairs(n)
+    assert got.shape == (3, math.comb(n, 3))
+    assert got.dtype == np.intp
+    assert got.tolist() == [
+        indexing.pair_index(n, *pair).tolist() for pair in ((i, j), (j, k), (i, k))
+    ]
+
+
+def test_incidence_memory_is_its_table():
+    # The table is filled one lead at a time; unranking every triad first
+    # held 2.3 times the table.
+    tracemalloc.start()
+    try:
+        cmap = coupling_coefficients(300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 3 * cmap.ij_pos.nbytes
 
 
 @pytest.mark.parametrize("n", range(0, 13))
@@ -351,6 +390,7 @@ def test_verdicts_build_no_triad_tables(monkeypatch, capsys, cli_inputs):
         raise AssertionError("triad index tables built")
 
     monkeypatch.setattr(coupling, "coupling_coefficients", refuse)
+    monkeypatch.setattr(indexing, "triad_pairs", refuse)
     matrix = str(cli_inputs / "a.csv")
     for argv in (["check", matrix], ["twoform", matrix]):
         report = json.loads(run_cli(capsys, argv))
@@ -444,8 +484,8 @@ def test_decomposable_verdict_memory_is_order_triads_not_quads():
 
 
 def test_quad_table_memory_is_about_its_result():
-    # The table is filled a block of rows at a time; stacking four whole
-    # C(n,4) member columns held them next to the table they filled.
+    # The table is filled one lead at a time; stacking four whole C(n,4)
+    # member columns held them next to the table they filled.
     n = 60
     p = new_two_vector(n, np.random.default_rng(6).normal(size=math.comb(n, 2)))
     tracemalloc.start()
@@ -455,6 +495,24 @@ def test_quad_table_memory_is_about_its_result():
     finally:
         tracemalloc.stop()
     assert peak < quads.nbytes + values.nbytes + 2 * 8 * math.comb(n, 4)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_squared_quad_residuals_sum_to_e2_of_squared_youla_values(n):
+    # Ishikawa and Wakayama (1995): the squared Pfaffians of the 4 x 4
+    # principal minors of a skew matrix P sum to e2 of its squared Youla
+    # values, the singular values of P taken once from each equal pair.
+    rng = np.random.default_rng(n)
+    rows, cols = np.triu_indices(n, 1)
+    for _ in range(18):
+        p = new_two_vector(n, rng.normal(size=math.comb(n, 2)))
+        skew = np.zeros((n, n))
+        skew[rows, cols] = p.coords
+        skew[cols, rows] = -p.coords
+        squares = np.linalg.svd(skew, compute_uv=False)[::2] ** 2
+        e2 = np.sum(np.triu(np.outer(squares, squares), 1))
+        _, values = quad_residuals(p)
+        assert np.sum(values**2) == pytest.approx(e2, rel=1e-12, abs=0)
 
 
 def test_repeated_quad_walks_retain_no_memory():

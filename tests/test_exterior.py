@@ -45,7 +45,7 @@ def minor_oracle(u, v):
 def test_wedge_basis_example():
     w = wedge([1, 0, 0], [0, 1, 0])
     assert w.coords.tolist() == [1.0, 0.0, 0.0]
-    pairs = np.column_stack(indexing.members(w.n, 2, np.arange(3))) + 1
+    pairs = np.column_stack(indexing.unranker(w.n, 2)(np.arange(3))) + 1
     assert pairs.tolist() == [[1, 2], [1, 3], [2, 3]]
 
 

@@ -260,7 +260,7 @@ def test_all_triad_deviations_single_triad():
 def test_all_triad_deviations_n4_zero():
     d = all_triad_deviations(new_additive(np.zeros((4, 4))))
     assert d.tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert (np.column_stack(indexing.members(4, 3, np.arange(4))) + 1).tolist() == [
+    assert (np.column_stack(indexing.unranker(4, 3)(np.arange(4))) + 1).tolist() == [
         [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]
     ]
 

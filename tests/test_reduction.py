@@ -5,6 +5,8 @@ from pcgeom import (
     DivergentStepError,
     NonPositiveLambdaError,
     NonPositiveStepError,
+    ReductionStep,
+    ReductionTrajectory,
     all_triad_deviations,
     is_consistent,
     new_additive,
@@ -188,6 +190,20 @@ def test_reduce_validates_parameters():
         reduce_iterative(a, max_steps=0)
     with pytest.raises(ValueError):
         reduce_iterative(a, tol=0.0)
+
+
+def test_step_matrix_of_an_overflowing_hand_built_trajectory_raises():
+    # reduce_iterative refuses |q| >= 1; a trajectory built by hand with
+    # q = 10 has a finite matrix at step 3 and a q^400 out of float range.
+    a = new_additive(INCONSISTENT_3)
+    _, residual = recover_scores(a)
+    trajectory = ReductionTrajectory(a, residual, 10.0, (1.0,), (1.0,), converged=False)
+    shrink = 1.0 - 10.0**3
+    assert ReductionStep(3, 0.0, 0.0, trajectory).matrix.upper.tolist() == (
+        a.upper - shrink * residual.upper
+    ).tolist()
+    with pytest.raises(OverflowError):
+        ReductionStep(400, 0.0, 0.0, trajectory).matrix
 
 
 def test_reduce_outputs_valid_skew_matrices():
