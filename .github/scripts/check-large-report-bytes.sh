@@ -7,8 +7,9 @@
 # embed at n=30 189225. plucker of a random 2-vector at n=30 scaled by
 # 2e-5 writes 27405 residuals, about 13% of them at or above 1e-9, where
 # orjson's layout leaves repr's, and the rest below. convert of a
-# multiplicative n=150 matrix and reduce --format csv at n=150 write
-# additive matrices of 150^2 = 22500 floats, the rows of to_array().
+# multiplicative n=150 matrix (as JSON and as CSV) and reduce --format csv
+# at n=150 write additive matrices of 150^2 = 22500 floats, the rows of
+# to_array().
 #
 # Run from the repository root: bash .github/scripts/check-large-report-bytes.sh
 set -euo pipefail
@@ -19,8 +20,11 @@ PYTHONPATH=src python -m pcgeom plucker large-uv-30.json -o large-plucker-30.jso
 PYTHONPATH=src python -m pcgeom plucker large-p30.json -o large-plucker-p30.json
 PYTHONPATH=src python -m pcgeom embed large-30.csv --embedding custom --embedding-file large-e30.json -o large-embed-30.json
 PYTHONPATH=src python -m pcgeom convert large-m150.csv --mode multiplicative -o large-convert-150.json
+PYTHONPATH=src python -m pcgeom convert large-m150.csv --mode multiplicative --format csv -o large-convert-150.csv
 PYTHONPATH=src python -m pcgeom reduce large-150.csv --format csv -o large-reduce-150.csv
 for f in large-deviations-41.json large-plucker-30.json large-plucker-p30.json large-embed-30.json large-convert-150.json; do
   python -c "import json, sys; t = open(sys.argv[1]).read(); assert json.dumps(json.loads(t)) + '\n' == t, sys.argv[1]" "$f"
 done
-python -c "import csv, io, sys; t = open(sys.argv[1], newline='').read(); b = io.StringIO(); csv.writer(b).writerows([repr(float(x)) for x in r] for r in csv.reader(io.StringIO(t))); assert b.getvalue() == t and t.count('\n') == 150, sys.argv[1]" large-reduce-150.csv
+for f in large-reduce-150.csv large-convert-150.csv; do
+  python -c "import csv, io, sys; t = open(sys.argv[1], newline='').read(); b = io.StringIO(); csv.writer(b).writerows([repr(float(x)) for x in r] for r in csv.reader(io.StringIO(t))); assert b.getvalue() == t and t.count('\n') == 150, sys.argv[1]" "$f"
+done

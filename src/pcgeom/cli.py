@@ -288,7 +288,7 @@ def _cmd_reduce(config: Namespace):
     if config.format == "jsonl":
         return 0, lambda dest: io.write_trajectory_jsonl(trajectory, dest)
     if config.format == "csv":
-        return 0, lambda dest: io.write_grid_csv(trajectory.final, dest)
+        return 0, lambda dest: io.write_matrix(trajectory.final, dest, "csv")
     return 0, _report(
         config,
         n=matrix.n,

@@ -14,6 +14,7 @@ with 2-dimensional subspaces of R^n.
 
 from __future__ import annotations
 
+import math
 from math import comb
 from numbers import Real
 
@@ -50,7 +51,10 @@ class TwoVector(ReadOnly):
         return float(self.coords[indexing.pair_index(self.n, k - 1, l - 1)])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        """Euclidean norm, nonzero for every nonzero 2-vector; raises
+        OverflowError when it exceeds the float range."""
+        unit, e = _scaled(self.coords)
+        return math.ldexp(float(np.linalg.norm(unit)), e)
 
     def norm_squared(self) -> float:
         return float(np.dot(self.coords, self.coords))
@@ -86,6 +90,17 @@ class TwoVector(ReadOnly):
         return _new(self.n, self.coords * float(scalar))
 
     __rmul__ = __mul__
+
+
+def _scaled(coords: np.ndarray) -> tuple[np.ndarray, int]:
+    """coords divided by the power of two 2**e just above max|p_kl|, and e.
+
+    The quotient is exact, its largest entry lies in [1/2, 1), and its
+    squared norm neither underflows nor overflows; for coordinates whose
+    squares stay in range, its norm times 2**e is their norm to the bit.
+    """
+    e = math.frexp(float(np.max(np.abs(coords), initial=0.0)))[1]
+    return np.ldexp(coords, -e), e
 
 
 def _new(n: int, coords: np.ndarray) -> TwoVector:
@@ -225,16 +240,20 @@ def normalize_grassmann(p: TwoVector) -> TwoVector:
     coordinate positive.
 
     A vector already within a few ulp of unit norm is not rescaled, which
-    makes the operation idempotent. Raises ZeroTwoVectorError on the zero
+    makes the operation idempotent. The norm is taken on the coordinates
+    scaled by the power of two just above max|p_kl|, so a 2-vector whose
+    squared norm leaves the float range still normalizes. Raises ZeroTwoVectorError on the zero
     2-vector, which names no subspace.
     """
-    nrm = float(np.linalg.norm(p.coords))
+    unit, e = _scaled(p.coords)
+    nrm = float(np.linalg.norm(unit))
     if nrm == 0.0:
         raise ZeroTwoVectorError("cannot normalize the zero 2-vector")
-    if abs(nrm - 1.0) <= 4 * np.finfo(float).eps:
+    # A unit vector's largest coordinate is at most 1, so e <= 1.
+    if e <= 1 and abs(math.ldexp(nrm, e) - 1.0) <= 4 * np.finfo(float).eps:
         coords = p.coords
     else:
-        coords = p.coords / nrm
+        coords = unit / nrm
     nonzero = np.nonzero(coords)[0]
     if nonzero.size and coords[nonzero[0]] < 0:
         coords = -coords + 0.0  # + 0.0 turns -0.0 into +0.0

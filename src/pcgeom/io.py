@@ -15,12 +15,14 @@ value is checked finite before the first byte is written, except the
 rows of a :class:`RowStream`, each block of which is checked as it is
 computed.
 
-Arrays, tables and CSV grids are written a block of rows at a time, and
-an additive matrix as the rows of its ``to_array()``; each block's
+The writer takes JSON values, arrays, row streams and tables; a matrix
+enters it only as :func:`matrix_document`, whose entries are an array
+(an additive matrix's ``to_array()``), for JSON and CSV alike. Arrays,
+tables and CSV grids are written a block of rows at a time; each block's
 numbers come from one call that writes its compact JSON text, and the
 pieces go to ``dest.writelines`` as they are made, so only one block's
-text is held at a time. A document whose arrays, tables and matrices
-hold at least ``_ORJSON_FROM`` floats takes that text from ``orjson``,
+text is held at a time. A document whose arrays and tables hold at
+least ``_ORJSON_FROM`` floats takes that text from ``orjson``,
 which writes the digits of ``float.__repr__``; runs of items holding a
 float it lays out otherwise (1e-9 <= |x| < 1e-4, |x| >= 1e16) are
 written by ``json.dumps``, as a smaller document is, which never
@@ -306,10 +308,11 @@ class RowStream:
 def matrix_document(
     m: AdditiveMatrix | MultiplicativeMatrix, version: str | None = None
 ) -> dict:
-    """The JSON document of a matrix; an additive matrix's entries are
-    written as the rows of its ``to_array()``."""
+    """The JSON document of a matrix; its "entries" are an n-by-n array,
+    an additive matrix's its ``to_array()``. The one place where an
+    additive matrix becomes numbers to write, as JSON or as CSV."""
     if isinstance(m, AdditiveMatrix):
-        doc: dict[str, Any] = {"n": int(m.n), "mode": ADDITIVE, "entries": m}
+        doc: dict[str, Any] = {"n": int(m.n), "mode": ADDITIVE, "entries": m.to_array()}
     else:
         doc = {"n": int(m.n), "mode": MULTIPLICATIVE, "entries": m.entries}
     if version:
@@ -340,14 +343,11 @@ _ORJSON_FROM = 10_000
 
 
 def _check_finite(value: Any) -> int:
-    """The count of floats that value's arrays and matrices hold; raises
+    """The count of floats that value's arrays hold; raises
     NonFiniteResultError if any value, in them or not, is not finite."""
     if isinstance(value, (np.ndarray, RowStream)):  # streams check their slices
         count = math.prod(value.shape) if value.dtype.kind == "f" else 0
         finite = isinstance(value, RowStream) or not count or np.isfinite(value).all()
-    elif isinstance(value, AdditiveMatrix):  # written as all n^2 entries
-        _check_finite(value.upper)
-        return value.n**2
     elif isinstance(value, dict):
         return sum(map(_check_finite, value.values()))
     elif isinstance(value, (list, tuple)):
@@ -376,13 +376,9 @@ def _blocks(rows: int, width: int) -> Iterator[slice]:
     return (slice(k, k + step) for k in range(0, rows, step))
 
 
-def _row_blocks(
-    value: np.ndarray | AdditiveMatrix | RowStream,
-) -> Iterator[np.ndarray]:
-    """The rows of an array, a row stream or an additive matrix's
-    ``to_array()``, about _BLOCK numbers at a time."""
-    if isinstance(value, AdditiveMatrix):
-        value = value.to_array()
+def _row_blocks(value: np.ndarray | RowStream) -> Iterator[np.ndarray]:
+    """The rows of an array or a row stream, about _BLOCK numbers at a
+    time."""
     width = math.prod(value.shape[1:])
     return (value[rows] for rows in _blocks(len(value), width))
 
@@ -464,9 +460,9 @@ def _list(texts: Iterable[str]) -> Iterator[str]:
 
 
 def _pieces(value: Any, fast: bool) -> Iterator[str]:
-    """The text of json.dumps(value) in pieces, where arrays, tables and
-    matrices stand for the lists they hold; with fast, their numbers come
-    from orjson."""
+    """The text of json.dumps(value) in pieces, where arrays, row streams
+    and tables stand for the lists they hold; with fast, their numbers
+    come from orjson."""
     if isinstance(value, Table):
         yield from _list(map(", ".join, _table_rows(value, fast)))
     elif isinstance(value, dict):
@@ -476,7 +472,7 @@ def _pieces(value: Any, fast: bool) -> Iterator[str]:
             yield from _pieces(item, fast)
             sep = ", "
         yield "}" if value else "{}"
-    elif isinstance(value, (np.ndarray, AdditiveMatrix, RowStream)):
+    elif isinstance(value, (np.ndarray, RowStream)):
         texts = (_text(b, fast)[1:-1].replace(",", ", ") for b in _row_blocks(value))
         yield from _list(texts)
     else:
@@ -514,19 +510,17 @@ def _csv_cell(pieces: Iterable[str]) -> Iterator[str]:
 def _csv_text(value: Any, fast: bool) -> Iterator[str]:
     """The cell csv.writer writes for a report value: JSON for lists,
     dicts, arrays and tables, the repr of a float, str of the rest."""
-    if isinstance(value, (list, dict, np.ndarray, AdditiveMatrix, RowStream)):
+    if isinstance(value, (list, dict, np.ndarray, RowStream)):
         return _csv_cell(_pieces(value, fast))
     if isinstance(value, float):
         return _csv_cell([float.__repr__(value)])
     return _csv_cell(["" if value is None else str(value)])
 
 
-def write_grid_csv(
-    entries: AdditiveMatrix | RowStream | np.ndarray, dest: TextIO
-) -> None:
-    """Write a matrix as CSV rows of its entries; nothing unless every
+def write_grid_csv(entries: RowStream | np.ndarray, dest: TextIO) -> None:
+    """Write a grid as CSV rows of its entries; nothing unless every
     entry is finite (a row stream: nothing past a non-finite block)."""
-    if not isinstance(entries, (AdditiveMatrix, RowStream)):
+    if not isinstance(entries, RowStream):
         entries = np.asarray(entries, dtype=float)
     fast = _use_orjson(entries)
     # One split and one join: a replace of "],[" runs about 25% slower.
@@ -543,7 +537,7 @@ def write_matrix(
     if fmt == "json":
         _write_json(matrix_document(m, version=version), dest)
     elif fmt == "csv":
-        write_grid_csv(m if isinstance(m, AdditiveMatrix) else m.entries, dest)
+        write_grid_csv(matrix_document(m)["entries"], dest)
     else:
         raise FormatError(f"unsupported matrix format {fmt!r}")
 

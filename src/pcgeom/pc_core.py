@@ -156,13 +156,26 @@ def _as_score_array(s) -> np.ndarray:
 
 
 def from_scores(s) -> AdditiveMatrix:
-    """Additive matrix a_ij = s_i - s_j; consistent by construction."""
+    """Additive matrix a_ij = s_i - s_j; consistent by construction.
+
+    Raises:
+        OverflowError: if any difference s_i - s_j is beyond the float range.
+    """
     values = _as_score_array(s)
     n = values.size
     if n < 2:
         raise TooSmallError("need at least 2 scores")
     rows, cols = np.triu_indices(n, k=1)
-    return _from_upper(n, values[rows] - values[cols])
+    with np.errstate(over="ignore"):
+        upper = values[rows] - values[cols]
+    if not np.all(np.isfinite(upper)):
+        k = int(np.flatnonzero(~np.isfinite(upper))[0])
+        i, j = rows[k], cols[k]
+        raise OverflowError(
+            f"difference of scores {i + 1} and {j + 1} overflows: "
+            f"{float(values[i])!r} - {float(values[j])!r} is too large"
+        )
+    return _from_upper(n, upper)
 
 
 def to_multiplicative(a: AdditiveMatrix) -> MultiplicativeMatrix:
@@ -331,11 +344,12 @@ def recover_scores(a: AdditiveMatrix) -> tuple[np.ndarray, AdditiveMatrix]:
 def permute(a: AdditiveMatrix, order: Sequence[int]) -> AdditiveMatrix:
     """Relabel alternatives: entry (i, j) of the result is a[order_i, order_j].
 
-    ``order`` is a 1-based permutation of 1..n.
+    ``order`` is a 1-based permutation of 1..n, given as integers.
     """
-    perm = np.asarray(order, dtype=int) - 1
-    if sorted(perm.tolist()) != list(range(a.n)):
+    perm = np.asarray(order)
+    labels = sorted(perm.tolist()) if perm.dtype.kind in "iu" else None
+    if labels != list(range(1, a.n + 1)):
         raise ValueError(f"order must be a permutation of 1..{a.n}")
-    full = a.to_array()[np.ix_(perm, perm)]
+    full = a.to_array()[np.ix_(perm - 1, perm - 1)]
     rows, cols = np.triu_indices(a.n, k=1)
     return _from_upper(a.n, full[rows, cols])

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +295,48 @@ def test_normalize_unit_norm_and_idempotent(n, data):
     assert lead > 0
     again = normalize_grassmann(p)
     assert np.array_equal(again.coords, p.coords)
+
+
+def test_normalize_is_blind_to_a_power_of_two_scale():
+    """The norm is taken on the coordinates scaled by max|p_kl|, so 2^k p
+    normalizes to the bits of p's normal form even where |2^k p|^2 leaves
+    the float range (k < -537 or k > 510 here), with no warning."""
+    rng = np.random.default_rng(5)
+    p = new_two_vector(5, rng.uniform(1, 3, 10) * rng.choice([-1, 1], 10))
+    want = normalize_grassmann(p).coords
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-1000, 601):
+            got = normalize_grassmann(p * 2.0**k).coords
+            assert got.tobytes() == want.tobytes(), k
+            assert chordal_distance(p * 2.0**k, p) == 0.0, k
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [
+        (new_two_vector(4, [1e-300] * 6), 600),
+        (wedge([1e-160, 2e-160, 0, 1e-160], [0, 1e-160, 3e-160, 1e-160]), 1100),
+        (new_two_vector(4, [1e200] * 6), -600),
+    ],
+    ids=["tiny", "tiny-wedge", "huge"],
+)
+def test_squared_norm_out_of_range_still_normalizes(p, k):
+    """A nonzero 2-vector whose squared norm underflows or overflows has
+    the normal form and norm of p * 2^k, whose squares are in range."""
+    q = p * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)  # exact, and in range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert normalize_grassmann(p).coords.tobytes() == (
+            normalize_grassmann(q).coords.tobytes()
+        )
+        assert 0.0 < p.norm() == math.ldexp(q.norm(), -k)
+        assert chordal_distance(p, q) == 0.0
+
+
+def test_norm_beyond_the_float_range_raises():
+    with pytest.raises(OverflowError):
+        new_two_vector(4, [1e308] * 6).norm()
 
 
 # -------------------------------------------------------------------- distance

@@ -470,7 +470,7 @@ def test_large_document_takes_orjson_numbers_at_the_real_threshold():
     # 150^2 = 22500 floats: nearly every row of the special matrix holds
     # a float outside orjson's layout, few of the sprinkled.
     for m in (special_matrix(150, rng), sprinkled_matrix(150, rng)):
-        assert pio._use_orjson(m)
+        assert pio._use_orjson(pio.matrix_document(m))
         for fmt in ("json", "csv"):
             assert_same_text(
                 written(pio.write_matrix, m, fmt=fmt),
@@ -625,7 +625,9 @@ def test_non_finite_anywhere_writes_nothing(where, fmt):
     elif where == "table":
         report["table"]["row"][5, 1] = math.inf
     elif where == "matrix":
-        report["matrix"]["entries"] = AdditiveMatrix(3, np.array([0.0, -math.inf, 0.0]))
+        report["matrix"]["entries"] = AdditiveMatrix(
+            3, np.array([0.0, -math.inf, 0.0])
+        ).to_array()
     elif where == "plain":
         report["plain"][1][1] = math.nan
     else:

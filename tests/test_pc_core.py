@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,8 @@ def test_entry_accessor_is_one_based():
         (lambda: from_scores([0.0, math.nan, 1.0]), NonFiniteEntryError,
          "score 2 is not finite"),
         (lambda: from_scores([1.0]), TooSmallError, "need at least 2 scores"),
+        (lambda: from_scores([0.0, 1e308, -1e308]), OverflowError,
+         "difference of scores 2 and 3 overflows: 1e+308 - -1e+308 is too large"),
         (lambda: new_multiplicative([[1, math.inf], [0.5, 1]]),
          NonFiniteEntryError, "entry (1,2) is not finite"),
         (lambda: new_multiplicative(np.ones((2, 2))).entry(3, 1),
@@ -120,13 +123,19 @@ def test_entry_accessor_is_one_based():
          "tolerance must be positive"),
         (lambda: permute(new_additive(CONSISTENT_3), [1, 1, 2]), ValueError,
          "order must be a permutation of 1..3"),
+        (lambda: permute(from_scores([1, 2, 3]), [1.5, 2, 3]), ValueError,
+         "order must be a permutation of 1..3"),
+        (lambda: permute(from_scores([1, 2, 3]), ["1", "2", "3"]), ValueError,
+         "order must be a permutation of 1..3"),
     ],
-    ids=["scores-non-finite", "scores-too-few", "multiplicative-non-finite",
-         "multiplicative-entry", "additive-tol", "multiplicative-tol",
-         "consistent-tol", "permute-not-permutation"],
+    ids=["scores-non-finite", "scores-too-few", "scores-overflow",
+         "multiplicative-non-finite", "multiplicative-entry", "additive-tol",
+         "multiplicative-tol", "consistent-tol", "permute-not-permutation",
+         "permute-fraction", "permute-strings"],
 )
 def test_refusals_name_the_fault(call, error, message):
-    with pytest.raises(error) as exc:
+    with pytest.raises(error) as exc, warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal is the only signal
         call()
     assert type(exc.value) is error
     assert str(exc.value) == message
