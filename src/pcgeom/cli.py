@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from argparse import Namespace
+from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -122,9 +123,23 @@ def _emit(config: Namespace, writer) -> None:
 
 
 def _labels(n: int, r: int) -> io.RowStream:
-    """The 1-based r-sets of 1..n, one row each, computed as written."""
-    count, unrank = math.comb(n, r), indexing.unranker(n, r)
-    rows = lambda s: np.column_stack(unrank(np.arange(*s.indices(count)))) + 1
+    """Rows of the 1-based r-sets of 1..n (r >= 2) as json.dumps writes them in a
+    list: lead i's rows end at ends[i], each "[i, " and a tail text (by_lead)."""
+    tails = [str(j) for j in range(1, n + 1)]
+    for level in range(2, r):
+        walk = enumerate(indexing.by_lead(n, level), 1)
+        tails = [f"{i}, {t}" for i, (_, rest) in walk for t in tails[rest]]
+    count, ends = math.comb(n, r), indexing.lead_starts(n, r + 1).tolist()
+
+    def rows(s: slice) -> str:  # one join per lead
+        start, stop, _ = s.indices(count)
+        texts, lead = [], bisect_right(ends, start)
+        while start < stop:
+            end, e, head = min(stop, ends[lead]), ends[lead], f"[{lead + 1}, "
+            texts.append(head + f"], {head}".join(tails[start - e:end - e or None]) + "]")
+            start, lead = end, lead + 1
+        return ", ".join(texts)
+
     return io.RowStream((count, r), rows, int)
 
 

@@ -27,6 +27,7 @@ from .errors import (
     ReadOnly,
     ZeroTwoVectorError,
 )
+from .pc_core import _scaled
 
 
 class TwoVector(ReadOnly):
@@ -53,11 +54,14 @@ class TwoVector(ReadOnly):
     def norm(self) -> float:
         """Euclidean norm, nonzero for every nonzero 2-vector; raises
         OverflowError when it exceeds the float range."""
-        unit, e = _scaled(self.coords)
-        return math.ldexp(float(np.linalg.norm(unit)), e)
+        unit, (e,) = _scaled(self.coords)
+        return math.ldexp(float(np.linalg.norm(unit)), int(e))
 
     def norm_squared(self) -> float:
-        return float(np.dot(self.coords, self.coords))
+        """Squared Euclidean norm; raises OverflowError when it exceeds the
+        float range."""
+        unit, (e,) = _scaled(self.coords)
+        return math.ldexp(float(np.dot(unit, unit)), 2 * int(e))
 
     def is_zero(self) -> bool:
         return bool(np.all(self.coords == 0.0))
@@ -90,17 +94,6 @@ class TwoVector(ReadOnly):
         return _new(self.n, self.coords * float(scalar))
 
     __rmul__ = __mul__
-
-
-def _scaled(coords: np.ndarray) -> tuple[np.ndarray, int]:
-    """coords divided by the power of two 2**e just above max|p_kl|, and e.
-
-    The quotient is exact, its largest entry lies in [1/2, 1), and its
-    squared norm neither underflows nor overflows; for coordinates whose
-    squares stay in range, its norm times 2**e is their norm to the bit.
-    """
-    e = math.frexp(float(np.max(np.abs(coords), initial=0.0)))[1]
-    return np.ldexp(coords, -e), e
 
 
 def _new(n: int, coords: np.ndarray) -> TwoVector:
@@ -231,8 +224,17 @@ def is_decomposable(p: TwoVector, tol: float = 1e-9) -> bool:
     at a time and only each lead's largest residual is kept, so the
     cost is O(n^4) time in O(n^3) memory.
     """
-    lead_max = [np.max(np.abs(block)) for block in _residuals_by_lead(p)]
-    return residuals_decomposable(p, np.array(lead_max), tol)
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    # The walk is of p / 2**e, whose residuals are p's divided by 4**e, and
+    # so is the bound: largest <= tol * max(4**-e, |p / 2**e|^2), as two
+    # comparisons that stay in the float range (e > 0 means |p| >= 1).
+    unit, (e,) = _scaled(p.coords)
+    blocks = _residuals_by_lead(_new(p.n, unit))
+    largest = float(max((np.max(np.abs(block)) for block in blocks), default=0.0))
+    return bool(largest <= tol * float(np.dot(unit, unit)) or (
+        e <= 0 and math.ldexp(largest, 2 * int(e)) <= tol
+    ))
 
 
 def normalize_grassmann(p: TwoVector) -> TwoVector:
@@ -245,12 +247,12 @@ def normalize_grassmann(p: TwoVector) -> TwoVector:
     squared norm leaves the float range still normalizes. Raises ZeroTwoVectorError on the zero
     2-vector, which names no subspace.
     """
-    unit, e = _scaled(p.coords)
+    unit, (e,) = _scaled(p.coords)
     nrm = float(np.linalg.norm(unit))
     if nrm == 0.0:
         raise ZeroTwoVectorError("cannot normalize the zero 2-vector")
     # A unit vector's largest coordinate is at most 1, so e <= 1.
-    if e <= 1 and abs(math.ldexp(nrm, e) - 1.0) <= 4 * np.finfo(float).eps:
+    if e <= 1 and abs(math.ldexp(nrm, int(e)) - 1.0) <= 4 * np.finfo(float).eps:
         coords = p.coords
     else:
         coords = unit / nrm

@@ -57,25 +57,6 @@ def triad_pairs(n: int) -> np.ndarray:
     return table
 
 
-def unranker(n: int, r: int):
-    """Members of the r-sets of 0..n-1 at given positions, one array per
-    place, as a function with its tables built once. The r-sets led by i end
-    at ``lead_starts(n, r + 1)[i]`` and are i and the tail of the (r-1)-set
-    list, which ends at C(n, r-1): per place one searchsorted finds the lead,
-    one gather the shift, and at r = 1 the member is the position."""
-    tables = [lead_starts(n, s + 1) for s in range(r, 1, -1)]
-    levels = [(t, comb(n, s - 1) - t) for s, t in zip(range(r, 1, -1), tables)]
-
-    def unrank(positions) -> tuple[np.ndarray, ...]:
-        p, leads = np.asarray(positions, dtype=np.intp), []
-        for ends, shifts in levels:
-            leads.append(np.searchsorted(ends, p, side="right"))
-            p = p + shifts[leads[-1]]
-        return (*leads, p)
-
-    return unrank
-
-
 def collect(blocks, count: int) -> np.ndarray:
     """The blocks laid end to end in one new array of count floats."""
     values, end = np.empty(count), 0

@@ -288,7 +288,8 @@ class Table(dict):
 class RowStream:
     """A grid of ``shape`` numbers of ``dtype`` whose rows ``rows(s)`` computes
     for a slice s. It has an array's length, slices (each checked finite) and
-    float count, so it stands for an array in reports, tables and CSV grids."""
+    float count, so it stands for an array in reports, tables and CSV grids;
+    integer rows may come as their text inside a list, which is written as is."""
 
     __slots__ = ("shape", "rows", "dtype")
     ndim = 2
@@ -422,6 +423,8 @@ def _text(block: np.ndarray, fast: bool) -> str:
 def _cells(block: np.ndarray, fast: bool) -> list[str]:
     """JSON text of each item along the first axis of a block: a number,
     or a row's numbers joined by ", " without its brackets."""
+    if isinstance(block, str):  # rows' text, written as it is
+        return block[1:-1].split("], [")
     text = _text(block, fast)
     if block.ndim == 1:
         return text[1:-1].split(",")
@@ -473,7 +476,8 @@ def _pieces(value: Any, fast: bool) -> Iterator[str]:
             sep = ", "
         yield "}" if value else "{}"
     elif isinstance(value, (np.ndarray, RowStream)):
-        texts = (_text(b, fast)[1:-1].replace(",", ", ") for b in _row_blocks(value))
+        texts = (b if isinstance(b, str) else _text(b, fast)[1:-1].replace(",", ", ")
+                 for b in _row_blocks(value))
         yield from _list(texts)
     else:
         yield json.dumps(value)

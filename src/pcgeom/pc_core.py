@@ -96,6 +96,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """values divided, along the last axis, by the power of two 2**e just
+    above the largest magnitude there, and e (with that axis kept).
+
+    The quotient is exact, its largest entry lies in [1/2, 1), and its
+    squared norm neither underflows nor overflows; for values whose squares
+    stay in range, a sum or norm of it times 2**e is theirs to the bit.
+    """
+    e = np.frexp(np.max(np.abs(values), axis=-1, keepdims=True, initial=0.0))[1]
+    return np.ldexp(values, -e), e
+
+
 def _from_upper(n: int, upper: np.ndarray) -> AdditiveMatrix:
     return AdditiveMatrix(n=n, upper=_readonly(upper))
 
@@ -335,7 +347,10 @@ def recover_scores(a: AdditiveMatrix) -> tuple[np.ndarray, AdditiveMatrix]:
     when the matrix is consistent, in which case ``from_scores(s)``
     rebuilds the input.
     """
-    s = a.to_array().mean(axis=1)
+    # Each row's mean is taken in units of its largest magnitude, so no
+    # sum of finite entries overflows.
+    unit, e = _scaled(a.to_array())
+    s = np.ldexp(unit.mean(axis=1), e[:, 0])
     rows, cols = np.triu_indices(a.n, k=1)
     residual_upper = a.upper - (s[rows] - s[cols])
     return _readonly(s), _from_upper(a.n, residual_upper)

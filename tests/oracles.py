@@ -7,6 +7,7 @@ the coupling spectrum from a dense eigensolver, and a grid search for the
 nearest consistent matrix."""
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -80,13 +81,19 @@ def records(trajectory):
 def plain(value):
     """A document of the new writer as the plain dicts and lists the old
     one was given: a Table as one dict per row, an array or a row stream
-    as its nested lists, an additive matrix as its full entries."""
+    as its nested lists (a stream of label text as the rows of
+    itertools.combinations), an additive matrix as its full entries."""
     if isinstance(value, pio.Table):
         columns = [plain(column) for column in value.values()]
         return [dict(zip(value, row)) for row in zip(*columns)]
     if isinstance(value, dict):
         return {key: plain(item) for key, item in value.items()}
     if isinstance(value, pio.RowStream):
+        if isinstance(value.rows(slice(0, 0)), str):
+            # Label text: the r-sets of 1..n, with n read off their count.
+            count, r = value.shape
+            n = next(n for n in itertools.count() if math.comb(n, r) >= count)
+            return [list(c) for c in combinations(range(1, n + 1), r)]
         return value.rows(slice(None)).tolist()
     if isinstance(value, np.ndarray):
         return value.tolist()

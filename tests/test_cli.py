@@ -71,6 +71,15 @@ def test_check_symmetric_matrix_exits_two(capsys, tmp_path):
     assert captured.err.count("\n") == 1  # one-line diagnostic
 
 
+def test_check_near_the_float_maximum_exits_zero(capsys, tmp_path):
+    # The row means of these finite entries once overflowed (exit 2).
+    path = tmp_path / "near-max.csv"
+    path.write_text("0,1.7e308,1.7e308\n-1.7e308,0,0\n-1.7e308,0,0\n")
+    assert main(["check", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["consistent"] is True and report["max_abs_deviation"] == 0.0
+
+
 def test_check_missing_file_exits_two(capsys, tmp_path):
     code = main(["check", str(tmp_path / "nope.csv")])
     assert code == 2

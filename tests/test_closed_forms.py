@@ -2,9 +2,11 @@
 enumerative path it replaced, written out here as the oracle."""
 
 import csv
+import io
 import json
 import math
 import tracemalloc
+from bisect import bisect_right
 from itertools import combinations
 
 import numpy as np
@@ -41,7 +43,7 @@ from pcgeom import (
 )
 from pcgeom import coupling, indexing
 from pcgeom import io as pio
-from pcgeom.cli import main
+from pcgeom.cli import _labels, main
 
 import oracles
 from oracles import plain, records
@@ -238,59 +240,75 @@ def test_quad_table_blocks_join_at_every_row():
 
 
 def labels(n, r):
-    """The 1-based r-subsets of 1..n, one row each, from the positions."""
-    return np.column_stack(indexing.unranker(n, r)(np.arange(math.comb(n, r)))) + 1
+    """The 1-based r-subsets of 1..n, one row each."""
+    return [list(c) for c in combinations(range(1, n + 1), r)]
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_labels_match_combinations(n):
-    pairs = [(i + 1, j + 1) for i, j in combinations(range(n), 2)]
-    triads = [(i + 1, j + 1, k + 1) for i, j, k in combinations(range(n), 3)]
-    quads = [[x + 1 for x in q] for q in combinations(range(n), 4)]
-    assert labels(n, 2).tolist() == [list(p) for p in pairs]
-    assert labels(n, 3).tolist() == [list(t) for t in triads]
-    assert labels(n, 4).tolist() == quads
+    # The CLI's label streams, written whole.
+    for r in (2, 3, 4):
+        assert "[" + _labels(n, r).rows(slice(None)) + "]" == json.dumps(labels(n, r))
 
 
 @pytest.mark.parametrize("r", range(1, 5))
 @pytest.mark.parametrize("n", range(0, 13))
 def test_members_match_combinations_at_every_position(n, r):
-    # n < r has no subset: every place is an empty array.
+    # The r-set at position p is its lead i, the first end in
+    # lead_starts(n, r + 1) past p, and the (r-1)-set as far before the end
+    # of that list as p is before ends[i]: the arithmetic of the labels.
+    ends = indexing.lead_starts(n, r + 1).tolist()
+    tails = list(combinations(range(n), r - 1))
     want = list(combinations(range(n), r))
-    got = indexing.unranker(n, r)(np.arange(len(want)))
-    assert len(got) == r
-    assert all(place.dtype == np.intp for place in got)
-    assert list(zip(*(place.tolist() for place in got))) == want
+    assert ends[-1:] == [len(want)][:n]
+    for p, subset in enumerate(want):
+        i = bisect_right(ends, p)
+        assert (i, *tails[p - ends[i]]) == subset
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 4), st.integers(4, 24), st.data())
-def test_members_of_a_run_of_positions_match_combinations(r, n, data):
-    # Runs start anywhere and may cross many lead boundaries; the run is
-    # given as a sorted array, and a shuffled copy unranks alike.
-    want = list(combinations(range(n), r))
-    start = data.draw(st.integers(0, len(want) - 1))
-    stop = data.draw(st.integers(start, len(want)))
-    positions = np.arange(start, stop)
-    got = indexing.unranker(n, r)(positions)
-    assert list(zip(*(place.tolist() for place in got))) == want[start:stop]
-    shuffled = np.random.default_rng(stop).permutation(positions)
-    got = indexing.unranker(n, r)(shuffled)
-    assert list(zip(*(place.tolist() for place in got))) == [want[p] for p in shuffled]
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 24), st.integers(2, 4), st.data())
+def test_members_of_a_run_of_positions_match_combinations(n, r, data):
+    # A run of label rows is any list slice: it may start and stop anywhere,
+    # out of range or from the end, and cross many lead boundaries.
+    want = labels(n, r)
+    bound = st.none() | st.integers(-len(want) - 2, len(want) + 2)
+    s = slice(data.draw(bound), data.draw(bound))
+    assert "[" + _labels(n, r).rows(s) + "]" == json.dumps(want[s])
 
 
-def test_unranker_builds_its_tables_once(monkeypatch):
-    # A stream of calls reuses the per-level tables of its first.
-    built = []
-    lead_starts = indexing.lead_starts
-    monkeypatch.setattr(indexing, "lead_starts",
-                        lambda n, r: built.append(r) or lead_starts(n, r))
-    unrank = indexing.unranker(30, 4)
-    assert built == [5, 4, 3]
-    blocks = [unrank(np.arange(k, min(k + 1000, 27405))) for k in range(0, 27405, 1000)]
-    assert built == [5, 4, 3]
-    want = indexing.unranker(30, 4)(np.arange(27405))
-    assert all(np.array_equal(np.concatenate(b), w) for b, w in zip(zip(*blocks), want))
+def test_labels_make_their_tail_texts_once(monkeypatch):
+    # The tails are made by the lead walk one level down, from the
+    # singletons up, when the stream is made; its blocks reuse them.
+    walks = []
+    by_lead = indexing.by_lead
+    monkeypatch.setattr(indexing, "by_lead", lambda n, r: walks.append(r) or by_lead(n, r))
+    stream = _labels(30, 4)
+    assert walks == [2, 3]
+    blocks = [stream.rows(slice(k, k + 1000)) for k in range(0, 27405, 1000)]
+    assert walks == [2, 3]
+    assert "[" + ", ".join(blocks) + "]" == json.dumps(labels(30, 4))
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_label_blocks_straddle_leads_in_reports_and_tables(monkeypatch, r, block):
+    # Blocks of 7 numbers hold 3, 2 or 1 labels of a report array and 2, 1
+    # or 1 rows of a plucker-style table; blocks of 64 hold 32, 21 or 16 and
+    # 21, 16 or 12. At n = 10 the last leads are shorter than a block, so
+    # runs of rows cross from one lead into the next.
+    monkeypatch.setattr(pio, "_BLOCK", block)
+    n = 10
+    values = np.random.default_rng(r).normal(size=math.comb(n, r))
+    got = {"labels": _labels(n, r), "rows": pio.Table(quad=_labels(n, r), value=values)}
+    want = {"labels": labels(n, r), "rows": [
+        {"quad": label, "value": value} for label, value in zip(labels(n, r), values.tolist())
+    ]}
+    for fmt in ("json", "csv"):
+        streamed, plain_text = io.StringIO(), io.StringIO()
+        pio.write_report(got, streamed, fmt)
+        oracles.write_report(want, plain_text, fmt)
+        assert streamed.getvalue() == plain_text.getvalue()
 
 
 @pytest.mark.parametrize("r", [3, 4])
@@ -299,20 +317,19 @@ def test_lead_blocks_laid_end_to_end_are_the_unranked_table(n, r):
     # Lead i's block is i followed by the (r-1)-sets of its slice, and the
     # pair (i, j) of each set's first member j sits at pos(i, 0) + j.
     pos = {pair: idx for idx, pair in enumerate(combinations(range(n), 2))}
-    tails = np.column_stack(indexing.unranker(n, r - 1)(np.arange(math.comb(n, r - 1))))
+    tails = np.array(list(combinations(range(n), r - 1)), dtype=np.intp).reshape(-1, r - 1)
     blocks = [np.empty((0, r), dtype=np.intp)]
     for i, (base, tail) in enumerate(indexing.by_lead(n, r)):
         members = tails[tail]
         assert (base + members[:, 0]).tolist() == [pos[(i, j)] for j in members[:, 0]]
         blocks.append(np.column_stack([np.full(len(members), i), members]))
     assert len(blocks) == 1 + max(n - r + 1, 0)
-    want = np.column_stack(indexing.unranker(n, r)(np.arange(math.comb(n, r))))
-    assert np.concatenate(blocks).tolist() == want.tolist()
+    assert list(map(tuple, np.concatenate(blocks).tolist())) == list(combinations(range(n), r))
 
 
 @pytest.mark.parametrize("n", range(0, 13))
 def test_triad_pairs_are_the_pair_positions_of_the_unranked_triads(n):
-    i, j, k = indexing.unranker(n, 3)(np.arange(math.comb(n, 3)))
+    i, j, k = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
     got = indexing.triad_pairs(n)
     assert got.shape == (3, math.comb(n, 3))
     assert got.dtype == np.intp
@@ -452,15 +469,19 @@ def two_vectors(draw, max_n=12):
 @given(two_vectors(), st.sampled_from([1.0, 1e154, 1e307]))
 def test_quad_walk_is_bit_identical_to_quad_table(p, scale):
     # At the largest scales some products overflow to inf and some
-    # residuals to nan; the walk must still agree bit for bit.
+    # residuals to nan; the walk must still agree bit for bit. The verdict
+    # walks p scaled to its largest coordinate, so it is the table's verdict
+    # on p scaled by a power of two into range (q is p when it is in range).
     p = new_two_vector(p.n, p.coords * scale)
+    e = math.frexp(np.max(np.abs(p.coords)))[1]
+    q = new_two_vector(p.n, np.ldexp(p.coords, -max(0, e - 500)))
     with np.errstate(over="ignore", invalid="ignore"):
         quads, values = quad_residuals(p)
         want_quads, want_values = oracle_quad_residuals(p)
-        verdicts = [
-            (is_decomposable(p, tol), residuals_decomposable(p, want_values, tol))
-            for tol in (1e-15, 1e-9, 1e-3, 10.0)
-        ]
+    verdicts = [
+        (is_decomposable(p, tol), residuals_decomposable(q, oracle_quad_residuals(q)[1], tol))
+        for tol in (1e-15, 1e-9, 1e-3, 10.0)
+    ]
     assert quads.tolist() == want_quads
     assert bits(values) == bits(want_values)
     for got, want in verdicts:
@@ -705,7 +726,7 @@ def test_evaluation_table_matches_per_pair_evaluate(a):
     form, emb = matrix_form(a)
     omega, entry, abs_error = evaluation_columns(a)
     assert omega.shape == entry.shape == abs_error.shape == (a.upper.size,)
-    pairs = labels(a.n, 2).tolist()
+    pairs = labels(a.n, 2)
     for (i, j), o, e, err, stored in zip(pairs, omega, entry, abs_error, a.upper):
         want = evaluate(form, emb.vector(i), emb.vector(j))
         assert close(o, want, abs(want))
@@ -827,12 +848,12 @@ def test_compact_report_parses_like_indented_one(
     assert json.dumps(json.loads(compact)) == json.dumps(json.loads(indented))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [[*argv, "--format", fmt] for argv in SUBCOMMANDS for fmt in ("json", "csv")]
-    + [["reduce", "a.csv", "--eta", "0.05", "--format", "jsonl"]],
-    ids=" ".join,
-)
+OUTPUT_ARGVS = [
+    [*argv, "--format", fmt] for argv in SUBCOMMANDS for fmt in ("json", "csv")
+] + [["reduce", "a.csv", "--eta", "0.05", "--format", "jsonl"]]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS, ids=" ".join)
 def test_output_bytes_match_plain_writers(capsys, monkeypatch, cli_inputs, argv):
     # The old writers, given the plain dicts and lists, wrote these bytes.
     monkeypatch.chdir(cli_inputs)
@@ -840,6 +861,13 @@ def test_output_bytes_match_plain_writers(capsys, monkeypatch, cli_inputs, argv)
     for name, writer in oracles.WRITERS.items():
         monkeypatch.setattr(pio, name, writer)
     assert run_cli(capsys, argv) == streamed
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS, ids=" ".join)
+def test_output_bytes_match_plain_writers_by_orjson(capsys, monkeypatch, cli_inputs, argv):
+    # Every array float's text from orjson, as in a large report.
+    monkeypatch.setattr(pio, "_ORJSON_FROM", 0)
+    test_output_bytes_match_plain_writers(capsys, monkeypatch, cli_inputs, argv)
 
 
 @pytest.mark.parametrize(

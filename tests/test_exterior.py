@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from pcgeom import (
     residuals_decomposable,
     wedge,
 )
-from pcgeom import indexing
 
 
 def vectors(n, max_size=None):
@@ -48,8 +48,8 @@ def minor_oracle(u, v):
 def test_wedge_basis_example():
     w = wedge([1, 0, 0], [0, 1, 0])
     assert w.coords.tolist() == [1.0, 0.0, 0.0]
-    pairs = np.column_stack(indexing.unranker(w.n, 2)(np.arange(3))) + 1
-    assert pairs.tolist() == [[1, 2], [1, 3], [2, 3]]
+    pairs = [list(p) for p in combinations(range(1, w.n + 1), 2)]
+    assert pairs == [[1, 2], [1, 3], [2, 3]]
 
 
 def test_wedge_of_equal_vectors_is_zero():
@@ -337,6 +337,36 @@ def test_squared_norm_out_of_range_still_normalizes(p, k):
 def test_norm_beyond_the_float_range_raises():
     with pytest.raises(OverflowError):
         new_two_vector(4, [1e308] * 6).norm()
+    with pytest.raises(OverflowError):
+        new_two_vector(4, [1e200] * 6).norm_squared()
+
+
+def test_norm_squared_is_blind_to_a_power_of_two_scale():
+    """|2^k p|^2 is 4^k |p|^2 to the bit, and ordinary coordinates keep the
+    bits of their plain dot product."""
+    rng = np.random.default_rng(6)
+    p = new_two_vector(6, rng.normal(size=15))
+    assert p.norm_squared() == float(np.dot(p.coords, p.coords))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-500, 501):
+            assert (p * 2.0**k).norm_squared() == math.ldexp(p.norm_squared(), 2 * k), k
+
+
+def test_decomposable_verdict_past_the_float_range():
+    """The quads are walked on p scaled to max|p_kl| in [1/2, 1), against the
+    bound scaled alike: a 2-vector whose squared residuals leave the float
+    range gets the verdict of its scaled copies, with no warning."""
+    rng = np.random.default_rng(7)
+    w = wedge(rng.uniform(1, 3, 6), rng.uniform(1, 3, 6))
+    q = new_two_vector(6, rng.uniform(1, 3, 15))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_decomposable(new_two_vector(4, [1e200, 0, 0, 0, 0, 1e200])) is False
+        assert is_decomposable(new_two_vector(4, [1e200, 0, 0, 0, 0, 0])) is True
+        for k in range(0, 1000, 7):
+            assert is_decomposable(w * 2.0**k) is True, k
+            assert is_decomposable(q * 2.0**k) is False, k
 
 
 # -------------------------------------------------------------------- distance

@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from pcgeom import (
     to_multiplicative,
     triad_deviation,
 )
-from pcgeom import indexing
 
 CONSISTENT_3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
@@ -269,7 +269,7 @@ def test_all_triad_deviations_single_triad():
 def test_all_triad_deviations_n4_zero():
     d = all_triad_deviations(new_additive(np.zeros((4, 4))))
     assert d.tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert (np.column_stack(indexing.unranker(4, 3)(np.arange(4))) + 1).tolist() == [
+    assert [list(t) for t in combinations(range(1, 5), 3)] == [
         [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]
     ]
 
@@ -346,6 +346,29 @@ def test_recover_scores_hand_example():
     s, r = recover_scores(new_additive(INCONSISTENT_3))
     np.testing.assert_allclose(s, [4 / 3, 0.0, -4 / 3], atol=1e-15)
     np.testing.assert_allclose(r.upper, [-1 / 3, 1 / 3, -1 / 3], atol=1e-15)
+
+
+NEAR_MAX = [[0, 1.7e308, 1.7e308], [-1.7e308, 0, 0], [-1.7e308, 0, 0]]
+
+
+def test_recover_scores_near_the_float_maximum():
+    """Each row's mean is taken in units of its largest magnitude, so a
+    row of finite entries near the float maximum has a finite mean."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, r = recover_scores(new_additive(NEAR_MAX))
+    np.testing.assert_allclose(s, [2 / 3 * 1.7e308, -1.7e308 / 3, -1.7e308 / 3], rtol=1e-15)
+    np.testing.assert_allclose(r.upper, 0.0, atol=1e293)
+
+
+def test_recover_scores_bits_are_plain_row_means():
+    """The scaling is by powers of two, so ordinary scores keep their bits."""
+    rng = np.random.default_rng(29)
+    for n in range(2, 13):
+        for k in range(-40, 41, 4):
+            a = random_additive(rng, n, scale=10.0**k)
+            s, _ = recover_scores(a)
+            assert s.tobytes() == a.to_array().mean(axis=1).tobytes(), (n, k)
 
 
 def test_residual_is_skew_symmetric():

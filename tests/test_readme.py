@@ -104,3 +104,24 @@ def test_value_types_refuse_a_missing_unknown_or_repeated_field(record, fields):
         kind(*values, None)
     with pytest.raises(TypeError, match=f"field {names[0]!r} twice"):
         kind(*values, **{names[0]: values[0]})
+
+
+def removed_names() -> list[str]:
+    """The dotted names in the first column of README's "Removed names"
+    table, without their arguments."""
+    section = README.read_text().split("### Removed names", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([\w.]+)", section, re.MULTILINE)
+
+
+def test_removed_names_table_is_read():
+    assert {"build_M", "indexing.unranker", "CouplingMap.to_dense"} <= set(removed_names())
+
+
+@pytest.mark.parametrize("name", removed_names())
+def test_removed_names_no_longer_resolve(name):
+    # What held the name is still there; the name itself is gone.
+    *path, last = name.split(".")
+    owner = pg
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, last)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ def test_project_hand_example():
     np.testing.assert_allclose(projected.upper, [4 / 3, 8 / 3, 4 / 3], atol=1e-15)
     np.testing.assert_allclose(scores, [4 / 3, 0, -4 / 3], atol=1e-15)
     assert is_consistent(projected)
+
+
+def test_project_near_the_float_maximum():
+    """Finite entries near the float maximum project with no overflow."""
+    a = new_additive([[0, 1.7e308, 1.7e308], [-1.7e308, 0, 0], [-1.7e308, 0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        projected, scores = project_consistent(a)
+    np.testing.assert_allclose(projected.upper, [1.7e308, 1.7e308, 0.0], rtol=1e-15)
+    assert np.isfinite(scores).all()
 
 
 def test_projection_idempotent():
