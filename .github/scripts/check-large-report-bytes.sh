@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# A document of 10^4 or more array floats takes their text from orjson;
+# A document of 8000 or more array floats takes their text from orjson;
 # each report must still be the bytes json.dumps (or csv.writer) writes
 # for it, on this Python and numpy. deviations at n=41 writes 10660
 # floats (and 31980 integer labels), plucker of u ^ v at n=30 137025

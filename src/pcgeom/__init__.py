@@ -37,7 +37,6 @@ _EXPORTS = {
     "new_two_vector": "exterior",
     "quad_residuals": "exterior",
     "is_decomposable": "exterior",
-    "residuals_decomposable": "exterior",
     "normalize_grassmann": "exterior",
     "chordal_distance": "exterior",
     # embeddings
@@ -66,7 +65,6 @@ _EXPORTS = {
     "standard_area_form": "twoform",
     "evaluate": "twoform",
     "evaluation_columns": "twoform",
-    "is_closed_discrete": "twoform",
     "matrix_form": "twoform",
     # errors
     "PCGeomError": "errors",

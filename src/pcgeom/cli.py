@@ -29,6 +29,7 @@ from .pc_core import (
     DEFAULT_TOLERANCE,
     algebraic_inconsistency,
     all_triad_deviations,
+    is_consistent,
     max_abs_triad_deviation,
     recover_scores,
     to_additive,
@@ -259,7 +260,7 @@ def _cmd_wedge(config: Namespace):
 
 
 def _cmd_plucker(config: Namespace):
-    from .exterior import quad_residual_values, residuals_decomposable
+    from .exterior import _within_plucker_bound, quad_residual_values
 
     p = io.read_two_vector(config.input_path)
     values = quad_residual_values(p)
@@ -270,7 +271,7 @@ def _cmd_plucker(config: Namespace):
         n=p.n,
         norm_squared=p.norm_squared(),
         max_abs_residual=largest,
-        decomposable=residuals_decomposable(p, np.array([largest]), config.tol),
+        decomposable=_within_plucker_bound(p, largest, 0, config.tol),
         tolerance=config.tol,
         residuals=io.Table(quad=_labels(p.n, 4), value=values),
     )
@@ -318,13 +319,13 @@ def _cmd_reduce(config: Namespace):
 
 
 def _cmd_twoform(config: Namespace):
-    from .twoform import evaluation_columns, is_closed_discrete
+    from .twoform import evaluation_columns
 
     matrix = _read_additive(config)
     omega, entry, abs_error = evaluation_columns(matrix)
     i, j = np.triu_indices(matrix.n, k=1)
     # Discrete closedness is the consistency predicate; scan triads once.
-    closed = is_closed_discrete(matrix, config.tol)
+    closed = is_consistent(matrix, config.tol)
     return 0, _report(
         config,
         n=matrix.n,

@@ -27,7 +27,7 @@ from .errors import (
     ReadOnly,
     ZeroTwoVectorError,
 )
-from .pc_core import _scaled
+from .pc_core import DEFAULT_TOLERANCE, _check_tolerance, _scaled
 
 
 class TwoVector(ReadOnly):
@@ -201,21 +201,23 @@ def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
     return quads, values
 
 
-def residuals_decomposable(
-    p: TwoVector, values: np.ndarray, tol: float = 1e-9
-) -> bool:
-    """Scale-aware verdict on residuals already computed by
-    :func:`quad_residuals`, or on any values with the same largest
-    magnitude; see :func:`is_decomposable`."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    if values.size == 0:
-        return True
-    bound = tol * max(1.0, p.norm_squared())
-    return bool(np.max(np.abs(values)) <= bound)
+def _within_plucker_bound(p: TwoVector, largest: float, e: int, tol: float) -> bool:
+    """The Plücker rule: whether ``largest``, the largest |residual| of
+    p / 2**e, is within tol * max(1, |p|^2).
+
+    Residuals are quadratic in p, so they scale by 4**-e. The comparison
+    is made on p / 2**f, with 2**f the power of two just above max|p_kl|:
+    largest <= tol * max(4**-f, |p / 2**f|^2), as two comparisons that
+    stay in the float range (f > 0 means |p| >= 1).
+    """
+    unit, (f,) = _scaled(p.coords)
+    largest = math.ldexp(largest, 2 * (e - int(f)))
+    return bool(largest <= tol * float(np.dot(unit, unit)) or (
+        f <= 0 and math.ldexp(largest, 2 * int(f)) <= tol
+    ))
 
 
-def is_decomposable(p: TwoVector, tol: float = 1e-9) -> bool:
+def is_decomposable(p: TwoVector, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether p equals a single wedge, up to a scale-aware tolerance.
 
     Residuals are quadratic in p, so they are compared against
@@ -224,17 +226,11 @@ def is_decomposable(p: TwoVector, tol: float = 1e-9) -> bool:
     at a time and only each lead's largest residual is kept, so the
     cost is O(n^4) time in O(n^3) memory.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    # The walk is of p / 2**e, whose residuals are p's divided by 4**e, and
-    # so is the bound: largest <= tol * max(4**-e, |p / 2**e|^2), as two
-    # comparisons that stay in the float range (e > 0 means |p| >= 1).
+    _check_tolerance(tol)
     unit, (e,) = _scaled(p.coords)
     blocks = _residuals_by_lead(_new(p.n, unit))
     largest = float(max((np.max(np.abs(block)) for block in blocks), default=0.0))
-    return bool(largest <= tol * float(np.dot(unit, unit)) or (
-        e <= 0 and math.ldexp(largest, 2 * int(e)) <= tol
-    ))
+    return _within_plucker_bound(p, largest, int(e), tol)
 
 
 def normalize_grassmann(p: TwoVector) -> TwoVector:

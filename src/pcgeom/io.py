@@ -334,13 +334,13 @@ def steps_table(trajectory: ReductionTrajectory) -> Table:
 #: before the next, so a document's text never exists whole.
 _BLOCK = 1 << 14
 #: A document whose arrays hold at least this many floats takes their
-#: text from orjson. Importing orjson after numpy costs about 10 ms (it
+#: text from orjson. Importing orjson after numpy costs about 4 ms (it
 #: loads uuid, zoneinfo and sysconfig); it then formats a float in about
-#: 0.16 us against 1.1 us for float.__repr__ (blocks of 16384 N(0,1)
-#: numbers, by timeit on a 2-vCPU machine). So it pays from about 10^4
-#: floats, and a smaller document never imports it. Integers are not
-#: counted: orjson saves only about 0.1 us on each.
-_ORJSON_FROM = 10_000
+#: 0.04 us against 0.55 us for json.dumps (blocks of 16384 N(0,1) numbers,
+#: by timeit on a 2-vCPU machine). So it pays from about 8000 floats, and
+#: a smaller document never imports it. Integers are not counted: orjson
+#: saves only about 0.1 us on each.
+_ORJSON_FROM = 8_000
 
 
 def _check_finite(value: Any) -> int:

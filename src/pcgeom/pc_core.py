@@ -82,6 +82,12 @@ def _check_index(n: int, i: int) -> None:
         raise IndexOutOfRangeError(f"index {i} outside 1..{n}")
 
 
+def _check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not positive (zero, negative or NaN)."""
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+
+
 def _check_lambda(lam: float) -> None:
     """Refuse a negative, NaN or infinite regularization weight."""
     if not 0 <= lam < math.inf:
@@ -132,8 +138,7 @@ def new_additive(raw, tol: float = DEFAULT_TOLERANCE) -> AdditiveMatrix:
         NonSquareError, TooSmallError, NonFiniteEntryError,
         NotSkewSymmetricError.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tol)
     arr = _square(raw, "additive matrix")
     n = arr.shape[0]
     if not np.all(np.isfinite(arr)):
@@ -217,8 +222,7 @@ def new_multiplicative(
         NonSquareError, TooSmallError, NonFiniteEntryError,
         NonPositiveEntryError, NotReciprocalError.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tol)
     arr = _square(raw, "multiplicative matrix")
     if not np.all(np.isfinite(arr)):
         i, j = np.argwhere(~np.isfinite(arr))[0]
@@ -333,8 +337,7 @@ def algebraic_inconsistency(a: AdditiveMatrix) -> float:
 
 def is_consistent(a: AdditiveMatrix, tol: float = DEFAULT_TOLERANCE) -> bool:
     """True when every triad deviation is within ``tol`` in magnitude."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tol)
     return max_abs_triad_deviation(a) <= tol
 
 
@@ -346,13 +349,28 @@ def recover_scores(a: AdditiveMatrix) -> tuple[np.ndarray, AdditiveMatrix]:
     The residual r is skew-symmetric by construction; it vanishes exactly
     when the matrix is consistent, in which case ``from_scores(s)``
     rebuilds the input.
+
+    Raises:
+        OverflowError: if an entry of r is beyond the float range.
     """
     # Each row's mean is taken in units of its largest magnitude, so no
     # sum of finite entries overflows.
     unit, e = _scaled(a.to_array())
     s = np.ldexp(unit.mean(axis=1), e[:, 0])
     rows, cols = np.triu_indices(a.n, k=1)
-    residual_upper = a.upper - (s[rows] - s[cols])
+    with np.errstate(over="ignore"):  # an inf is redone or refused below
+        diff = s[rows] - s[cols]
+        residual_upper, far = a.upper - diff, np.isinf(diff)
+        # In quarters a_ij, s_i and s_j, and so a_ij - s_i + s_j, are in range.
+        quarters = np.ldexp([a.upper[far], -s[rows[far]], s[cols[far]]], -2)
+        residual_upper[far] = np.ldexp(quarters.sum(axis=0), 2)
+    if not np.all(np.isfinite(residual_upper)):
+        k = int(np.flatnonzero(~np.isfinite(residual_upper))[0])
+        raise OverflowError(
+            f"residual at entry ({rows[k] + 1},{cols[k] + 1}) overflows: "
+            f"{float(a.upper[k])!r} - ({float(s[rows[k]])!r} - "
+            f"{float(s[cols[k]])!r}) is too large"
+        )
     return _readonly(s), _from_upper(a.n, residual_upper)
 
 

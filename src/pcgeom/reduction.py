@@ -24,6 +24,7 @@ from .errors import DivergentStepError, NonPositiveStepError, ReadOnly
 from .pc_core import (
     AdditiveMatrix,
     _check_lambda,
+    _check_tolerance,
     _from_upper,
     from_scores,
     recover_scores,
@@ -121,8 +122,7 @@ def reduce_iterative(
     _check_lambda(lam)
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tol)
     q = 1.0 - eta * (n + lam)
     if q == 1.0:
         raise DivergentStepError(

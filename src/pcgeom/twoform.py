@@ -9,9 +9,10 @@ A matrix with entries a_ij = s_i - s_j is reproduced by the fixed form
 dx_1 ^ dx_2 evaluated on the planar vectors (s_i, 1, 0, ...). Closedness
 of the form is read combinatorially: the entries are a 1-cochain on the
 complete graph, and the form is closed exactly when the cochain's triad
-coboundary (the deviations) vanishes, i.e. when the matrix is consistent.
-A constant-coefficient form is trivially closed in the smooth sense, so
-the combinatorial reading is the one with content.
+coboundary (the deviations) vanishes, i.e. when the matrix is consistent,
+so discrete closedness is :func:`~pcgeom.pc_core.is_consistent`. A
+constant-coefficient form is trivially closed in the smooth sense, so the
+combinatorial reading is the one with content.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, ReadOnly
-from .pc_core import (
-    AdditiveMatrix,
-    is_consistent,
-    recover_scores,
-    DEFAULT_TOLERANCE,
-)
+from .pc_core import AdditiveMatrix, from_scores, recover_scores
 
 if TYPE_CHECKING:
     from .embedding import Embedding
@@ -77,16 +73,6 @@ def evaluate(form: TwoForm, u, v) -> float:
     return float(np.dot(form.coefficients.coords, w.coords))
 
 
-def is_closed_discrete(
-    a: AdditiveMatrix, tol: float = DEFAULT_TOLERANCE
-) -> bool:
-    """Discrete closedness: the triad coboundary of the entries vanishes.
-
-    By construction this coincides with the consistency predicate.
-    """
-    return is_consistent(a, tol)
-
-
 def matrix_form(a: AdditiveMatrix) -> tuple[TwoForm, Embedding]:
     """Standard evaluation pair for a matrix.
 
@@ -109,9 +95,8 @@ def evaluation_columns(
     Evaluating dx_1 ^ dx_2 on the planar vectors of pair (i, j) gives
     s_i - s_j (see :func:`matrix_form`), and its distance from the entry
     is the residual |r_ij| of the row-mean scores, so the columns come
-    from :func:`recover_scores` alone.
+    from :func:`recover_scores` alone. omega is ``from_scores(s)``, which
+    raises OverflowError naming two scores whose difference overflows.
     """
     scores, residual = recover_scores(a)
-    rows, cols = np.triu_indices(a.n, k=1)
-    omega = scores[rows] - scores[cols]
-    return omega, a.upper, np.abs(residual.upper)
+    return from_scores(scores).upper, a.upper, np.abs(residual.upper)

@@ -14,13 +14,13 @@ import numpy as np
 
 from pcgeom import (
     algebraic_inconsistency,
+    all_triad_deviations,
     closed_form_diagnosis,
     coupling_coefficients,
     evaluation_columns,
     from_scores,
     geometric_inconsistency,
     gram_rows,
-    is_closed_discrete,
     is_consistent,
     max_abs_triad_deviation,
     new_additive,
@@ -246,7 +246,9 @@ def test_criterion_09_form_correspondence():
             a = from_scores(rng.uniform(-5, 5, size=n))
         else:
             a = random_additive(rng, n)
-        if is_closed_discrete(a, 1e-9) != is_consistent(a, 1e-9):
+        # Closed: the triad coboundary of the entries vanishes.
+        closed = np.max(np.abs(all_triad_deviations(a))) <= 1e-9
+        if closed != is_consistent(a, 1e-9):
             disagreements += 1
     assert disagreements == 0
     report(

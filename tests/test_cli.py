@@ -80,6 +80,17 @@ def test_check_near_the_float_maximum_exits_zero(capsys, tmp_path):
     assert report["consistent"] is True and report["max_abs_deviation"] == 0.0
 
 
+def test_twoform_past_the_float_range_is_one_exit_two_line(capsys, tmp_path):
+    # omega_13 = s_1 - s_3 = 4M/3 overflows; the message names the scores.
+    path, out = tmp_path / "far.csv", tmp_path / "far.json"
+    path.write_text("0,1.7e308,1.7e308\n-1.7e308,0,1.7e308\n-1.7e308,-1.7e308,0\n")
+    assert main(["twoform", str(path), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("pcgeom: error: difference of scores 1 and 3 overflows")
+    assert not out.exists()
+
+
 def test_check_missing_file_exits_two(capsys, tmp_path):
     code = main(["check", str(tmp_path / "nope.csv")])
     assert code == 2
@@ -389,8 +400,8 @@ def test_diagnose_csv_with_lambda_writes_the_shifted_gram_matrix(
     from oracles import dense_M
 
     path, out = write_random_csv(tmp_path / "m.csv", n), tmp_path / "m-out.csv"
-    # At n >= 9, T^2 >= 7056 floats: threshold 0 takes every block's text
-    # from orjson, and the real one does so from n = 11 on.
+    # Threshold 0 takes every block's text from orjson, and the real one
+    # does so from n = 10 on (T^2 = 14400 floats; 7056 at n = 9).
     for threshold in (0, pio._ORJSON_FROM):
         monkeypatch.setattr(pio, "_ORJSON_FROM", threshold)
         for lam in (0.0, 0.5, 1e20):

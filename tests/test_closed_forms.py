@@ -38,12 +38,12 @@ from pcgeom import (
     quad_residuals,
     recover_scores,
     reduce_iterative,
-    residuals_decomposable,
     wedge,
 )
 from pcgeom import coupling, indexing
 from pcgeom import io as pio
 from pcgeom.cli import _labels, main
+from pcgeom.exterior import _within_plucker_bound
 
 import oracles
 from oracles import plain, records
@@ -451,6 +451,13 @@ def oracle_quad_residuals(p):
     return [[x + 1 for x in quad] for quad in quads], values
 
 
+def oracle_decomposable(p, tol):
+    """The raw Plücker rule on the quad table: max|residual| <= tol *
+    max(1, |p|^2), for p whose squared norm is in range."""
+    largest = float(np.max(np.abs(oracle_quad_residuals(p)[1]), initial=0.0))
+    return largest <= tol * max(1.0, float(np.dot(p.coords, p.coords))), largest
+
+
 @st.composite
 def two_vectors(draw, max_n=12):
     n = draw(st.integers(2, max_n))
@@ -478,10 +485,12 @@ def test_quad_walk_is_bit_identical_to_quad_table(p, scale):
     with np.errstate(over="ignore", invalid="ignore"):
         quads, values = quad_residuals(p)
         want_quads, want_values = oracle_quad_residuals(p)
-    verdicts = [
-        (is_decomposable(p, tol), residuals_decomposable(q, oracle_quad_residuals(q)[1], tol))
-        for tol in (1e-15, 1e-9, 1e-3, 10.0)
-    ]
+    verdicts = []
+    for tol in (1e-15, 1e-9, 1e-3, 10.0):
+        want, largest = oracle_decomposable(q, tol)
+        verdicts.append((is_decomposable(p, tol), want))
+        # plucker's verdict, on the maximum it already holds.
+        verdicts.append((_within_plucker_bound(q, largest, 0, tol), want))
     assert quads.tolist() == want_quads
     assert bits(values) == bits(want_values)
     for got, want in verdicts:

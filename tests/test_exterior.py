@@ -16,7 +16,6 @@ from pcgeom import (
     new_two_vector,
     normalize_grassmann,
     quad_residuals,
-    residuals_decomposable,
     wedge,
 )
 
@@ -99,8 +98,7 @@ def test_new_two_vector_refuses_nested_coords():
          "v has a non-finite component"),
         (lambda: wedge([1, 0, 0], [0, 1, 0]).coord(1, 4), DimensionMismatchError,
          "pair (1,4) invalid for dimension 3"),
-        (lambda: residuals_decomposable(wedge([1, 0, 0, 0], [0, 1, 0, 0]),
-                                        np.zeros(1), tol=0.0),
+        (lambda: is_decomposable(wedge([1, 0, 0, 0], [0, 1, 0, 0]), tol=0.0),
          ValueError, "tolerance must be positive"),
     ],
     ids=["two-vector-n", "two-vector-length", "two-vector-non-finite",

@@ -607,9 +607,9 @@ def test_table_of_1d_2d_and_bool_columns_matches_plain_writers(
 
 def test_additive_matrix_counts_as_all_its_entries():
     """An additive matrix is written as its n^2 entries, so orjson writes
-    it from n = 100, 10^4 floats, though its upper triangle holds 4950."""
+    it from n = 90, 8100 floats, though its upper triangle holds 4005."""
     rng = np.random.default_rng(100)
-    for n, fast in ((99, False), (100, True)):
+    for n, fast in ((89, False), (90, True)):
         raw = np.triu(rng.normal(size=(n, n)), 1)
         assert pio._use_orjson(pio.matrix_document(new_additive(raw - raw.T))) is fast
 
@@ -665,8 +665,8 @@ def test_row_stream_is_written_in_blocks_and_stops_at_a_non_finite_one(monkeypat
         written(oracles.write_grid_csv, grid),
     )
     assert [s.stop - s.start for s in asked] == [2] * 5
-    assert pio._use_orjson(pio.RowStream((100, 100), rows))
-    assert not pio._use_orjson(pio.RowStream((99, 101), rows))
+    assert pio._use_orjson(pio.RowStream((80, 100), rows))
+    assert not pio._use_orjson(pio.RowStream((79, 101), rows))
     grid[5, 1] = math.inf
     buf = io.StringIO()
     with pytest.raises(NonFiniteResultError):

@@ -361,14 +361,37 @@ def test_recover_scores_near_the_float_maximum():
     np.testing.assert_allclose(r.upper, 0.0, atol=1e293)
 
 
+#: Scores 2M/3, 0, -2M/3: s_1 - s_3 = 4M/3 overflows, its residual -M/3 does not.
+FAR_SCORES = [[0, 1.7e308, 1.7e308], [-1.7e308, 0, 1.7e308], [-1.7e308, -1.7e308, 0]]
+
+
+def test_residual_is_finite_where_a_score_difference_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, r = recover_scores(new_additive(FAR_SCORES))
+    np.testing.assert_allclose(s, [2 / 3 * 1.7e308, 0.0, -2 / 3 * 1.7e308], rtol=1e-15)
+    np.testing.assert_allclose(r.upper, [1.7e308 / 3, -1.7e308 / 3, 1.7e308 / 3], rtol=1e-15)
+
+
+def test_residual_beyond_the_float_range_is_refused_by_name():
+    # s_1 = M/4 and s_2 = -M/4 are in range, r_12 = -M - M/2 is not.
+    m = 1.7e308
+    a = new_additive([[0, -m, m, m], [m, 0, -m, -m], [-m, m, 0, 0], [-m, m, 0, 0]])
+    with pytest.raises(OverflowError, match=r"residual at entry \(1,2\) overflows"):
+        recover_scores(a)
+
+
 def test_recover_scores_bits_are_plain_row_means():
-    """The scaling is by powers of two, so ordinary scores keep their bits."""
+    """The scaling is by powers of two, so ordinary scores keep their bits,
+    and so do residuals where s_i - s_j is finite."""
     rng = np.random.default_rng(29)
     for n in range(2, 13):
+        rows, cols = np.triu_indices(n, k=1)
         for k in range(-40, 41, 4):
             a = random_additive(rng, n, scale=10.0**k)
-            s, _ = recover_scores(a)
+            s, r = recover_scores(a)
             assert s.tobytes() == a.to_array().mean(axis=1).tobytes(), (n, k)
+            assert r.upper.tobytes() == (a.upper - (s[rows] - s[cols])).tobytes(), (n, k)
 
 
 def test_residual_is_skew_symmetric():

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from pcgeom import (
     DimensionMismatchError,
+    all_triad_deviations,
     evaluate,
     evaluation_columns,
     form_from_plucker,
     from_scores,
-    is_closed_discrete,
     is_consistent,
     matrix_form,
     new_additive,
@@ -138,6 +138,14 @@ def test_evaluation_table_consistent_example():
     assert np.max(abs_error) == 0.0
 
 
+def test_evaluation_refuses_a_form_value_past_the_float_range():
+    # Scores 2M/3, 0, -2M/3: omega_13 = 4M/3 overflows, the residuals do not.
+    m = 1.7e308
+    a = new_additive([[0, m, m], [-m, 0, m], [-m, -m, 0]])
+    with pytest.raises(OverflowError, match="difference of scores 1 and 3 overflows"):
+        evaluation_columns(a)
+
+
 def test_evaluation_table_flags_inconsistent_matrix():
     _, _, abs_error = evaluation_columns(new_additive(INCONSISTENT_3))
     assert np.max(abs_error) > 0.1
@@ -147,9 +155,10 @@ def test_evaluation_table_flags_inconsistent_matrix():
 
 
 def test_closedness_examples():
-    assert is_closed_discrete(new_additive(CONSISTENT_3))
-    assert not is_closed_discrete(new_additive(INCONSISTENT_3))
-    assert is_closed_discrete(new_additive(np.zeros((4, 4))))
+    # Discrete closedness of the entries' 2-form is is_consistent.
+    assert is_consistent(new_additive(CONSISTENT_3))
+    assert not is_consistent(new_additive(INCONSISTENT_3))
+    assert is_consistent(new_additive(np.zeros((4, 4))))
 
 
 def test_closedness_agrees_with_consistency_on_random_matrices():
@@ -162,7 +171,9 @@ def test_closedness_agrees_with_consistency_on_random_matrices():
         else:
             raw = np.triu(rng.uniform(-4, 4, size=(n, n)), k=1)
             a = new_additive(raw - raw.T)
-        assert is_closed_discrete(a, tol) == is_consistent(a, tol)
+        # Closed: the triad coboundary of the entries vanishes.
+        closed = np.max(np.abs(all_triad_deviations(a))) <= tol
+        assert closed == is_consistent(a, tol)
 
 
 def test_closed_matrix_has_exact_planar_reproduction():
