@@ -60,8 +60,6 @@ _EXPORTS = {
     "project_consistent": "reduction",
     "reduce_iterative": "reduction",
     # 2-forms
-    "TwoForm": "twoform",
-    "form_from_plucker": "twoform",
     "standard_area_form": "twoform",
     "evaluate": "twoform",
     "evaluation_columns": "twoform",

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from argparse import Namespace
-from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,23 +124,18 @@ def _emit(config: Namespace, writer) -> None:
 
 def _labels(n: int, r: int) -> io.RowStream:
     """Rows of the 1-based r-sets of 1..n (r >= 2) as json.dumps writes them in a
-    list: lead i's rows end at ends[i], each "[i, " and a tail text (by_lead)."""
+    list: each "[i, " joined to a tail text, both from the lead walk (by_lead)."""
     tails = [str(j) for j in range(1, n + 1)]
     for level in range(2, r):
-        walk = enumerate(indexing.by_lead(n, level), 1)
-        tails = [f"{i}, {t}" for i, (_, rest) in walk for t in tails[rest]]
-    count, ends = math.comb(n, r), indexing.lead_starts(n, r + 1).tolist()
+        tails = [f"{i + 1}, {t}" for i, _, rest in indexing.by_lead(n, level)()
+                 for t in tails[rest]]
+    walk = indexing.by_lead(n, r)
 
     def rows(s: slice) -> str:  # one join per lead
-        start, stop, _ = s.indices(count)
-        texts, lead = [], bisect_right(ends, start)
-        while start < stop:
-            end, e, head = min(stop, ends[lead]), ends[lead], f"[{lead + 1}, "
-            texts.append(head + f"], {head}".join(tails[start - e:end - e or None]) + "]")
-            start, lead = end, lead + 1
-        return ", ".join(texts)
+        return ", ".join(f"[{i + 1}, " + f"], [{i + 1}, ".join(tails[rest]) + "]"
+                         for i, _, rest in walk(s))
 
-    return io.RowStream((count, r), rows, int)
+    return io.RowStream((math.comb(n, r), r), rows, int)
 
 
 def _report(config: Namespace, **fields):
@@ -282,7 +276,7 @@ def _cmd_diagnose(config: Namespace):
     if config.format == "csv":
         # The matrix itself is the output: its rows are computed as they
         # are written, a block at a time.
-        t_count = indexing.triad_count(matrix.n)
+        t_count = math.comb(matrix.n, 3)
         rows = io.RowStream((t_count, t_count), gram_rows(matrix.n, config.lam))
         return 0, lambda dest: io.write_grid_csv(rows, dest)
     spectrum = closed_form_diagnosis(matrix.n, config.lam)

@@ -22,6 +22,7 @@ is ever held.
 from __future__ import annotations
 
 from collections.abc import Callable
+from math import comb
 
 import numpy as np
 
@@ -44,11 +45,11 @@ class CouplingMap(ReadOnly):
 
     @property
     def pair_count(self) -> int:
-        return indexing.pair_count(self.n)
+        return comb(self.n, 2)
 
     @property
     def triad_count(self) -> int:
-        return indexing.triad_count(self.n)
+        return comb(self.n, 3)
 
     def apply(self, d) -> np.ndarray:
         """Pair-space image of a deviation vector (the map C applied to d)."""
@@ -98,7 +99,7 @@ def gram_rows(n: int, lam: float = 0.0) -> Callable[[slice], np.ndarray]:
     pair, so no entry is written twice), and 3 + lam on the diagonal.
     A matrix of more than MAX_GRID_NUMBERS entries is refused first.
     """
-    t_count = indexing.triad_count(n)
+    t_count = comb(n, 3)
     if t_count**2 > MAX_GRID_NUMBERS:
         raise ValueError(
             f"M + lambda I for n={n} has C({n},3)^2 = {t_count**2} entries, "
@@ -139,13 +140,13 @@ def closed_form_diagnosis(n: int, lam: float = 0.0) -> dict:
     """
     if n < 3:
         raise TooSmallError(f"need at least 3 alternatives, got {n}")
+    t_count = comb(n, 3)
     if n > MAX_DENSE_N:
         raise ValueError(
             f"spectral report capped at n={MAX_DENSE_N} "
-            f"(it would list C({n},3) = {indexing.triad_count(n)} eigenvalues)"
+            f"(it would list C({n},3) = {t_count} eigenvalues)"
         )
     _check_lambda(lam)
-    t_count = indexing.triad_count(n)
     image = (n - 1) * (n - 2) // 2
     eigenvalues = np.repeat(
         np.array([n + lam, lam], dtype=float), [image, t_count - image]

@@ -112,8 +112,22 @@ def scores_to_coefficients(s) -> np.ndarray:
 
     Strictly positive and monotone in the score, so the nonzero
     requirement of the orthogonal family holds automatically.
+
+    Raises:
+        OverflowError: naming the first score whose exp(s_i / 2) is not a
+            positive finite float (it overflows or underflows to zero).
     """
-    return np.exp(_as_score_array(s) / 2.0)
+    values = _as_score_array(s)
+    with np.errstate(over="ignore", under="ignore"):
+        b = np.exp(values / 2.0)
+    out = (b == 0.0) | (b == np.inf)
+    if np.any(out):
+        i = int(np.flatnonzero(out)[0])
+        raise OverflowError(
+            f"exp(s/2) of score {i + 1} is not a positive finite float: "
+            f"s = {float(values[i])!r} is too {'large' if values[i] > 0 else 'small'}"
+        )
+    return b
 
 
 def pair_wedges(vectors) -> np.ndarray:

@@ -27,7 +27,7 @@ from .errors import (
     ReadOnly,
     ZeroTwoVectorError,
 )
-from .pc_core import DEFAULT_TOLERANCE, _check_tolerance, _scaled
+from .pc_core import DEFAULT_TOLERANCE, AdditiveMatrix, _check_tolerance, _scaled
 
 
 class TwoVector(ReadOnly):
@@ -62,6 +62,11 @@ class TwoVector(ReadOnly):
         float range."""
         unit, (e,) = _scaled(self.coords)
         return math.ldexp(float(np.dot(unit, unit)), 2 * int(e))
+
+    @property
+    def matrix_view(self) -> np.ndarray:
+        """The 2-form's skew n-by-n matrix P, with P_kl = p_kl for k < l."""
+        return AdditiveMatrix(self.n, self.coords).to_array()
 
     def is_zero(self) -> bool:
         return bool(np.all(self.coords == 0.0))
@@ -107,9 +112,9 @@ def new_two_vector(n: int, coords) -> TwoVector:
     arr = _flat(coords, "coords")
     if n < 2:
         raise DimensionMismatchError("dimension must be at least 2")
-    if arr.size != indexing.pair_count(n):
+    if arr.size != comb(n, 2):
         raise DimensionMismatchError(
-            f"expected {indexing.pair_count(n)} coordinates for n={n}, "
+            f"expected {comb(n, 2)} coordinates for n={n}, "
             f"got {arr.size}"
         )
     if not np.all(np.isfinite(arr)):
@@ -169,7 +174,7 @@ def _residuals_by_lead(p: TwoVector):
     rows, cols = np.triu_indices(p.n, k=1)
     lm, mo, lo = indexing.triad_pairs(p.n)
     l, m, o = rows[lm], rows[mo], cols[mo]
-    for base, lmo in indexing.by_lead(p.n, 4):
+    for _, base, lmo in indexing.by_lead(p.n, 4)():
         yield (q[base + l[lmo]] * q[mo[lmo]]
                - q[base + m[lmo]] * q[lo[lmo]]
                + q[base + o[lmo]] * q[lm[lmo]])
@@ -194,7 +199,7 @@ def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
     quads, end = np.empty((comb(p.n, 4), 4), dtype=np.intp), 0
     # Filled one lead at a time, after the residuals: the walk's triad
     # columns are freed before the table is written.
-    for k, (_, lmo) in enumerate(indexing.by_lead(p.n, 4)):
+    for k, _, lmo in indexing.by_lead(p.n, 4)():
         block = quads[end:(end := end + len(triads[lmo]))]
         block[:, 0] = k + 1
         block[:, 1:] = triads[lmo]

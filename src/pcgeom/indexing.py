@@ -1,24 +1,17 @@
 """Lexicographic pair, triad and quad bookkeeping, all 0-based.
 
-Index tables are built with numpy arithmetic from the lexicographic pair
-position pos(i, j) = i*n - i*(i+1)/2 + j - i - 1 (i < j) and from
-:func:`lead_starts`, so no Python loop ever runs over triads or quads.
-Nothing is cached: every table is built for the call that asks.
+The r-sets are walked one lead at a time (:func:`by_lead`), and index
+tables are built with numpy arithmetic from the walk's slices and the pair
+position pos(i, j) = i*n - i*(i+1)/2 + j - i - 1 (i < j), so no Python loop
+ever runs over triads or quads. Nothing is cached.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import comb
 
 import numpy as np
-
-
-def pair_count(n: int) -> int:
-    return comb(n, 2)
-
-
-def triad_count(n: int) -> int:
-    return comb(n, 3)
 
 
 def pair_index(n: int, i, j):
@@ -38,22 +31,33 @@ def lead_starts(n: int, r: int) -> np.ndarray:
 
 
 def by_lead(n: int, r: int):
-    """For each lead i = 0..n-r, yield pos(i, 0) and the slice of the
-    (r-1)-set list from ``lead_starts(n, r)[i]``: the r-sets led by i are i
-    and the sets of that slice, and (i, j) is pair pos(i, 0) + j. A slice,
-    not an index array, so that reading the tail takes a view, not a copy."""
-    for i, start in zip(range(n - r + 1), lead_starts(n, r)):
-        yield pair_index(n, i, 0), slice(start, None)
+    """The walk of the r-sets (r >= 2) at a slice s of their list: ``walk(s)``
+    yields each lead i whose r-sets meet s, pos(i, 0) and the slice of the
+    (r-1)-set list they continue with; they are i and the sets of that slice,
+    and (i, j) is pair pos(i, 0) + j. Lead i's r-sets end at
+    ``lead_starts(n, r + 1)[i]``, computed once, and their tails at the end of
+    the (r-1)-set list. A slice, not an index array: reading it takes a view."""
+    ends, count, tails = lead_starts(n, r + 1).tolist(), comb(n, r), comb(n, r - 1)
+
+    def walk(s: slice = slice(None)):
+        start, stop, _ = s.indices(count)
+        i = bisect_right(ends, start)
+        while start < stop:
+            end, back = min(stop, ends[i]), tails - ends[i]
+            yield i, pair_index(n, i, 0), slice(start + back, end + back)
+            start, i = end, i + 1
+
+    return walk
 
 
 def triad_pairs(n: int) -> np.ndarray:
     """Pair positions (ij, jk, ik) of every triad i < j < k, as the rows of
     one new (3, C(n,3)) array filled one lead at a time; empty for n < 3."""
     rows, cols = np.triu_indices(n, k=1)
-    table, end = np.empty((3, triad_count(n)), dtype=np.intp), 0
-    for base, jk in by_lead(n, 3):
+    table, end = np.empty((3, comb(n, 3)), dtype=np.intp), 0
+    for _, base, jk in by_lead(n, 3)():
         block = table[:, end:(end := end + rows[jk].size)]
-        block[:] = base + rows[jk], np.arange(jk.start, rows.size), base + cols[jk]
+        block[:] = base + rows[jk], np.arange(jk.start, jk.stop), base + cols[jk]
     return table
 
 

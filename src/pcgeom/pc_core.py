@@ -300,14 +300,14 @@ def _deviations_by_lead(a: AdditiveMatrix):
     """
     u = a.upper
     rows, cols = np.triu_indices(a.n, k=1)
-    for base, jk in indexing.by_lead(a.n, 3):
+    for _, base, jk in indexing.by_lead(a.n, 3)():
         yield u[base + rows[jk]] + u[jk] - u[base + cols[jk]]
 
 
 def all_triad_deviations(a: AdditiveMatrix) -> np.ndarray:
     """Every triad deviation a_ij + a_jk - a_ik, lexicographic over
     i < j < k, as a read-only array."""
-    values = indexing.collect(_deviations_by_lead(a), indexing.triad_count(a.n))
+    values = indexing.collect(_deviations_by_lead(a), math.comb(a.n, 3))
     values.setflags(write=False)
     return values
 

@@ -1,9 +1,9 @@
 """Constant-coefficient 2-forms attached to comparison matrices.
 
-A 2-form here is a coordinate vector over dx_k ^ dx_l (k < l); evaluating
-it on a pair of vectors contracts those coordinates against the wedge of
-the pair, which equals u^T P v for the skew matrix view P of the
-coefficients.
+A 2-form here is its coefficient vector over dx_k ^ dx_l (k < l), a
+:class:`~pcgeom.exterior.TwoVector`; evaluating it on a pair of vectors
+contracts those coefficients against the wedge of the pair, which equals
+u^T P v for the skew matrix P = ``TwoVector.matrix_view``.
 
 A matrix with entries a_ij = s_i - s_j is reproduced by the fixed form
 dx_1 ^ dx_2 evaluated on the planar vectors (s_i, 1, 0, ...). Closedness
@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ReadOnly
+from .errors import DimensionMismatchError
 from .pc_core import AdditiveMatrix, from_scores, recover_scores
 
 if TYPE_CHECKING:
@@ -29,56 +29,36 @@ if TYPE_CHECKING:
     from .exterior import TwoVector
 
 
-class TwoForm(ReadOnly):
-    """2-form with constant coefficients, one per lexicographic pair."""
-
-    __slots__ = ("coefficients",)
-
-    @property
-    def n(self) -> int:
-        return self.coefficients.n
-
-    @property
-    def matrix_view(self) -> np.ndarray:
-        """Skew-symmetric n-by-n matrix P with P_kl = p_kl for k < l."""
-        return AdditiveMatrix(self.n, self.coefficients.coords).to_array()
-
-
-def form_from_plucker(p: TwoVector) -> TwoForm:
-    """Wrap a 2-vector's coordinates as a differential 2-form."""
-    return TwoForm(coefficients=p)
-
-
-def standard_area_form(n: int) -> TwoForm:
-    """The form dx_1 ^ dx_2 in dimension n."""
+def standard_area_form(n: int) -> TwoVector:
+    """The coefficients of the form dx_1 ^ dx_2 in dimension n."""
     from .exterior import new_two_vector
 
     coords = np.zeros(n * (n - 1) // 2)
     coords[0] = 1.0
-    return TwoForm(coefficients=new_two_vector(n, coords))
+    return new_two_vector(n, coords)
 
 
-def evaluate(form: TwoForm, u, v) -> float:
-    """Evaluate the form on (u, v): sum of p_kl (u_k v_l - u_l v_k).
+def evaluate(p: TwoVector, u, v) -> float:
+    """Evaluate the form p on (u, v): sum of p_kl (u_k v_l - u_l v_k).
 
-    Bilinear and antisymmetric; equals u^T P v for the matrix view P.
+    Bilinear and antisymmetric; equals u^T P v for P = ``p.matrix_view``.
     """
     from .exterior import wedge
 
     w = wedge(u, v)
-    if w.n != form.n:
+    if w.n != p.n:
         raise DimensionMismatchError(
-            f"form lives in dimension {form.n}, vectors in {w.n}"
+            f"form lives in dimension {p.n}, vectors in {w.n}"
         )
-    return float(np.dot(form.coefficients.coords, w.coords))
+    return float(np.dot(p.coords, w.coords))
 
 
-def matrix_form(a: AdditiveMatrix) -> tuple[TwoForm, Embedding]:
+def matrix_form(a: AdditiveMatrix) -> tuple[TwoVector, Embedding]:
     """Standard evaluation pair for a matrix.
 
-    Returns dx_1 ^ dx_2 together with the planar embedding of the
-    row-mean scores; evaluating the form on vector pairs reproduces the
-    entries exactly when the matrix is consistent.
+    Returns the coefficients of dx_1 ^ dx_2 together with the planar
+    embedding of the row-mean scores; evaluating the form on vector pairs
+    reproduces the entries exactly when the matrix is consistent.
     """
     from .embedding import planar_embedding
 

@@ -19,7 +19,6 @@ from pcgeom import io as pio
 from pcgeom.embedding import _check_convention, pair_wedges
 from pcgeom.exterior import wedge, wedge_rows
 from pcgeom.errors import IndexOutOfRangeError, NonFiniteResultError
-from pcgeom.indexing import pair_count, triad_count
 from pcgeom.pc_core import AdditiveMatrix, from_scores, recover_scores
 
 
@@ -235,7 +234,7 @@ def incidence_oracle(n):
     """Dense signed pair-by-triad incidence built straight from the triad
     definition."""
     pair_idx = {p: i for i, p in enumerate(combinations(range(n), 2))}
-    c = np.zeros((pair_count(n), triad_count(n)))
+    c = np.zeros((math.comb(n, 2), math.comb(n, 3)))
     for t, (i, j, k) in enumerate(combinations(range(n), 3)):
         c[pair_idx[(i, j)], t] = 1.0
         c[pair_idx[(j, k)], t] = 1.0
@@ -248,7 +247,7 @@ def dense_M(n, lam=0.0):
     C^T C + lam I; adding lam I also turns any -0.0 of the product into
     0.0."""
     c = incidence_oracle(n)
-    return c.T @ c + lam * np.eye(triad_count(n))
+    return c.T @ c + lam * np.eye(math.comb(n, 3))
 
 
 def dense_spectral_report(n, lam=0.0, rank_tol=1e-9):

@@ -35,7 +35,6 @@ from pcgeom import (
     wedge,
 )
 from pcgeom.cli import main
-from pcgeom.indexing import triad_count
 
 from oracles import dense_M, dense_spectral_report, nearest_consistent_oracle
 
@@ -171,7 +170,7 @@ def test_criterion_06_gram_identity():
         m = gram_rows(n)(slice(None))
         cmap = coupling_coefficients(n)
         for _ in range(1000):
-            d = rng.normal(size=triad_count(n))
+            d = rng.normal(size=math.comb(n, 3))
             image = cmap.apply(d)
             expected = float(np.dot(image, image))
             got = float(d @ m @ d)

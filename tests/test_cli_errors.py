@@ -138,6 +138,51 @@ def test_overflowing_check_via_module_is_one_clean_line(tmp_path, huge_csv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["indices", "embed"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # Scores 1500 and -1500: exp(750) overflows.
+        ([[0, 3000], [-3000, 0]], "score 1 is not a positive finite float: s = 1500.0"),
+        # Scores 1000, 1000 and -2000: exp(-1000) underflows to zero.
+        ([[0, 0, 3000], [0, 0, 3000], [-3000, -3000, 0]],
+         "score 3 is not a positive finite float: s = -2000.0"),
+    ],
+)
+def test_orthogonal_coefficient_past_the_float_range_names_its_score(
+    capsys, tmp_path, command, rows, message
+):
+    matrix = write_csv(tmp_path / "a.csv", rows)
+    err = run_failing(capsys, [command, matrix, "--embedding", "orthogonal"])
+    assert message in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_overflowing_deviation_writes_nothing(capsys, tmp_path, fmt):
+    # a_12 + a_23 - a_13 = 3e308: nothing is written before the failure.
+    m = 1e308
+    matrix = write_csv(tmp_path / "a.csv", [[0, m, -m], [-m, 0, m], [m, -m, 0]])
+    err = run_failing(capsys, ["deviations", matrix, "--format", fmt])
+    assert "result is not finite" in err
+    out = tmp_path / f"report.{fmt}"
+    err = run_failing(capsys, ["deviations", matrix, "-o", str(out)])
+    assert "result is not finite" in err
+    assert not out.exists()
+
+
+def test_deviation_at_the_float_maximum_is_reported(capsys, tmp_path):
+    m = 1e308
+    matrix = write_csv(tmp_path / "a.csv", [[0, m, 0], [-m, 0, 0], [0, 0, 0]])
+    assert main(["deviations", matrix]) == 0
+    assert '"values": [1e+308]' in capsys.readouterr().out
+
+
+def test_overflowing_plucker_residual_writes_nothing(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 4, "coords": [1e200] * 6}))
+    run_failing(capsys, ["plucker", str(path)])
+
+
 def test_large_but_finite_results_still_report(capsys, huge_csv):
     # Deviations themselves stay finite, so the listing succeeds.
     code = main(["deviations", huge_csv])

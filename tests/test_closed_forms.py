@@ -279,14 +279,15 @@ def test_members_of_a_run_of_positions_match_combinations(n, r, data):
 
 def test_labels_make_their_tail_texts_once(monkeypatch):
     # The tails are made by the lead walk one level down, from the
-    # singletons up, when the stream is made; its blocks reuse them.
+    # singletons up, and the stream's own walk is built, when the stream is
+    # made: one walk per level, which its blocks reuse.
     walks = []
     by_lead = indexing.by_lead
     monkeypatch.setattr(indexing, "by_lead", lambda n, r: walks.append(r) or by_lead(n, r))
     stream = _labels(30, 4)
-    assert walks == [2, 3]
+    assert walks == [2, 3, 4]
     blocks = [stream.rows(slice(k, k + 1000)) for k in range(0, 27405, 1000)]
-    assert walks == [2, 3]
+    assert walks == [2, 3, 4]
     assert "[" + ", ".join(blocks) + "]" == json.dumps(labels(30, 4))
 
 
@@ -319,12 +320,32 @@ def test_lead_blocks_laid_end_to_end_are_the_unranked_table(n, r):
     pos = {pair: idx for idx, pair in enumerate(combinations(range(n), 2))}
     tails = np.array(list(combinations(range(n), r - 1)), dtype=np.intp).reshape(-1, r - 1)
     blocks = [np.empty((0, r), dtype=np.intp)]
-    for i, (base, tail) in enumerate(indexing.by_lead(n, r)):
+    for i, base, tail in indexing.by_lead(n, r)():
         members = tails[tail]
         assert (base + members[:, 0]).tolist() == [pos[(i, j)] for j in members[:, 0]]
         blocks.append(np.column_stack([np.full(len(members), i), members]))
     assert len(blocks) == 1 + max(n - r + 1, 0)
     assert list(map(tuple, np.concatenate(blocks).tolist())) == list(combinations(range(n), r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.integers(2, 4), st.data())
+def test_lead_walk_of_a_run_of_positions_is_that_run(n, r, data):
+    # The walk of a slice s yields the leads its r-sets meet, each with
+    # the tail slice of the r-sets it holds at s: laid end to end they are
+    # the r-sets at s, whatever s starts and stops at.
+    want = list(combinations(range(n), r))
+    bound = st.none() | st.integers(-len(want) - 2, len(want) + 2)
+    s = slice(data.draw(bound), data.draw(bound))
+    tails = list(combinations(range(n), r - 1))
+    pos = {pair: idx for idx, pair in enumerate(combinations(range(n), 2))}
+    got = []
+    for i, base, tail in indexing.by_lead(n, r)(s):
+        members = tails[tail]
+        assert members and all(i < j for j, *_ in members)
+        assert all(base + j == pos[(i, j)] for j, *_ in members)
+        got += [(i, *rest) for rest in members]
+    assert got == want[s]
 
 
 @pytest.mark.parametrize("n", range(0, 13))

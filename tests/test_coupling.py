@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pcgeom import (
     reduce_iterative,
 )
 from pcgeom.coupling import MAX_GRID_NUMBERS
-from pcgeom.indexing import pair_count, pair_index, triad_count
+from pcgeom.indexing import pair_index
 
 from oracles import dense_M, dense_spectral_report, incidence_oracle
 
@@ -81,9 +82,9 @@ def test_apply_and_transpose_match_dense():
     for n in (3, 4, 6):
         cmap = coupling_coefficients(n)
         c = incidence_oracle(n)
-        d = rng.normal(size=triad_count(n))
+        d = rng.normal(size=comb(n, 3))
         np.testing.assert_allclose(cmap.apply(d), c @ d, atol=1e-12)
-        a = rng.normal(size=pair_count(n))
+        a = rng.normal(size=comb(n, 2))
         np.testing.assert_allclose(cmap.apply_transpose(a), c.T @ a, atol=1e-12)
 
 
@@ -109,7 +110,7 @@ def test_build_M_is_gram_of_incidence(n):
     np.testing.assert_array_equal(gram(n), want)
     # Any run of rows, as the writer asks for them, is the same rows.
     rows = gram_rows(n)
-    t = triad_count(n)
+    t = comb(n, 3)
     for s in (slice(0, 1), slice(t - 1, t), slice(1, t, 3), slice(t // 2, t)):
         np.testing.assert_array_equal(rows(s), want[s])
 
@@ -126,8 +127,8 @@ def test_build_M_symmetric_psd_diag3(n):
 def test_build_M_respects_cap():
     # The rule is decided on T^2 before any table is built or row written:
     # n = 44 is admitted, n = 45 refused.
-    assert triad_count(44) ** 2 == 175403536 <= MAX_GRID_NUMBERS
-    assert triad_count(45) ** 2 == 201356100 > MAX_GRID_NUMBERS
+    assert comb(44, 3) ** 2 == 175403536 <= MAX_GRID_NUMBERS
+    assert comb(45, 3) ** 2 == 201356100 > MAX_GRID_NUMBERS
     assert callable(gram_rows(44))
     with pytest.raises(ValueError, match=r"n=45 has C\(45,3\)\^2 = 201356100"):
         gram_rows(45, 1.0)
@@ -190,7 +191,7 @@ def test_gram_identity_random(n):
     m = gram(n)
     cmap = coupling_coefficients(n)
     for _ in range(100):
-        d = rng.normal(size=triad_count(n))
+        d = rng.normal(size=comb(n, 3))
         image = cmap.apply(d)
         expected = float(np.dot(image, image))
         got = quadratic_form(m, d)
@@ -215,9 +216,9 @@ def test_rank_law(n, expected_rank):
     for result in (closed_form_diagnosis(n), dense_spectral_report(n)):
         assert result["rank"] == expected_rank
         assert result["degenerate"] == (n >= 4)
-        assert result["kernel_dim"] == triad_count(n) - expected_rank
+        assert result["kernel_dim"] == comb(n, 3) - expected_rank
     assert np.linalg.matrix_rank(dense_M(n)) == expected_rank
-    assert kernel_basis(dense_M(n)).shape[0] == triad_count(n) - expected_rank
+    assert kernel_basis(dense_M(n)).shape[0] == comb(n, 3) - expected_rank
 
 
 def test_diagnose_n3_not_degenerate():

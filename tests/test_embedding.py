@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,30 @@ def test_scores_to_coefficients_positive_monotone():
     b = scores_to_coefficients([-3.0, 0.0, 2.0])
     assert np.all(b > 0)
     assert np.all(np.diff(b) > 0)
+
+
+@pytest.mark.parametrize(
+    "scores, message",
+    [
+        ([2000.0, 0.0], "score 1 is not a positive finite float: s = 2000.0 is too large"),
+        ([0.0, 1.0, -2000.0], "score 3 is not a positive finite float: s = -2000.0 is too small"),
+    ],
+)
+def test_scores_to_coefficients_refuses_exp_past_the_float_range(scores, message):
+    # exp(s/2) overflows to inf or underflows to 0; either is refused by
+    # name, with no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=message):
+            scores_to_coefficients(scores)
+
+
+def test_scores_to_coefficients_keeps_the_extreme_finite_coefficients():
+    # exp(709.5) is finite and exp(-745) the least subnormal, both positive.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = scores_to_coefficients([1419.0, -1490.0])
+    assert b[0] == np.exp(709.5) and b[1] == np.nextafter(0.0, 1.0)
 
 
 # --------------------------------------------------------------- pair subspace

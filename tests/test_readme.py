@@ -42,7 +42,6 @@ def _value_types():
         (pg.wedge([1, 2, 3], [0, 1, 5]), "n coords"),
         (trajectory.steps[0], "index i_alg i_geom trajectory"),
         (trajectory, "start residual q i_alg i_geom converged"),
-        (pg.standard_area_form(3), "coefficients"),
     ]
 
 

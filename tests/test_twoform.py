@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from pcgeom import (
     DimensionMismatchError,
+    TwoVector,
     all_triad_deviations,
     evaluate,
     evaluation_columns,
-    form_from_plucker,
     from_scores,
     is_consistent,
     matrix_form,
@@ -28,18 +28,18 @@ INCONSISTENT_3 = [[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]
 
 
 def test_matrix_view_skew_extension():
-    form = form_from_plucker(new_two_vector(3, [1.0, 0.0, 0.0]))
+    form = new_two_vector(3, [1.0, 0.0, 0.0])
     expected = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
     np.testing.assert_array_equal(form.matrix_view, np.asarray(expected, float))
 
 
 def test_matrix_view_zero_form():
-    form = form_from_plucker(new_two_vector(4, np.zeros(6)))
+    form = new_two_vector(4, np.zeros(6))
     assert np.all(form.matrix_view == 0)
 
 
 def test_matrix_view_from_wedge():
-    form = form_from_plucker(wedge([1, 2, 3, 4], [5, 6, 7, 8]))
+    form = wedge([1, 2, 3, 4], [5, 6, 7, 8])
     upper = form.matrix_view[np.triu_indices(4, k=1)]
     assert upper.tolist() == [-4.0, -8.0, -12.0, -4.0, -8.0, -4.0]
     assert np.array_equal(form.matrix_view, -form.matrix_view.T)
@@ -50,11 +50,12 @@ def test_matrix_view_from_wedge():
 
 def test_evaluate_basis_pairing():
     form = standard_area_form(3)
+    assert isinstance(form, TwoVector) and form.coords.tolist() == [1.0, 0.0, 0.0]
     assert evaluate(form, [1, 0, 0], [0, 1, 0]) == 1.0
 
 
 def test_evaluate_on_equal_vectors_is_zero():
-    form = form_from_plucker(wedge([1, 2, 3], [4, 5, 6]))
+    form = wedge([1, 2, 3], [4, 5, 6])
     rng = np.random.default_rng(5)
     for _ in range(10):
         u = rng.normal(size=3)
@@ -89,7 +90,7 @@ def test_evaluate_bilinear_antisymmetric(n, data):
             max_size=n * (n - 1) // 2,
         )
     )
-    form = form_from_plucker(new_two_vector(n, coords))
+    form = new_two_vector(n, coords)
     u, v, w = vec(), vec(), vec()
     alpha = data.draw(st.floats(-3, 3))
     beta = data.draw(st.floats(-3, 3))
@@ -105,7 +106,7 @@ def test_evaluate_agrees_with_matrix_view():
     rng = np.random.default_rng(11)
     for n in (3, 4, 6):
         coords = rng.uniform(-3, 3, size=n * (n - 1) // 2)
-        form = form_from_plucker(new_two_vector(n, coords))
+        form = new_two_vector(n, coords)
         for _ in range(10):
             u = rng.normal(size=n)
             v = rng.normal(size=n)
