@@ -19,14 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    NonFiniteEntryError,
-    ReadOnly,
-    ZeroCoefficientError,
-)
-from .pc_core import AdditiveMatrix, _as_score_array, algebraic_inconsistency
+from .errors import IndexOutOfRangeError, ReadOnly, ZeroCoefficientError
+from .pc_core import AdditiveMatrix, _input_array, _readonly, algebraic_inconsistency
 
 ORTHOGONAL = "orthogonal"
 PLANAR = "planar"
@@ -55,9 +49,7 @@ def _check_convention(convention: str) -> None:
 
 
 def _embedding(n: int, rows: np.ndarray, kind: str) -> Embedding:
-    arr = np.array(rows, dtype=float)
-    arr.setflags(write=False)
-    return Embedding(n=n, vectors=arr, kind=kind)
+    return Embedding(n=n, vectors=_readonly(rows), kind=kind)
 
 
 def orthogonal_embedding(b) -> Embedding:
@@ -66,11 +58,7 @@ def orthogonal_embedding(b) -> Embedding:
     Every coefficient must be nonzero, otherwise an alternative would
     collapse to the zero vector and span nothing.
     """
-    coeffs = np.asarray(b, dtype=float).ravel()
-    if coeffs.size < 2:
-        raise DimensionMismatchError("need at least 2 coefficients")
-    if not np.all(np.isfinite(coeffs)):
-        raise NonFiniteEntryError("coefficients must be finite")
+    coeffs = _input_array(b, "coefficients", "coefficient")
     if np.any(coeffs == 0.0):
         i = int(np.flatnonzero(coeffs == 0.0)[0])
         raise ZeroCoefficientError(f"coefficient {i + 1} is zero")
@@ -83,10 +71,8 @@ def planar_embedding(s) -> Embedding:
     The wedge of two such vectors has s_i - s_j as its leading coordinate
     and zeros elsewhere, so score differences survive as wedge data.
     """
-    values = _as_score_array(s)
+    values = _input_array(s, "scores", "score")
     n = values.size
-    if n < 2:
-        raise DimensionMismatchError("need at least 2 scores")
     rows = np.zeros((n, n))
     rows[:, 0] = values
     rows[:, 1] = 1.0
@@ -94,16 +80,9 @@ def planar_embedding(s) -> Embedding:
 
 
 def custom_embedding(vectors) -> Embedding:
-    """Embedding from an explicit n-by-n array of row vectors."""
-    arr = np.asarray(vectors, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(
-            f"need one length-n vector per alternative, got shape {arr.shape}"
-        )
-    if arr.shape[0] < 2:
-        raise DimensionMismatchError("need at least 2 vectors")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteEntryError("vectors must be finite")
+    """Embedding from an explicit n-by-n array of row vectors; a
+    non-square array is NonSquareError."""
+    arr = _input_array(vectors, "embedding")
     return _embedding(arr.shape[0], arr, CUSTOM)
 
 
@@ -117,7 +96,7 @@ def scores_to_coefficients(s) -> np.ndarray:
         OverflowError: naming the first score whose exp(s_i / 2) is not a
             positive finite float (it overflows or underflows to zero).
     """
-    values = _as_score_array(s)
+    values = _input_array(s, "scores", "score")
     with np.errstate(over="ignore", under="ignore"):
         b = np.exp(values / 2.0)
     out = (b == 0.0) | (b == np.inf)

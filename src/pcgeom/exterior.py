@@ -21,13 +21,15 @@ from numbers import Real
 import numpy as np
 
 from . import indexing
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteEntryError,
-    ReadOnly,
-    ZeroTwoVectorError,
+from .errors import DimensionMismatchError, ReadOnly, ZeroTwoVectorError
+from .pc_core import (
+    DEFAULT_TOLERANCE,
+    AdditiveMatrix,
+    _check_tolerance,
+    _input_array,
+    _readonly,
+    _scaled,
 )
-from .pc_core import DEFAULT_TOLERANCE, AdditiveMatrix, _check_tolerance, _scaled
 
 
 class TwoVector(ReadOnly):
@@ -102,14 +104,14 @@ class TwoVector(ReadOnly):
 
 
 def _new(n: int, coords: np.ndarray) -> TwoVector:
-    arr = np.array(coords, dtype=float)
-    arr.setflags(write=False)
-    return TwoVector(n=n, coords=arr)
+    return TwoVector(n=n, coords=_readonly(coords))
 
 
 def new_two_vector(n: int, coords) -> TwoVector:
-    """Build a TwoVector from raw coordinates, validating the length."""
-    arr = _flat(coords, "coords")
+    """Build a TwoVector of dimension n >= 2 from its C(n, 2) raw
+    coordinates, a flat finite vector. Their count is checked against n,
+    not as alternatives: n = 2 has one coordinate."""
+    arr = _input_array(coords, "coords", "coordinate", least=0)
     if n < 2:
         raise DimensionMismatchError("dimension must be at least 2")
     if arr.size != comb(n, 2):
@@ -117,34 +119,13 @@ def new_two_vector(n: int, coords) -> TwoVector:
             f"expected {comb(n, 2)} coordinates for n={n}, "
             f"got {arr.size}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteEntryError("2-vector coordinates must be finite")
     return _new(n, arr)
-
-
-def _flat(values, name: str) -> np.ndarray:
-    """values as a 1-D float array; a nested array is refused, not flattened."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim > 1:
-        raise DimensionMismatchError(
-            f"{name} must be a flat vector, got shape {arr.shape}"
-        )
-    return arr.ravel()
-
-
-def _as_vector(u, name: str) -> np.ndarray:
-    arr = _flat(u, name)
-    if arr.size < 2:
-        raise DimensionMismatchError(f"{name} needs at least 2 components")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteEntryError(f"{name} has a non-finite component")
-    return arr
 
 
 def wedge(u, v) -> TwoVector:
     """Wedge product u ^ v; coordinate (k, l) is the minor u_k v_l - u_l v_k."""
-    uu = _as_vector(u, "u")
-    vv = _as_vector(v, "v")
+    uu = _input_array(u, "u", "u component")
+    vv = _input_array(v, "v", "v component")
     if uu.size != vv.size:
         raise DimensionMismatchError(
             f"vectors have different dimensions ({uu.size} vs {vv.size})"

@@ -8,6 +8,11 @@ differences of a single score vector.
 
 Alternative indices in the public API are 1-based, matching the usual
 notation for comparison matrices; array layouts are plain 0-based numpy.
+
+Every array a constructor takes from outside (a matrix, scores, the
+vectors of a wedge, a 2-vector's coordinates, an embedding, here and in
+``exterior`` and ``embedding``) passes one gate, ``_input_array``, which
+states the rules of shape, size and finiteness once.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 
 from . import indexing
 from .errors import (
+    DimensionMismatchError,
     IndexOutOfRangeError,
     NonFiniteEntryError,
     NonIncreasingTriadError,
@@ -118,12 +124,31 @@ def _from_upper(n: int, upper: np.ndarray) -> AdditiveMatrix:
     return AdditiveMatrix(n=n, upper=_readonly(upper))
 
 
-def _square(raw, what: str) -> np.ndarray:
+def _input_array(raw, what: str, item: str | None = None, least: int = 2) -> np.ndarray:
+    """raw as floats, the one gate of every array from outside.
+
+    With ``item`` naming one entry, raw must be a flat vector, else
+    DimensionMismatchError; without, a square matrix, else NonSquareError.
+    Fewer than ``least`` alternatives is TooSmallError, and a NaN or
+    infinite entry NonFiniteEntryError naming its 1-based place: ``score 2``
+    of a vector, ``entry (1,2)`` of a matrix.
+    """
     arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if item is None and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
         raise NonSquareError(f"{what} must be square, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise TooSmallError(f"{what} needs at least 2 alternatives")
+    if item is not None and arr.ndim != 1:
+        raise DimensionMismatchError(
+            f"{what} must be a flat vector, got shape {arr.shape}"
+        )
+    if len(arr) < least:
+        raise TooSmallError(
+            f"need at least {least} {item}s" if item
+            else f"{what} needs at least {least} alternatives"
+        )
+    if not np.all(np.isfinite(arr)):
+        place = ",".join(str(k + 1) for k in np.argwhere(~np.isfinite(arr))[0])
+        entry = f"{item} {place}" if item else f"entry ({place})"
+        raise NonFiniteEntryError(f"{entry} is not finite")
     return arr
 
 
@@ -139,11 +164,8 @@ def new_additive(raw, tol: float = DEFAULT_TOLERANCE) -> AdditiveMatrix:
         NotSkewSymmetricError.
     """
     _check_tolerance(tol)
-    arr = _square(raw, "additive matrix")
+    arr = _input_array(raw, "additive matrix")
     n = arr.shape[0]
-    if not np.all(np.isfinite(arr)):
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise NonFiniteEntryError(f"entry ({i + 1},{j + 1}) is not finite")
     diag = np.abs(np.diagonal(arr))
     if np.any(diag > tol):
         i = int(np.argmax(diag > tol))
@@ -164,24 +186,16 @@ def new_additive(raw, tol: float = DEFAULT_TOLERANCE) -> AdditiveMatrix:
     return _from_upper(n, arr[rows, cols])
 
 
-def _as_score_array(s) -> np.ndarray:
-    values = np.asarray(s, dtype=float).ravel()
-    if not np.all(np.isfinite(values)):
-        i = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NonFiniteEntryError(f"score {i + 1} is not finite")
-    return values
-
-
 def from_scores(s) -> AdditiveMatrix:
     """Additive matrix a_ij = s_i - s_j; consistent by construction.
 
     Raises:
+        DimensionMismatchError, TooSmallError, NonFiniteEntryError: for
+            scores that are nested, fewer than 2 or not finite.
         OverflowError: if any difference s_i - s_j is beyond the float range.
     """
-    values = _as_score_array(s)
+    values = _input_array(s, "scores", "score")
     n = values.size
-    if n < 2:
-        raise TooSmallError("need at least 2 scores")
     rows, cols = np.triu_indices(n, k=1)
     with np.errstate(over="ignore"):
         upper = values[rows] - values[cols]
@@ -223,10 +237,7 @@ def new_multiplicative(
         NonPositiveEntryError, NotReciprocalError.
     """
     _check_tolerance(tol)
-    arr = _square(raw, "multiplicative matrix")
-    if not np.all(np.isfinite(arr)):
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise NonFiniteEntryError(f"entry ({i + 1},{j + 1}) is not finite")
+    arr = _input_array(raw, "multiplicative matrix")
     if np.any(arr <= 0):
         i, j = np.argwhere(arr <= 0)[0]
         raise NonPositiveEntryError(

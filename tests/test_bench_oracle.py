@@ -1,9 +1,11 @@
-"""The CLI's check, twoform and plucker reports, run in process on generated
-inputs, checked by the benchmark's independent oracle (bench/oracle.py).
+"""The CLI's check, twoform, deviations, indices, embed, wedge and plucker
+reports, run in process on generated inputs, checked by the benchmark's
+independent oracle (bench/oracle.py).
 
 The oracle decides consistency and decomposability with its own scans at
-its fixed tolerance, so every input keeps its largest deviation or
-residual at least 10 times away from that tolerance's bound.
+its fixed tolerance, so every input to check, twoform and plucker keeps its
+largest deviation or residual at least 10 times away from that tolerance's
+bound.
 """
 
 import importlib.util
@@ -41,24 +43,26 @@ workloads = _bench_module("workloads")
 MARGIN = 10.0
 
 
-def run_checked(workdir: Path, kind: str, name: str, doc) -> list[str]:
-    """Write doc to workdir/name, run `pcgeom kind name -o ...` in process
-    and return the oracle's problems with the outcome."""
+def run_checked(workdir: Path, kind: str, name: str, doc, **params: str) -> list[str]:
+    """Write doc to workdir/name, run `pcgeom kind name --key value ... -o ...`
+    in process, a flag for each of params, and return the oracle's problems
+    with the outcome; the oracle reads the same params."""
     path = workdir / name
     if name.endswith(".csv"):
         path.write_text("".join(",".join(map(repr, row)) + "\n" for row in doc.tolist()))
     else:
         path.write_text(json.dumps(doc))
+    flags = [arg for key, value in params.items() for arg in (f"--{key}", value)]
     output = f"{kind}-{name}.json"
-    req = workloads.Request(kind, (kind, name, "-o", output), output, kind,
-                            {"input": name})
+    req = workloads.Request(kind, (kind, name, *flags, "-o", output), output, kind,
+                            {"input": name, **params})
     expected = oracle.expect(req, workdir)
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("PCGEOM_TOL", raising=False)
         mp.delenv("PCGEOM_FORMAT", raising=False)
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([kind, str(path), "-o", str(workdir / output)])
+            code = main([kind, str(path), *flags, "-o", str(workdir / output)])
     return oracle.verify(req, expected, workdir, code, out.getvalue(), err.getvalue())
 
 
@@ -92,16 +96,50 @@ def test_check_and_twoform_agree_with_the_bench_oracle(a):
             assert run_checked(Path(tmp), kind, "a.csv", a) == [], kind
 
 
+#: The reports of a matrix whose values do not hang on a verdict, with the
+#: params of each: flags to the CLI and the oracle's reading of them.
+VALUE_REPORTS = [
+    ("deviations", {}),
+    ("indices", {"embedding": "planar", "convention": "cyclic"}),
+    ("indices", {"embedding": "planar", "convention": "anticyclic"}),
+    ("embed", {"embedding": "planar"}),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_value_reports_agree_with_the_bench_oracle(a):
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, params in VALUE_REPORTS:
+            assert run_checked(Path(tmp), kind, "a.csv", a, **params) == [], (kind, params)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Vectors u and v in R^n at a power-of-two scale, as a wedge input."""
+    n = draw(st.integers(4, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = rng.standard_normal((2, n)) * 2.0 ** draw(st.integers(-20, 20))
+    return {"u": u.tolist(), "v": v.tolist()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_pairs())
+def test_wedge_agrees_with_the_bench_oracle(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_checked(Path(tmp), "wedge", "uv.json", doc) == []
+
+
 @st.composite
 def two_vectors(draw):
     """A wedge u ^ v (as u and v), or its coordinates perturbed, at a
     power-of-two scale."""
-    n = draw(st.integers(4, 20))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u, v = rng.standard_normal((2, n)) * 2.0 ** draw(st.integers(-20, 20))
+    doc = draw(vector_pairs())
     if draw(st.booleans()):
-        return {"u": u.tolist(), "v": v.tolist()}
-    p = oracle.minors(u, v)
+        return doc
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = oracle.minors(np.asarray(doc["u"]), np.asarray(doc["v"]))
+    n = len(doc["u"])
     size = np.max(np.abs(p)) * 10.0 ** draw(st.integers(-14, -2))
     return {"n": n, "coords": (p + rng.standard_normal(p.size) * size).tolist()}
 

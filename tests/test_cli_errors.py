@@ -286,6 +286,21 @@ def test_run_of_an_unknown_command_exits_two_naming_it(capsys, inconsistent_csv)
     assert captured.err == "pcgeom: error: unknown command 'bogus'\n"
 
 
+def test_run_of_an_unknown_embedding_kind_exits_two_naming_it(capsys, inconsistent_csv):
+    # The parser allows only the three kinds; a namespace built by hand
+    # reaches the embedding's own refusal after the matrix is read.
+    config = argparse.Namespace(
+        command="indices", input_path=inconsistent_csv, output_path=None,
+        format=None, mode=None, tol=None, convention="cyclic",
+        embedding_kind="bogus", embedding_file=None, lam=0.0, eta=None,
+        max_steps=1000,
+    )
+    assert run(config) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pcgeom: error: unknown embedding kind 'bogus'\n"
+
+
 def test_bad_tolerance_variable_via_module_is_one_clean_line(inconsistent_csv):
     proc = subprocess.run(
         [sys.executable, "-m", "pcgeom", "check", inconsistent_csv],
@@ -538,7 +553,7 @@ def test_scalar_embedding_vectors_exit_two(capsys, tmp_path, inconsistent_csv):
             "--embedding-file", str(emb)]
     err = run_failing(capsys, argv)
     assert err == (
-        "pcgeom: error: need one length-n vector per alternative, got shape ()\n"
+        "pcgeom: error: embedding must be square, got shape ()\n"
     )
 
 

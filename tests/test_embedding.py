@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from pcgeom import (
-    DimensionMismatchError,
     IndexOutOfRangeError,
     NonFiniteEntryError,
+    TooSmallError,
     ZeroCoefficientError,
     algebraic_inconsistency,
     custom_embedding,
@@ -67,18 +67,18 @@ def test_custom_embedding_shape_validation():
     [
         (lambda: orthogonal_embedding([1.0, 2.0, 3.0]).vector(4),
          IndexOutOfRangeError, "index 4 outside 1..3"),
-        (lambda: orthogonal_embedding([1.0]), DimensionMismatchError,
+        (lambda: orthogonal_embedding([1.0]), TooSmallError,
          "need at least 2 coefficients"),
         (lambda: orthogonal_embedding([1.0, np.inf]), NonFiniteEntryError,
-         "coefficients must be finite"),
-        (lambda: planar_embedding([1.0]), DimensionMismatchError,
+         "coefficient 2 is not finite"),
+        (lambda: planar_embedding([1.0]), TooSmallError,
          "need at least 2 scores"),
         (lambda: planar_embedding([1.0, np.nan]), NonFiniteEntryError,
          "score 2 is not finite"),
-        (lambda: custom_embedding([[1.0]]), DimensionMismatchError,
-         "need at least 2 vectors"),
+        (lambda: custom_embedding([[1.0]]), TooSmallError,
+         "embedding needs at least 2 alternatives"),
         (lambda: custom_embedding([[1.0, np.nan], [0.0, 1.0]]),
-         NonFiniteEntryError, "vectors must be finite"),
+         NonFiniteEntryError, "entry (1,2) is not finite"),
     ],
     ids=["vector-out-of-range", "orthogonal-too-few", "orthogonal-non-finite",
          "planar-too-few", "planar-non-finite", "custom-too-few",

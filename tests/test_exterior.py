@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pcgeom import (
     DimensionMismatchError,
     NonFiniteEntryError,
+    TooSmallError,
     ZeroTwoVectorError,
     chordal_distance,
     is_decomposable,
@@ -91,11 +92,11 @@ def test_new_two_vector_refuses_nested_coords():
         (lambda: new_two_vector(3, [1.0, 2.0]), DimensionMismatchError,
          "expected 3 coordinates for n=3, got 2"),
         (lambda: new_two_vector(3, [1.0, np.nan, 0.0]), NonFiniteEntryError,
-         "2-vector coordinates must be finite"),
-        (lambda: wedge([1.0], [1.0]), DimensionMismatchError,
-         "u needs at least 2 components"),
+         "coordinate 2 is not finite"),
+        (lambda: wedge([1.0], [1.0]), TooSmallError,
+         "need at least 2 u components"),
         (lambda: wedge([1.0, 2.0], [np.inf, 0.0]), NonFiniteEntryError,
-         "v has a non-finite component"),
+         "v component 1 is not finite"),
         (lambda: wedge([1, 0, 0], [0, 1, 0]).coord(1, 4), DimensionMismatchError,
          "pair (1,4) invalid for dimension 3"),
         (lambda: is_decomposable(wedge([1, 0, 0, 0], [0, 1, 0, 0]), tol=0.0),
