@@ -8,6 +8,10 @@ precision (the shortest decimal that reparses to the same double), so
 write-then-read is exact. Every JSON document, matrix or report, is
 written compactly on a single line followed by a newline.
 
+Reading parses a document and checks its keys, "mode" and "n"; its raw
+arrays go to the constructors, whose one gate (``pc_core._input_array``)
+turns them into floats.
+
 Documents are written straight from numpy arrays, a block of rows at a
 time, with the bytes of ``json.dumps(doc)`` for the equivalent document
 of plain lists and dicts (and of ``csv.writer`` for CSV output). Every
@@ -155,13 +159,6 @@ def _read_csv_grid(path: str | Path) -> np.ndarray:
     raise FormatError(f"{path}: {fault}")
 
 
-def _as_float_array(values, source: str, what: str) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{source}: {what} is not a numeric array") from exc
-
-
 def _load_json_object(path: str | Path, *key_sets: tuple[str, ...]) -> dict:
     """Parse a JSON file that must hold an object with every key of one of
     the key sets."""
@@ -189,24 +186,11 @@ def _integer_n(n: Any, path: str | Path) -> int:
     return n
 
 
-def _load_matrix_doc(path: str | Path, fmt: str, declared_mode: str | None):
-    if fmt == "csv":
-        return _read_csv_grid(path), declared_mode or ADDITIVE
-    if fmt == "json":
-        doc = _load_json_object(path, ("entries",))
-        mode = doc.get("mode", declared_mode or ADDITIVE)
-        if declared_mode and doc.get("mode") and doc["mode"] != declared_mode:
-            raise FormatError(
-                f"{path}: file says mode={doc['mode']!r} but "
-                f"mode={declared_mode!r} was requested"
-            )
-        arr = _as_float_array(doc["entries"], str(path), "entries")
-        if "n" in doc and arr.shape != (_integer_n(doc["n"], path),) * 2:
-            raise FormatError(
-                f"{path}: entries shape {arr.shape} does not match n={doc['n']}"
-            )
-        return arr, mode
-    raise FormatError(f"unsupported matrix format {fmt!r}")
+def _check_n(doc: dict, n: int, path: str | Path, mismatch: str) -> None:
+    """Refuse a document whose "n" is not n, that of the value built from
+    it, by the line "{path}: {mismatch} n=<its n>"."""
+    if "n" in doc and _integer_n(doc["n"], path) != n:
+        raise FormatError(f"{path}: {mismatch} n={doc['n']}")
 
 
 def read_matrix(
@@ -217,20 +201,24 @@ def read_matrix(
 ) -> AdditiveMatrix | MultiplicativeMatrix:
     """Read and validate a matrix file in the declared or inferred format."""
     fmt = fmt or infer_format(path)
-    arr, resolved_mode = _load_matrix_doc(path, fmt, mode)
-    if resolved_mode == ADDITIVE:
-        return new_additive(arr, tol=tol)
-    if resolved_mode == MULTIPLICATIVE:
-        return new_multiplicative(arr, tol=tol)
-    raise FormatError(f"{path}: unknown matrix mode {resolved_mode!r}")
-
-
-def _flat(doc: dict, key: str, path: str | Path) -> np.ndarray:
-    """doc[key] as numbers; a nested list is refused, not flattened."""
-    arr = _as_float_array(doc[key], str(path), key)
-    if arr.ndim > 1:
-        raise FormatError(f"{path}: {key} is nested; expected a flat list of numbers")
-    return arr
+    if fmt == "csv":
+        doc = {"entries": _read_csv_grid(path)}
+    elif fmt == "json":
+        doc = _load_json_object(path, ("entries",))
+        if mode and doc.get("mode") and doc["mode"] != mode:
+            raise FormatError(
+                f"{path}: file says mode={doc['mode']!r} but "
+                f"mode={mode!r} was requested"
+            )
+    else:
+        raise FormatError(f"unsupported matrix format {fmt!r}")
+    resolved_mode = doc.get("mode", mode or ADDITIVE)
+    if resolved_mode not in (ADDITIVE, MULTIPLICATIVE):
+        raise FormatError(f"{path}: unknown matrix mode {resolved_mode!r}")
+    build = new_additive if resolved_mode == ADDITIVE else new_multiplicative
+    m = build(doc["entries"], tol=tol)
+    _check_n(doc, m.n, path, f"entries shape {(m.n, m.n)} does not match")
+    return m
 
 
 def read_two_vector(path: str | Path) -> TwoVector:
@@ -244,15 +232,15 @@ def read_two_vector(path: str | Path) -> TwoVector:
 
     doc = _load_json_object(path, ("n", "coords"), ("u", "v"))
     if "coords" not in doc:
-        return wedge(_flat(doc, "u", path), _flat(doc, "v", path))
-    coords = _flat(doc, "coords", path)
-    return new_two_vector(_integer_n(doc.get("n"), path), coords)
+        return wedge(doc["u"], doc["v"])
+    return new_two_vector(_integer_n(doc.get("n"), path), doc["coords"])
 
 
-def read_vector_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read {"u": [...], "v": [...]} for wedge-style commands."""
+def read_vector_pair(path: str | Path) -> tuple[Any, Any]:
+    """Read {"u": [...], "v": [...]} for wedge-style commands: the raw
+    values, which ``wedge`` checks."""
     doc = _load_json_object(path, ("u", "v"))
-    return _flat(doc, "u", path), _flat(doc, "v", path)
+    return doc["u"], doc["v"]
 
 
 def read_embedding(path: str | Path) -> Embedding:
@@ -260,15 +248,9 @@ def read_embedding(path: str | Path) -> Embedding:
     from .embedding import custom_embedding
 
     doc = _load_json_object(path, ("vectors",))
-    vectors = _as_float_array(doc["vectors"], str(path), "vectors")
-    if "n" in doc:
-        n = _integer_n(doc["n"], path)
-        # A 0-d "vectors" is left to custom_embedding's shape check.
-        if vectors.ndim and vectors.shape[0] != n:
-            raise FormatError(
-                f"{path}: {vectors.shape[0]} vectors do not match n={doc['n']}"
-            )
-    return custom_embedding(vectors)
+    emb = custom_embedding(doc["vectors"])
+    _check_n(doc, emb.n, path, f"{emb.n} vectors do not match")
+    return emb
 
 
 # ------------------------------------------------------------------ writing

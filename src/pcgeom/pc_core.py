@@ -12,7 +12,8 @@ notation for comparison matrices; array layouts are plain 0-based numpy.
 Every array a constructor takes from outside (a matrix, scores, the
 vectors of a wedge, a 2-vector's coordinates, an embedding, here and in
 ``exterior`` and ``embedding``) passes one gate, ``_input_array``, which
-states the rules of shape, size and finiteness once.
+states the rules of type, shape, size and finiteness once: ``io`` parses
+a document, and the gate alone turns its arrays into floats.
 """
 
 from __future__ import annotations
@@ -127,13 +128,22 @@ def _from_upper(n: int, upper: np.ndarray) -> AdditiveMatrix:
 def _input_array(raw, what: str, item: str | None = None, least: int = 2) -> np.ndarray:
     """raw as floats, the one gate of every array from outside.
 
-    With ``item`` naming one entry, raw must be a flat vector, else
-    DimensionMismatchError; without, a square matrix, else NonSquareError.
-    Fewer than ``least`` alternatives is TooSmallError, and a NaN or
-    infinite entry NonFiniteEntryError naming its 1-based place: ``score 2``
-    of a vector, ``entry (1,2)`` of a matrix.
+    With ``item`` naming one entry, raw must be a flat vector of numbers
+    (integers or floats, or objects that convert to float, such as integers
+    past int64), else DimensionMismatchError; without, a square array of
+    numbers, else NonSquareError. Fewer than ``least`` alternatives is
+    TooSmallError, and a NaN or infinite entry NonFiniteEntryError naming
+    its 1-based place: ``score 2`` of a vector, ``entry (1,2)`` of a matrix.
     """
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw)
+        if arr.dtype.kind in "iufO":  # not text, booleans or complex numbers
+            arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError):  # ragged, or an object that is no number
+        arr = None
+    if arr is None or arr.dtype != float:
+        raise (DimensionMismatchError(f"{what} is not a flat vector of numbers") if item
+               else NonSquareError(f"{what} is not a square array of numbers"))
     if item is None and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
         raise NonSquareError(f"{what} must be square, got shape {arr.shape}")
     if item is not None and arr.ndim != 1:

@@ -140,7 +140,7 @@ def reduce_iterative(
     i_alg = [n * r_sq]
     while i_alg[-1] > tol and len(i_alg) <= max_steps:
         i_alg.append(i_alg[-1] * (q * q))
-    i_geom = (n * n * r_sq, *(n * v for v in i_alg[1:]))
+    i_geom = tuple(n * v for v in i_alg)
     return ReductionTrajectory(
         a, residual, q, tuple(i_alg), i_geom, converged=i_alg[-1] <= tol
     )

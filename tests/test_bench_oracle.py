@@ -1,6 +1,5 @@
-"""The CLI's check, twoform, deviations, indices, embed, wedge and plucker
-reports, run in process on generated inputs, checked by the benchmark's
-independent oracle (bench/oracle.py).
+"""The reports of all ten CLI commands, run in process on generated
+inputs, checked by the benchmark's independent oracle (bench/oracle.py).
 
 The oracle decides consistency and decomposability with its own scans at
 its fixed tolerance, so every input to check, twoform and plucker keeps its
@@ -41,19 +40,24 @@ workloads = _bench_module("workloads")
 
 #: Factor kept between the oracle's bound and the largest deviation or residual.
 MARGIN = 10.0
+#: The CLI flag of an oracle param whose name differs from it.
+FLAGS = {"lam": "lambda"}
 
 
-def run_checked(workdir: Path, kind: str, name: str, doc, **params: str) -> list[str]:
-    """Write doc to workdir/name, run `pcgeom kind name --key value ... -o ...`
-    in process, a flag for each of params, and return the oracle's problems
-    with the outcome; the oracle reads the same params."""
+def run_checked(workdir: Path, kind: str, name: str, doc, ext: str = "json",
+                **params) -> list[str]:
+    """Write doc to workdir/name, run `pcgeom kind name --key value ... -o
+    out.ext` in process, a flag for each of params that is not None, and
+    return the oracle's problems with the outcome; the oracle reads the
+    same params."""
     path = workdir / name
     if name.endswith(".csv"):
         path.write_text("".join(",".join(map(repr, row)) + "\n" for row in doc.tolist()))
     else:
         path.write_text(json.dumps(doc))
-    flags = [arg for key, value in params.items() for arg in (f"--{key}", value)]
-    output = f"{kind}-{name}.json"
+    flags = [arg for key, value in params.items() if value is not None
+             for arg in (f"--{FLAGS.get(key, key)}", str(value))]
+    output = f"{kind}-{name}.{ext}"
     req = workloads.Request(kind, (kind, name, *flags, "-o", output), output, kind,
                             {"input": name, **params})
     expected = oracle.expect(req, workdir)
@@ -71,11 +75,11 @@ def clear_of_the_bound(largest: float, bound: float) -> bool:
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, largest_scale: int = 16):
     """A from_scores or noisy matrix at a power-of-two scale, exactly skew."""
     n = draw(st.integers(4, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 2.0 ** draw(st.integers(-20, 16))
+    scale = 2.0 ** draw(st.integers(-20, largest_scale))
     s = rng.standard_normal(n) * scale
     a = s[:, None] - s[None, :]
     if draw(st.booleans()):
@@ -112,6 +116,32 @@ def test_value_reports_agree_with_the_bench_oracle(a):
     with tempfile.TemporaryDirectory() as tmp:
         for kind, params in VALUE_REPORTS:
             assert run_checked(Path(tmp), kind, "a.csv", a, **params) == [], (kind, params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrices(), st.sampled_from([None, 0.1, 0.5, 1.0]), st.sampled_from([0.0, 1.0]))
+def test_reduce_agrees_with_the_bench_oracle(a, eta_n, lam):
+    eta = None if eta_n is None else eta_n / len(a)
+    with tempfile.TemporaryDirectory() as tmp:
+        for ext in ("json", "jsonl", "csv"):
+            problems = run_checked(Path(tmp), "reduce", "a.csv", a, ext, eta=eta, lam=lam)
+            assert problems == [], (ext, eta, lam)
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrices())
+def test_diagnose_agrees_with_the_bench_oracle(a):
+    with tempfile.TemporaryDirectory() as tmp:
+        for lam in (0.0, 1.0):
+            assert run_checked(Path(tmp), "diagnose", "a.csv", a, lam=lam) == [], lam
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(largest_scale=3))
+def test_convert_of_a_multiplicative_document_agrees_with_the_bench_oracle(a):
+    doc = {"n": len(a), "mode": "multiplicative", "entries": np.exp(a).tolist()}
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_checked(Path(tmp), "convert", "m.json", doc) == []
 
 
 @st.composite

@@ -108,7 +108,7 @@ def test_wedge_non_numeric_payload_exits_two(capsys, tmp_path):
     path = tmp_path / "uv.json"
     path.write_text('{"u": [1, "x", 0], "v": [0, 1, 0]}')
     assert main(["wedge", str(path)]) == 2
-    assert "numeric" in capsys.readouterr().err
+    assert capsys.readouterr().err == "pcgeom: error: u is not a flat vector of numbers\n"
 
 
 def test_check_multiplicative_mode(capsys, tmp_path):

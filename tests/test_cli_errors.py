@@ -457,24 +457,25 @@ NEITHER_FORMAT = 'expected an object with "n" and "coords", or "u" and "v"'
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ('{"n": 4, "coords": "abc"}', "coords is not a numeric array"),
+        ('{"n": 4, "coords": "abc"}', "coords is not a flat vector of numbers"),
         ('{"n": 4, "coords": "abc", "u": [1, 0], "v": [0, 1]}',
-         "coords is not a numeric array"),
+         "coords is not a flat vector of numbers"),
         ('{"coords": [1, 0, 0, 0, 0, 0], "u": [1, 0], "v": [0, 1]}',
-         "n is not an integer"),
-        ('{"u": "abc", "v": [0, 1]}', "u is not a numeric array"),
-        ('{"coords": [1, 0, 0, 0, 0, 0]}', NEITHER_FORMAT),
-        ('{"u": [1, 0]}', NEITHER_FORMAT),
-        ("[4]", NEITHER_FORMAT),
+         "{path}: n is not an integer"),
+        ('{"u": "abc", "v": [0, 1]}', "u is not a flat vector of numbers"),
+        ('{"coords": [1, 0, 0, 0, 0, 0]}', "{path}: " + NEITHER_FORMAT),
+        ('{"u": [1, 0]}', "{path}: " + NEITHER_FORMAT),
+        ("[4]", "{path}: " + NEITHER_FORMAT),
     ],
     ids=["bad-coords", "bad-coords-and-pair", "coords-and-pair-without-n",
          "bad-u", "coords-without-n", "u-without-v", "list"],
 )
 def test_plucker_reader_is_chosen_by_the_keys(capsys, tmp_path, doc, message):
+    # A fault of the document names the file; a fault of a value, its key.
     path = tmp_path / "p.json"
     path.write_text(doc)
     err = run_failing(capsys, ["plucker", str(path)])
-    assert err == f"pcgeom: error: {path}: {message}\n"
+    assert err == f"pcgeom: error: {message.format(path=path)}\n"
 
 
 MATRIX_ROWS = "[[0, 1, 3], [-1, 0, 1], [-3, -1, 0]]"
@@ -602,9 +603,8 @@ def test_nested_vectors_exit_two_naming_the_key(capsys, tmp_path, command, doc, 
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
     err = run_failing(capsys, [command, str(path)])
-    assert err == (
-        f"pcgeom: error: {path}: {key} is nested; expected a flat list of numbers\n"
-    )
+    shape = np.shape(doc[key])
+    assert err == f"pcgeom: error: {key} must be a flat vector, got shape {shape}\n"
 
 
 FILE_NEEDS_CUSTOM = "--embedding-file requires --embedding custom"

@@ -2,10 +2,11 @@
 its rule holds for each of the nine constructors that take such an array.
 
 A vector is refused nested or 0-d (DimensionMismatchError), a matrix
-unless square (NonSquareError); fewer than 2 alternatives is
-TooSmallError; a NaN or infinite entry is NonFiniteEntryError naming its
-1-based place; and a valid input reaches the constructor as exactly
-``np.asarray(x, dtype=float)``.
+unless square (NonSquareError), and either one by that class when it is
+ragged or holds text, booleans or complex numbers; fewer than 2
+alternatives is TooSmallError; a NaN or infinite entry is
+NonFiniteEntryError naming its 1-based place; and a valid input reaches
+the constructor as exactly ``np.asarray(x, dtype=float)``.
 """
 
 import math
@@ -42,7 +43,7 @@ BAD = st.sampled_from([math.nan, math.inf, -math.inf])
 
 def _ones(x) -> np.ndarray:
     """A flat partner for x in a wedge: as long as x, and never too short."""
-    return np.ones(max(np.size(x), 2))
+    return np.ones(max(len(x) if isinstance(x, list) else 1, 2))
 
 
 def _skew(draw, n: int) -> list[list[float]]:
@@ -80,6 +81,14 @@ MATRICES = {
     "custom_embedding": (custom_embedding, _square),
 }
 CASES = sorted(VECTORS) + sorted(MATRICES)
+#: name: what the gate calls the whole input
+WHAT = {
+    "from_scores": "scores", "planar_embedding": "scores",
+    "scores_to_coefficients": "scores", "orthogonal_embedding": "coefficients",
+    "wedge-u": "u", "wedge-v": "v", "new_two_vector": "coords",
+    "new_additive": "additive matrix", "new_multiplicative": "multiplicative matrix",
+    "custom_embedding": "embedding",
+}
 
 
 @st.composite
@@ -134,6 +143,33 @@ def test_nested_scalar_and_short_inputs_are_refused_by_their_fault(case, data):
         with pytest.raises(error) as exc:
             build(case, faulty, n)
         assert type(exc.value) is error, (faulty, exc.value)
+
+
+def _each(f, x):
+    """x with f applied to every entry, its nesting kept."""
+    return [_each(f, v) for v in x] if isinstance(x, list) else f(x)
+
+
+def _not_numbers(case: str, x) -> dict:
+    """x made ragged, and its entries made text, booleans and complex
+    numbers: none of them an array of numbers."""
+    ragged = x[:-1] + [x[-1][:-1]] if case in MATRICES else [x, x + x]
+    return {"ragged": ragged, "text": _each(str, x), "boolean": _each(bool, x),
+            "complex": _each(complex, x)}
+
+
+@pytest.mark.parametrize("case", CASES)
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_ragged_text_boolean_and_complex_inputs_are_refused_by_name(case, data):
+    x, n = data.draw(valid_inputs(case))
+    error = NonSquareError if case in MATRICES else DimensionMismatchError
+    shape = "a square array" if case in MATRICES else "a flat vector"
+    for kind, faulty in _not_numbers(case, x).items():
+        with pytest.raises(error) as exc:  # never numpy's bare ValueError
+            build(case, faulty, n)
+        assert type(exc.value) is error, (kind, exc.value)
+        assert str(exc.value) == f"{WHAT[case]} is not {shape} of numbers", kind
 
 
 @pytest.mark.parametrize("case", CASES)

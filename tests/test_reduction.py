@@ -192,6 +192,17 @@ def test_trajectory_i_geom_tracks_quadratic_form():
         assert step.i_geom == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
+def test_i_geom_is_n_times_i_alg_at_every_step():
+    # Step 0 as n * n * |r|^2 read 12.000000000000002 here, not n * I_alg = 12.
+    trajectory = reduce_iterative(new_additive([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]))
+    assert (trajectory.i_alg[0], trajectory.i_geom[0]) == (4.0, 12.0)
+    rng = np.random.default_rng(52)
+    for _ in range(50):
+        n = int(rng.integers(3, 160))
+        trajectory = reduce_iterative(random_additive(rng, n), eta=0.5 / n, max_steps=5)
+        assert trajectory.i_geom == tuple(n * v for v in trajectory.i_alg)
+
+
 def test_reduce_validates_parameters():
     a = new_additive(INCONSISTENT_3)
     with pytest.raises(NonPositiveStepError):
