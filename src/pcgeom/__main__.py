@@ -3,7 +3,7 @@ import gc
 import os
 import sys
 
-from .usage import build_parser
+from .usage import parse
 
 
 def _report(exc: OSError) -> int:
@@ -19,17 +19,18 @@ def _report(exc: OSError) -> int:
 def run() -> None:
     """Entry point of ``python -m pcgeom`` and of the ``pcgeom`` script.
 
-    The command line is parsed before ``cli`` is imported, so argparse
-    answers ``--version``, ``--help`` and usage errors without loading
-    numpy. Its answer ends the process as a command's run does: once the
-    output is written, the atexit handlers run, stdout and stderr are
-    flushed, and ``os._exit`` skips the interpreter teardown that would
-    free every loaded module one by one. argparse's ``SystemExit`` code is
-    mapped as the interpreter maps it. A write or flush that fails (a full
-    device, a closed pipe) costs one ``pcgeom: error:`` line and exit 2,
-    unless the code is already nonzero: a command has then reported its
-    own failure. (Unbuffered, argparse's answer fails as it is written.)
-    An uncaught exception ends the normal way, with a traceback.
+    The command line is parsed before ``cli`` is imported, so
+    ``--version``, ``--help`` and usage errors are answered without loading
+    numpy, and a valid command line is read from ``usage``'s tables without
+    loading argparse. A parse answer ends the process as a command's run
+    does: once the output is written, the atexit handlers run, stdout and
+    stderr are flushed, and ``os._exit`` skips the interpreter teardown that
+    would free every loaded module one by one. The parse's ``SystemExit``
+    code is mapped as the interpreter maps it. A write or flush that fails
+    (a full device, a closed pipe) costs one ``pcgeom: error:`` line and
+    exit 2, unless the code is already nonzero: a command has then reported
+    its own failure. (Unbuffered, the parse's answer fails as it is
+    written.) An uncaught exception ends the normal way, with a traceback.
     ``cli.main`` never exits, because tests and library callers run it
     in-process.
 
@@ -39,7 +40,7 @@ def run() -> None:
     """
     gc.disable()
     try:
-        args = build_parser().parse_args()
+        args = parse()
     except SystemExit as answer:
         code = answer.code
         if code is not None and not isinstance(code, int):

@@ -1,6 +1,6 @@
 """Command-line front end: the handlers of the commands that ``usage``
 declares, each given the parsed command line as its configuration, and
-``main``, which parses with ``usage.build_parser``.
+``main``, which parses with ``usage.parse``.
 
 One subcommand per operation family; all reports are machine readable
 (JSON by default, CSV for matrix-shaped output) and carry the library
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from argparse import Namespace
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +34,7 @@ from .pc_core import (
     to_additive,
     to_multiplicative,
 )
-from .usage import FORMATS, build_parser
+from .usage import FORMATS, parse
 
 if TYPE_CHECKING:
     from .embedding import Embedding
@@ -43,7 +43,7 @@ ENV_TOL = "PCGEOM_TOL"
 ENV_FORMAT = "PCGEOM_FORMAT"
 
 
-def _validate(config: Namespace) -> None:
+def _validate(config: SimpleNamespace) -> None:
     if config.command not in _HANDLERS:
         raise PCGeomError(f"unknown command {config.command!r}")
     if not config.tol > 0:
@@ -64,7 +64,7 @@ def _validate(config: Namespace) -> None:
         raise PCGeomError("custom embedding requires --embedding-file")
 
 
-def _with_environment(config: Namespace) -> Namespace:
+def _with_environment(config: SimpleNamespace) -> SimpleNamespace:
     """A copy of the config with its tolerance and output format resolved:
     the flag, else PCGEOM_TOL / PCGEOM_FORMAT, else the default tolerance
     and the format of the output extension, else json."""
@@ -86,24 +86,24 @@ def _with_environment(config: Namespace) -> Namespace:
         # Only the descent has records to write one per line.
         kind = "matrix" if config.command == "convert" else "report"
         raise io.FormatError(f"unsupported {kind} format {fmt!r}")
-    return Namespace(**{**vars(config), "tol": tol, "format": fmt})
+    return SimpleNamespace(**{**vars(config), "tol": tol, "format": fmt})
 
 
-def _read_matrix(config: Namespace):
+def _read_matrix(config: SimpleNamespace):
     fmt = io.infer_format(config.input_path, fallback="csv")
     return io.read_matrix(
         config.input_path, fmt=fmt, mode=config.mode, tol=config.tol
     )
 
 
-def _read_additive(config: Namespace) -> AdditiveMatrix:
+def _read_additive(config: SimpleNamespace) -> AdditiveMatrix:
     matrix = _read_matrix(config)
     if isinstance(matrix, AdditiveMatrix):
         return matrix
     return to_additive(matrix)
 
 
-def _emit(config: Namespace, writer) -> None:
+def _emit(config: SimpleNamespace, writer) -> None:
     if not config.output_path:
         writer(sys.stdout)
         # A full device or a closed pipe fails here, inside run's error
@@ -138,13 +138,13 @@ def _labels(n: int, r: int) -> io.RowStream:
     return io.RowStream((math.comb(n, r), r), rows, int)
 
 
-def _report(config: Namespace, **fields):
+def _report(config: SimpleNamespace, **fields):
     """Writer of the command's report: its name, the version, then fields."""
     report = {"command": config.command, "version": __version__, **fields}
     return lambda dest: io.write_report(report, dest, config.format)
 
 
-def _cmd_check(config: Namespace):
+def _cmd_check(config: SimpleNamespace):
     matrix = _read_additive(config)
     max_dev = max_abs_triad_deviation(matrix)
     consistent = max_dev <= config.tol
@@ -158,7 +158,7 @@ def _cmd_check(config: Namespace):
     )
 
 
-def _cmd_convert(config: Namespace):
+def _cmd_convert(config: SimpleNamespace):
     matrix = _read_matrix(config)
     if isinstance(matrix, AdditiveMatrix):
         converted = to_multiplicative(matrix)
@@ -169,7 +169,7 @@ def _cmd_convert(config: Namespace):
     )
 
 
-def _embedding(config: Namespace, matrix: AdditiveMatrix) -> Embedding | None:
+def _embedding(config: SimpleNamespace, matrix: AdditiveMatrix) -> Embedding | None:
     """The orthogonal or custom embedding the config names; None for the
     planar family, which is built pair by pair from the matrix entries."""
     from .embedding import orthogonal_embedding, scores_to_coefficients
@@ -189,7 +189,7 @@ def _embedding(config: Namespace, matrix: AdditiveMatrix) -> Embedding | None:
     raise PCGeomError(f"unknown embedding kind {config.embedding_kind!r}")
 
 
-def _geometric_index(config: Namespace, matrix: AdditiveMatrix) -> float:
+def _geometric_index(config: SimpleNamespace, matrix: AdditiveMatrix) -> float:
     from .embedding import geometric_inconsistency, planar_matrix_inconsistency
 
     emb = _embedding(config, matrix)
@@ -198,7 +198,7 @@ def _geometric_index(config: Namespace, matrix: AdditiveMatrix) -> float:
     return geometric_inconsistency(emb, config.convention)
 
 
-def _cmd_indices(config: Namespace):
+def _cmd_indices(config: SimpleNamespace):
     matrix = _read_additive(config)
     return 0, _report(
         config,
@@ -210,7 +210,7 @@ def _cmd_indices(config: Namespace):
     )
 
 
-def _cmd_deviations(config: Namespace):
+def _cmd_deviations(config: SimpleNamespace):
     matrix = _read_additive(config)
     return 0, _report(
         config,
@@ -220,7 +220,7 @@ def _cmd_deviations(config: Namespace):
     )
 
 
-def _cmd_embed(config: Namespace):
+def _cmd_embed(config: SimpleNamespace):
     from .embedding import pair_wedges, planar_pair_wedges
 
     matrix = _read_additive(config)
@@ -240,7 +240,7 @@ def _cmd_embed(config: Namespace):
     )
 
 
-def _cmd_wedge(config: Namespace):
+def _cmd_wedge(config: SimpleNamespace):
     from .exterior import wedge
 
     u, v = io.read_vector_pair(config.input_path)
@@ -253,7 +253,7 @@ def _cmd_wedge(config: Namespace):
     )
 
 
-def _cmd_plucker(config: Namespace):
+def _cmd_plucker(config: SimpleNamespace):
     from .exterior import _within_plucker_bound, quad_residual_values
 
     p = io.read_two_vector(config.input_path)
@@ -271,7 +271,7 @@ def _cmd_plucker(config: Namespace):
     )
 
 
-def _cmd_diagnose(config: Namespace):
+def _cmd_diagnose(config: SimpleNamespace):
     matrix = _read_additive(config)
     if config.format == "csv":
         # The matrix itself is the output: its rows are computed as they
@@ -283,7 +283,7 @@ def _cmd_diagnose(config: Namespace):
     return 0, _report(config, n=matrix.n, **spectrum, **{"lambda": config.lam})
 
 
-def _cmd_reduce(config: Namespace):
+def _cmd_reduce(config: SimpleNamespace):
     from .reduction import reduce_iterative
 
     matrix = _read_additive(config)
@@ -312,7 +312,7 @@ def _cmd_reduce(config: Namespace):
     )
 
 
-def _cmd_twoform(config: Namespace):
+def _cmd_twoform(config: SimpleNamespace):
     from .twoform import evaluation_columns
 
     matrix = _read_additive(config)
@@ -352,7 +352,7 @@ _HANDLERS = {
 }
 
 
-def run(config: Namespace) -> int:
+def run(config: SimpleNamespace) -> int:
     """Execute the command of a parsed command line; never raises for
     input problems (exit 2)."""
     try:
@@ -385,7 +385,7 @@ def run(config: Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(build_parser().parse_args(argv))
+    return run(parse(argv))
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .pc_core import (
     _input_array,
     _readonly,
     _scaled,
+    _scaled_square_sum,
 )
 
 
@@ -55,15 +56,17 @@ class TwoVector(ReadOnly):
 
     def norm(self) -> float:
         """Euclidean norm, nonzero for every nonzero 2-vector; raises
-        OverflowError when it exceeds the float range."""
+        OverflowError naming |p| when it exceeds the float range."""
         unit, (e,) = _scaled(self.coords)
-        return math.ldexp(float(np.linalg.norm(unit)), int(e))
+        try:
+            return math.ldexp(float(np.linalg.norm(unit)), int(e))
+        except OverflowError:
+            raise OverflowError("|p| of the 2-vector is beyond the float range") from None
 
     def norm_squared(self) -> float:
-        """Squared Euclidean norm; raises OverflowError when it exceeds the
-        float range."""
-        unit, (e,) = _scaled(self.coords)
-        return math.ldexp(float(np.dot(unit, unit)), 2 * int(e))
+        """Squared Euclidean norm; raises OverflowError naming |p|^2 when it
+        exceeds the float range."""
+        return _scaled_square_sum(self.coords, 1, "|p|^2 of the 2-vector")
 
     @property
     def matrix_view(self) -> np.ndarray:

@@ -165,10 +165,10 @@ def _load_json_object(path: str | Path, *key_sets: tuple[str, ...]) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from exc
+        except ValueError as exc:  # a syntax error, or an integer of too many digits
+            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         except RecursionError as exc:
             raise FormatError(f"{path}: invalid JSON (nesting too deep)") from exc
     if not isinstance(doc, dict) or not any(doc.keys() >= set(k) for k in key_sets):

@@ -121,8 +121,33 @@ def _scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(values, -e), e
 
 
+def _scaled_square_sum(values: np.ndarray, factor: int, what: str) -> float:
+    """factor * |values|^2, summed on ``_scaled`` values so that no square
+    overflows or underflows; OverflowError naming ``what`` when the result
+    is beyond the float range."""
+    unit, (e,) = _scaled(values)
+    try:
+        return math.ldexp(factor * float(np.dot(unit, unit)), 2 * int(e))
+    except OverflowError:
+        raise OverflowError(f"{what} is beyond the float range") from None
+
+
 def _from_upper(n: int, upper: np.ndarray) -> AdditiveMatrix:
     return AdditiveMatrix(n=n, upper=_readonly(upper))
+
+
+def _object_float(x) -> float:
+    """An item of an object array as a float: None as NaN, as numpy converts
+    it, and an integer past the float range as an infinity of its sign.
+    Text, which float() would parse, is refused by TypeError."""
+    if isinstance(x, (str, bytes)):
+        raise TypeError("text is not a number")
+    if x is None:
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _input_array(raw, what: str, item: str | None = None, least: int = 2) -> np.ndarray:
@@ -130,14 +155,17 @@ def _input_array(raw, what: str, item: str | None = None, least: int = 2) -> np.
 
     With ``item`` naming one entry, raw must be a flat vector of numbers
     (integers or floats, or objects that convert to float, such as integers
-    past int64), else DimensionMismatchError; without, a square array of
-    numbers, else NonSquareError. Fewer than ``least`` alternatives is
-    TooSmallError, and a NaN or infinite entry NonFiniteEntryError naming
-    its 1-based place: ``score 2`` of a vector, ``entry (1,2)`` of a matrix.
+    past int64, but not text), else DimensionMismatchError; without, a
+    square array of numbers, else NonSquareError. Fewer than ``least``
+    alternatives is TooSmallError, and a NaN or infinite entry, or an
+    integer past the float range, NonFiniteEntryError naming its 1-based
+    place: ``score 2`` of a vector, ``entry (1,2)`` of a matrix.
     """
     try:
         arr = np.asarray(raw)
-        if arr.dtype.kind in "iufO":  # not text, booleans or complex numbers
+        if arr.dtype.kind == "O":  # huge integers or nulls, maybe with text
+            arr = np.array([_object_float(x) for x in arr.flat]).reshape(arr.shape)
+        elif arr.dtype.kind in "iuf":  # not text, booleans or complex numbers
             arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):  # ragged, or an object that is no number
         arr = None
@@ -351,9 +379,12 @@ def algebraic_inconsistency(a: AdditiveMatrix) -> float:
     complete comparison structure C C^T = n (I - P), where P projects
     onto consistent matrices. Hence |d|^2 = n |r|^2 for the residual r
     of the row-mean scores (see :func:`recover_scores`).
+
+    Raises:
+        OverflowError: if the index is beyond the float range.
     """
     _, r = recover_scores(a)
-    return a.n * float(np.dot(r.upper, r.upper))
+    return _scaled_square_sum(r.upper, a.n, "I_alg")
 
 
 def is_consistent(a: AdditiveMatrix, tol: float = DEFAULT_TOLERANCE) -> bool:

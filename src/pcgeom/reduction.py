@@ -16,6 +16,7 @@ descends monotonically.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +27,7 @@ from .pc_core import (
     _check_lambda,
     _check_tolerance,
     _from_upper,
+    _scaled_square_sum,
     from_scores,
     recover_scores,
 )
@@ -111,8 +113,10 @@ def reduce_iterative(
     eta defaults to 1/n, which reaches the exact projection in one step.
     A step that cannot contract (|q| >= 1), whose records would grow into
     overflow, or one so small that q rounds to 1 and no step moves the
-    matrix, raises DivergentStepError. Failure to converge within
-    max_steps is reported through the ``converged`` flag, not as an error.
+    matrix, raises DivergentStepError; an input whose I_alg or I_geom is
+    beyond the float range raises OverflowError naming it. Failure to
+    converge within max_steps is reported through the ``converged`` flag,
+    not as an error.
     """
     n = a.n
     if eta is None:
@@ -136,11 +140,12 @@ def reduce_iterative(
         )
 
     _, residual = recover_scores(a)
-    r_sq = float(np.dot(residual.upper, residual.upper))
-    i_alg = [n * r_sq]
+    i_alg = [_scaled_square_sum(residual.upper, n, "I_alg")]
     while i_alg[-1] > tol and len(i_alg) <= max_steps:
         i_alg.append(i_alg[-1] * (q * q))
     i_geom = tuple(n * v for v in i_alg)
+    if math.isinf(i_geom[0]):
+        raise OverflowError("I_geom = n I_alg is beyond the float range")
     return ReductionTrajectory(
         a, residual, q, tuple(i_alg), i_geom, converged=i_alg[-1] <= tol
     )

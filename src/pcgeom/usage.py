@@ -1,15 +1,20 @@
 """Command-line grammar: the subcommands, their flags and help.
 
-Imports only argparse and the version, so ``--version``, ``--help`` and
-usage errors are answered before numpy or any other pcgeom module loads.
-A parse builds only the named command's flags: ``build_parser`` registers
+``parse`` reads a command line with nothing imported beyond the version,
+so ``--version``, ``--help`` and usage errors are answered before numpy or
+any other pcgeom module loads. ``--version`` alone, and a command, its
+input and exact flag-value pairs, are read from the tables below. Any
+other line (help, an abbreviated, repeated or unknown flag,
+``--flag=value``, ``--``, a value that starts with ``-`` or fails its type
+or choices, a missing or second input) goes to argparse, the one authority
+on help text and usage errors, which is imported only then. A parse by
+argparse builds only the named command's flags: ``build_parser`` registers
 each subcommand by name and help, and a subparser adds its arguments when
-it first parses. ``--version`` prints its line without argparse's help
-formatter. ``cli`` holds the handler of each command named here.
+it first parses. ``cli`` holds the handler of each command named here.
 """
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 
@@ -33,107 +38,189 @@ DEFAULTS = {
     "max_steps": 1000,
 }
 
-#: argparse settings of the flags only some commands take.
+#: argparse settings of every flag; the table parse reads its dest, type
+#: and choices from here too.
 _FLAGS = {
-    "--convention": {"choices": ["cyclic", "anticyclic"]},
+    "--output": {"dest": "output_path", "metavar": "OUTPUT"},
+    "--format": {"choices": FORMATS, "dest": "format"},
+    "--tol": {"type": float, "dest": "tol"},
+    "--mode": {"choices": ["additive", "multiplicative"], "dest": "mode"},
+    "--convention": {"choices": ["cyclic", "anticyclic"], "dest": "convention"},
     "--embedding": {
         "choices": ["planar", "orthogonal", "custom"],
         "dest": "embedding_kind",
     },
-    "--embedding-file": {},
+    "--embedding-file": {"dest": "embedding_file"},
     "--lambda": {"type": float, "dest": "lam"},
-    "--eta": {"type": float},
-    "--max-steps": {"type": int},
+    "--eta": {"type": float, "dest": "eta"},
+    "--max-steps": {"type": int, "dest": "max_steps"},
 }
+
+#: Short spelling: the flag it stands for.
+_ALIASES = {"-o": "--output"}
+
+#: (flag, help) of the flags every command takes, in help order.
+_OUTPUT_FLAGS = (
+    ("--output", "output file (default stdout)"),
+    ("--format", "output format (default: from output extension, else json)"),
+    ("--tol", "absolute validation / decision tolerance (default 1e-9), the "
+              "same at every scale; plucker's bound is tol * max(1, |p|^2)"),
+)
+
+#: ... and of those every command that reads a matrix takes.
+_MATRIX_FLAGS = (
+    *_OUTPUT_FLAGS,
+    ("--mode", "how to interpret the input matrix "
+               "(default: the file's own mode declaration, else additive)"),
+)
 
 _EMBEDDING_FLAGS = (
     ("--embedding", None),
     ("--embedding-file", "JSON file for --embedding custom"),
 )
 
-#: name: (help, reads a matrix, extra (flag, help) pairs).
+#: name: (help, (flag, help) of each flag it takes, in help order).
 COMMANDS = {
-    "check": ("consistency verdict and max deviation", True, ()),
-    "convert": ("additive <-> multiplicative", True, ()),
-    "indices": ("algebraic and geometric inconsistency", True,
-                (("--convention", None), *_EMBEDDING_FLAGS)),
-    "deviations": ("all triad deviations", True, ()),
-    "embed": ("pair 2-vectors of the chosen embedding", True, _EMBEDDING_FLAGS),
-    "wedge": ('wedge product of {"u": [...], "v": [...]}', False, ()),
-    "plucker": ("quadratic-relation residuals of a 2-vector", False, ()),
-    "diagnose": ("spectral report of the coupling form", True,
-                 (("--lambda", "diagonal regularization weight (default 0)"),)),
-    "reduce": ("iterative inconsistency reduction", True,
-               (("--lambda", "regularized descent weight (default 0)"),
+    "check": ("consistency verdict and max deviation", _MATRIX_FLAGS),
+    "convert": ("additive <-> multiplicative", _MATRIX_FLAGS),
+    "indices": ("algebraic and geometric inconsistency",
+                (*_MATRIX_FLAGS, ("--convention", None), *_EMBEDDING_FLAGS)),
+    "deviations": ("all triad deviations", _MATRIX_FLAGS),
+    "embed": ("pair 2-vectors of the chosen embedding",
+              (*_MATRIX_FLAGS, *_EMBEDDING_FLAGS)),
+    "wedge": ('wedge product of {"u": [...], "v": [...]}', _OUTPUT_FLAGS),
+    "plucker": ("quadratic-relation residuals of a 2-vector", _OUTPUT_FLAGS),
+    "diagnose": ("spectral report of the coupling form",
+                 (*_MATRIX_FLAGS,
+                  ("--lambda", "diagonal regularization weight (default 0)"))),
+    "reduce": ("iterative inconsistency reduction",
+               (*_MATRIX_FLAGS,
+                ("--lambda", "regularized descent weight (default 0)"),
                 ("--eta", "step size (default 1/n)"), ("--max-steps", None))),
-    "twoform": ("form evaluation table vs matrix entries", True, ()),
+    "twoform": ("form evaluation table vs matrix entries", _MATRIX_FLAGS),
 }
 
 
-class _Version(argparse.Action):
-    """Prints ``pcgeom <version>`` and exits, as argparse's version action
-    does, but without building a help formatter to lay out one line."""
-
-    def __init__(self, option_strings, dest):
-        super().__init__(
-            option_strings,
-            dest,
-            nargs=0,
-            default=argparse.SUPPRESS,
-            help="show program's version number and exit",
-        )
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser._print_message(f"{parser.prog} {__version__}\n", sys.stdout)
-        parser.exit()
+def _print(message: str, file=None) -> None:
+    # argparse drops an OSError of this write, so an unbuffered answer
+    # to a full device would exit 0 having written nothing.
+    file = file or sys.stderr
+    if message and file is not None:
+        file.write(message)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error in one line and exits 2, as every other
-    failure does; subparsers are built from the same class. A subparser
-    made with ``command`` adds that command's arguments the first time it
-    parses."""
+def parse(argv: list[str] | None = None) -> SimpleNamespace:
+    """The settings of command line ``argv`` (default ``sys.argv[1:]``).
 
-    def __init__(self, *args, command=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._command = command
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._command is not None:
-            _add_arguments(self, self._command)
-            self._command = None
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message: str):
-        self.exit(2, f"pcgeom: error: {message}\n")
-
-    def _print_message(self, message: str, file=None) -> None:
-        # argparse drops an OSError of this write, so an unbuffered answer
-        # to a full device would exit 0 having written nothing.
-        file = file or sys.stderr
-        if message and file is not None:
-            file.write(message)
+    ``--version`` alone prints ``pcgeom <version>`` and raises
+    ``SystemExit(0)``, as argparse's version action does. A line the table
+    reads (see ``read_table``) returns at once; any other is parsed by
+    argparse, which raises ``SystemExit`` after printing help or a usage
+    error.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv == ["--version"]:
+        _print(f"pcgeom {__version__}\n", sys.stdout)
+        raise SystemExit(0)
+    settings = read_table(argv)
+    if settings is None:
+        settings = vars(build_parser().parse_args(argv))
+    return SimpleNamespace(**settings)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def read_table(argv: list[str]) -> dict | None:
+    """The settings of ``argv`` read from the tables alone, or None.
+
+    The line must be a command, an input, then flag-value pairs: each flag
+    spelled exactly, taken by the command and given once, and each value
+    not starting with ``-``, converted by the flag's type and within its
+    choices. The settings are then those argparse would return.
+    """
+    if (len(argv) < 2 or len(argv) % 2 or argv[0] not in COMMANDS
+            or argv[1].startswith("-")):
+        return None
+    taken = {flag for flag, _ in COMMANDS[argv[0]][1]}
+    settings = {**DEFAULTS, "command": argv[0], "input_path": argv[1]}
+    given = set()
+    for flag, value in zip(argv[2::2], argv[3::2]):
+        flag = _ALIASES.get(flag, flag)
+        if flag not in taken or flag in given or value.startswith("-"):
+            return None
+        given.add(flag)
+        spec = _FLAGS[flag]
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        settings[spec["dest"]] = value
+    return settings
+
+
+def build_parser():
+    """The argparse parser of the whole grammar, for help and usage errors."""
+    import argparse
+
+    class Version(argparse.Action):
+        """Prints ``pcgeom <version>`` and exits, as argparse's version
+        action does, but without building a help formatter to lay out one
+        line."""
+
+        def __init__(self, option_strings, dest):
+            super().__init__(
+                option_strings,
+                dest,
+                nargs=0,
+                default=argparse.SUPPRESS,
+                help="show program's version number and exit",
+            )
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            _print(f"{parser.prog} {__version__}\n", sys.stdout)
+            parser.exit()
+
+    class Parser(argparse.ArgumentParser):
+        """Reports a usage error in one line and exits 2, as every other
+        failure does; subparsers are built from the same class. A
+        subparser made with ``command`` adds that command's arguments the
+        first time it parses."""
+
+        def __init__(self, *args, command=None, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._command = command
+
+        def parse_known_args(self, args=None, namespace=None):
+            if self._command is not None:
+                _add_arguments(self, self._command)
+                self._command = None
+            return super().parse_known_args(args, namespace)
+
+        def error(self, message: str):
+            self.exit(2, f"pcgeom: error: {message}\n")
+
+        def _print_message(self, message: str, file=None) -> None:
+            _print(message, file)
+
+    parser = Parser(
         prog="pcgeom",
         description=(
             "Skew-symmetric pairwise-comparison matrices: consistency "
             "checks, pair-subspace embeddings, and inconsistency reduction."
         ),
     )
-    parser.add_argument("--version", action=_Version)
+    parser.add_argument("--version", action=Version)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
+    for name, (help_text, _) in COMMANDS.items():
         sub.add_parser(name, help=help_text, add_help=False, command=name)
     return parser
 
 
-def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+def _add_arguments(p, name: str) -> None:
     """The arguments of command ``name``, in help order, as argparse's
     ``add_help`` would lead them with ``-h/--help``."""
-    _, reads_matrix, extra_flags = COMMANDS[name]
+    import argparse
+
     p.add_argument(
         "-h",
         "--help",
@@ -143,34 +230,6 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
     )
     p.set_defaults(**DEFAULTS)
     p.add_argument("input_path", metavar="input", help="input file")
-    p.add_argument(
-        "-o",
-        "--output",
-        dest="output_path",
-        metavar="OUTPUT",
-        help="output file (default stdout)",
-    )
-    p.add_argument(
-        "--format",
-        choices=FORMATS,
-        help="output format (default: from output extension, else json)",
-    )
-    p.add_argument(
-        "--tol",
-        type=float,
-        help=(
-            "absolute validation / decision tolerance (default 1e-9), the "
-            "same at every scale; plucker's bound is tol * max(1, |p|^2)"
-        ),
-    )
-    if reads_matrix:
-        p.add_argument(
-            "--mode",
-            choices=["additive", "multiplicative"],
-            help=(
-                "how to interpret the input matrix "
-                "(default: the file's own mode declaration, else additive)"
-            ),
-        )
-    for flag, flag_help in extra_flags:
-        p.add_argument(flag, help=flag_help, **_FLAGS[flag])
+    for flag, flag_help in COMMANDS[name][1]:
+        aliases = [alias for alias, long in _ALIASES.items() if long == flag]
+        p.add_argument(*aliases, flag, help=flag_help, **_FLAGS[flag])

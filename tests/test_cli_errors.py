@@ -120,8 +120,46 @@ def test_divergent_reduce_writes_no_infinity_via_module(tmp_path, inconsistent_c
     ],
 )
 def test_overflowing_results_exit_two(capsys, huge_csv, argv):
+    # The scores are in range, but n |r|^2 is not: the line names I_alg.
     err = run_failing(capsys, [argv[0], huge_csv, *argv[1:]])
-    assert "not finite" in err
+    assert err == "pcgeom: error: I_alg is beyond the float range\n"
+
+
+#: README's 3x3 example scaled by 2^900, whose n |r|^2 is past the float
+#: range, and a vector pair scaled by 2^255, whose wedge's |p|^2 is.
+SCALED_3 = (np.ldexp([[0, 1, 3], [-1, 0, 1], [-3, -1, 0]], 900)).tolist()
+SCALED_PAIR = {"u": np.ldexp([1, 2, 3, 4], 255).tolist(),
+               "v": np.ldexp([0.5, -1, 2, 1], 255).tolist()}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("check", {"entries": SCALED_3}, "I_alg is beyond the float range"),
+        ("indices", {"entries": SCALED_3}, "I_alg is beyond the float range"),
+        ("reduce", {"entries": SCALED_3}, "I_alg is beyond the float range"),
+        ("plucker", SCALED_PAIR, "|p|^2 of the 2-vector is beyond the float range"),
+        ("wedge", '{"u": [111111111111111111111111111111, "1"], "v": [1, 2]}',
+         "u is not a flat vector of numbers"),
+        ("wedge", '{"u": [1, -' + "9" * 400 + '], "v": [1, 2]}',
+         "u component 2 is not finite"),
+    ],
+    ids=["check", "indices", "reduce", "plucker", "text", "huge-integer"],
+)
+def test_a_quantity_or_entry_out_of_range_is_one_line_naming_it(
+    capsys, tmp_path, command, doc, message
+):
+    path = tmp_path / "in.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert run_failing(capsys, [command, str(path)]) == f"pcgeom: error: {message}\n"
+
+
+def test_an_integer_past_the_digit_limit_is_invalid_json_of_its_file(capsys, tmp_path):
+    path = tmp_path / "uv.json"
+    path.write_text('{"u": [' + "9" * 5000 + ', 1], "v": [1, 2]}')
+    err = run_failing(capsys, ["wedge", str(path)])
+    # The limit's own wording differs between Python versions.
+    assert err.startswith(f"pcgeom: error: {path}: invalid JSON (Exceeds the limit (4300")
 
 
 def test_overflowing_check_via_module_is_one_clean_line(tmp_path, huge_csv):

@@ -333,10 +333,11 @@ def test_squared_norm_out_of_range_still_normalizes(p, k):
         assert chordal_distance(p, q) == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_norm_beyond_the_float_range_raises():
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"^\|p\| of the 2-vector is beyond"):
         new_two_vector(4, [1e308] * 6).norm()
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"^\|p\|\^2 of the 2-vector is beyond"):
         new_two_vector(4, [1e200] * 6).norm_squared()
 
 

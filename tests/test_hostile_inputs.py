@@ -35,6 +35,12 @@ HOSTILE = {
     "boolean-n": (["plucker"], "p.json", '{"n": true, "coords": [1]}'),
     "empty-csv": (["check"], "m.csv", ""),
     "csv-cell-over-the-field-limit": (["check"], "m.csv", "0," + "1" * 200_000 + "\n"),
+    "text-beside-a-huge-integer": (["wedge"], "uv.json",
+                                   '{"u": [111111111111111111111111111111, "1"], "v": [1, 2]}'),
+    "integer-past-the-digit-limit": (["wedge"], "uv.json",
+                                     '{"u": [' + "9" * 5000 + ', 1], "v": [1, 2]}'),
+    "integer-past-the-float-range": (["wedge"], "uv.json",
+                                     '{"u": [' + "9" * 400 + ', 1], "v": [1, 2]}'),
     "half-dbl-max": (["reduce"], "m.csv", "\n".join(
         ",".join(repr(HALF_MAX * ((j > i) - (j < i))) for j in range(3)) for i in range(3)
     ) + "\n"),

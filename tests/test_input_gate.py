@@ -38,7 +38,9 @@ from pcgeom import (
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 SMALL = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
-BAD = st.sampled_from([math.nan, math.inf, -math.inf])
+#: Entries that are not finite as floats: integers past the float range
+#: too, which JSON holds and numpy keeps as objects.
+BAD = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)])
 
 
 def _ones(x) -> np.ndarray:
@@ -152,10 +154,16 @@ def _each(f, x):
 
 def _not_numbers(case: str, x) -> dict:
     """x made ragged, and its entries made text, booleans and complex
-    numbers: none of them an array of numbers."""
+    numbers, and text beside an integer past int64, which numpy holds as
+    objects: none of them an array of numbers."""
     ragged = x[:-1] + [x[-1][:-1]] if case in MATRICES else [x, x + x]
+    beside_huge = _each(str, x)
+    if case in MATRICES:
+        beside_huge[0][0] = 10**30
+    else:
+        beside_huge.insert(0, 10**30)
     return {"ragged": ragged, "text": _each(str, x), "boolean": _each(bool, x),
-            "complex": _each(complex, x)}
+            "complex": _each(complex, x), "text-beside-a-huge-integer": beside_huge}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -206,3 +214,21 @@ def test_nested_scores_are_refused_not_flattened(build_from):
         build_from([[0, 1], [2, 3]])
     assert type(exc.value) is DimensionMismatchError
     assert str(exc.value).endswith("must be a flat vector, got shape (2, 2)")
+
+
+def test_text_beside_a_huge_integer_is_refused_not_parsed():
+    # As objects, "1" would convert to 1.0 and the wedge would be built.
+    with pytest.raises(DimensionMismatchError) as exc:
+        wedge([111111111111111111111111111111, "1"], [1, 2])
+    assert str(exc.value) == "u is not a flat vector of numbers"
+    with pytest.raises(NonSquareError) as exc:
+        new_additive([[0, 10**30], [b"-1", 0]])
+    assert str(exc.value) == "additive matrix is not a square array of numbers"
+
+
+def test_an_integer_past_the_float_range_is_named_by_its_place():
+    with pytest.raises(NonFiniteEntryError) as exc:
+        wedge([1, -(10**400)], [1, 2])
+    assert str(exc.value) == "u component 2 is not finite"
+    # An integer past int64 but within the float range converts as before.
+    assert wedge([10**30, 1], [1, 2]).coords.tolist() == [2 * 10.0**30 - 1]

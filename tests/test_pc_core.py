@@ -381,6 +381,14 @@ def test_residual_beyond_the_float_range_is_refused_by_name():
         recover_scores(a)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_algebraic_inconsistency_beyond_the_float_range_is_refused_by_name():
+    # The residual is in range; n |r|^2 is not, and no dot product overflows.
+    a = new_additive(np.ldexp(INCONSISTENT_3, 900))
+    with pytest.raises(OverflowError, match=r"^I_alg is beyond the float range$"):
+        algebraic_inconsistency(a)
+
+
 def test_recover_scores_bits_are_plain_row_means():
     """The scaling is by powers of two, so ordinary scores keep their bits,
     and so do residuals where s_i - s_j is finite."""

@@ -215,6 +215,20 @@ def test_reduce_validates_parameters():
         reduce_iterative(a, tol=0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scale, name",
+    [(2.0**900, "I_alg"), (1.7 * 2.0**511, "I_geom = n I_alg")],
+    ids=["I_alg", "I_geom"],
+)
+def test_an_index_beyond_the_float_range_is_refused_by_name(scale, name):
+    # At 1.7 * 2^511, I_alg = |a|^2 / 8 is in range and I_geom = 3 I_alg is not.
+    a = new_additive(scale * np.array(INCONSISTENT_3, dtype=float))
+    with pytest.raises(OverflowError) as exc:
+        reduce_iterative(a)
+    assert str(exc.value) == f"{name} is beyond the float range"
+
+
 def test_step_matrix_of_an_overflowing_hand_built_trajectory_raises():
     # reduce_iterative refuses |q| >= 1; a trajectory built by hand with
     # q = 10 has a finite matrix at step 3 and a q^400 out of float range.

@@ -1,9 +1,9 @@
 """Start-up contract: ``import pcgeom`` is lazy, a CLI process loads only
 the modules its command runs, ``--version``, ``--help`` and usage errors
-load neither numpy nor the command modules, and the ``python -m pcgeom``
-exit path, which skips interpreter teardown after parse answers and
-commands alike, still ends with every byte written and the command's
-exit code."""
+load neither numpy nor the command modules, a command and ``--version``
+load no argparse, and the ``python -m pcgeom`` exit path, which skips
+interpreter teardown after parse answers and commands alike, still ends
+with every byte written and the command's exit code."""
 
 import json
 import subprocess
@@ -30,7 +30,7 @@ CLI_MODULES = {
     "pcgeom.usage",
 }
 
-#: What ``python -m pcgeom`` loads when argparse answers on its own.
+#: What ``python -m pcgeom`` loads when the parse answers on its own.
 USAGE_MODULES = {"pcgeom", "pcgeom.usage"}
 
 def probe(tracked: tuple[str, ...]) -> str:
@@ -51,8 +51,9 @@ def probe(tracked: tuple[str, ...]) -> str:
 
 #: The value types are plain classes, so no command loads dataclasses
 #: (numpy itself imports none); orjson loads only to write a document of
-#: many numbers, and the commands run below write small ones.
-PROBE = probe(("numpy", "dataclasses", "orjson"))
+#: many numbers, and the commands run below write small ones; argparse
+#: loads only to answer help or a usage error.
+PROBE = probe(("numpy", "dataclasses", "orjson", "argparse"))
 
 
 def loaded_after(code: str) -> set[str]:
@@ -125,6 +126,12 @@ def test_command_loads_only_its_modules(matrix_csv, command, extra):
     assert loaded == CLI_MODULES | extra | {"numpy"}
 
 
+def test_a_line_the_table_does_not_read_is_parsed_by_argparse(matrix_csv):
+    # --tol=VALUE is valid, but only argparse reads that spelling.
+    loaded = loaded_by(["check", matrix_csv, "--tol=1e-9"])
+    assert loaded == CLI_MODULES | {"numpy", "argparse"}
+
+
 EMBEDDING = {"pcgeom.embedding"}
 EXTERIOR = {"pcgeom.exterior"}
 
@@ -184,11 +191,14 @@ def test_failing_command_exits_two_and_still_runs_atexit(tmp_path):
     ],
 )
 def test_parser_answers_without_numpy(argv, code):
+    """--version is read from the command table; help and usage errors go
+    to argparse."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True
     )
     assert proc.returncode == code
-    assert set(json.loads(proc.stderr.splitlines()[-1])) == USAGE_MODULES
+    extra = set() if argv == ["--version"] else {"argparse"}
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == USAGE_MODULES | extra
 
 
 @pytest.mark.parametrize("argv, wraps", [(["--version"], False), (["--help"], True)])
