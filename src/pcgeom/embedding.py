@@ -17,10 +17,19 @@ diagnostic rather than a consistency test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import IndexOutOfRangeError, ReadOnly, ZeroCoefficientError
-from .pc_core import AdditiveMatrix, _input_array, _readonly, algebraic_inconsistency
+from .pc_core import (
+    AdditiveMatrix,
+    _input_array,
+    _readonly,
+    _scaled,
+    _unscaled,
+    algebraic_inconsistency,
+)
 
 ORTHOGONAL = "orthogonal"
 PLANAR = "planar"
@@ -119,17 +128,23 @@ def pair_wedges(vectors) -> np.ndarray:
     return wedge_rows(v[i], v[j])
 
 
-def _e2_squared_singular_values(x: np.ndarray) -> float:
+def _e2_squared_singular_values(x: np.ndarray) -> tuple[float, int]:
     """Second elementary symmetric function of the squared singular values
-    of the matrix x.
+    of the matrix x, as (m, g): it equals m * 16**g.
 
     By Cauchy-Binet this is the sum of its squared 2x2 minors, i.e.
     sum_{i<j} |x_i ^ x_j|^2 over its rows. The singular values come from
     x itself, never from x^T x, and each sigma_k^2 (ascending) multiplies
-    the sum of the smaller ones, so no term cancels.
+    the sum of the smaller ones, so no term cancels. They are divided by
+    2**g, chosen so that the two largest multiply to about 1 while the
+    largest stays below 2**480: no square or product that counts
+    underflows or overflows, however far apart they lie.
     """
-    s2 = np.sort(np.linalg.svd(x, compute_uv=False) ** 2)
-    return float(np.dot(s2[1:], np.cumsum(s2[:-1])))
+    s = np.sort(np.linalg.svd(x, compute_uv=False))
+    second, first = np.frexp(s[-2:])[1]
+    g = int(max((first + second) // 2, first - 480))
+    s2 = np.ldexp(s, -g) ** 2
+    return float(np.dot(s2[1:], np.cumsum(s2[:-1]))), g
 
 
 def geometric_inconsistency(e: Embedding, convention: str = "cyclic") -> float:
@@ -151,29 +166,43 @@ def geometric_inconsistency(e: Embedding, convention: str = "cyclic") -> float:
     c_i = sum_{j>i} v_j - sum_{j<i} v_j; each |v_i ^ c_i|^2 is taken from
     the two vectors in O(n). At n = 3 the first term would be negative, so
     the one triad's deviation is computed directly.
+
+    The sum is degree 4 in the vectors, so it is taken on them divided by
+    powers of two: by ``pc_core._scaled``'s, then by the one that makes
+    e2's two largest singular values multiply to about 1. It is scaled
+    back at the end.
+
+    Raises:
+        OverflowError: if I_geom is beyond the float range.
     """
     _check_convention(convention)
     if e.n < 3:
         return 0.0
-    v = e.vectors
+    unit, (k,) = _scaled(e.vectors.reshape(-1))
+    v = unit.reshape(e.vectors.shape)
     if convention == "cyclic":
-        return e.n * _e2_squared_singular_values(v - v.mean(axis=0))
+        m, g = _e2_squared_singular_values(v - v.mean(axis=0))
+        return _unscaled(e.n * m, 4 * (int(k) + g), "I_geom")
+    m, g = _e2_squared_singular_values(v)
+    v = np.ldexp(v, -g)
     if e.n == 3:
         # One triad, whose deviation w_12 + w_23 + w_13 is the single wedge
         # (v_1 + v_2) ^ (v_2 + v_3) in R^3; the sum below would subtract.
         d = np.cross(v[0] + v[1], v[1] + v[2])
-        return float(np.dot(d, d))
-    sums = np.cumsum(v, axis=0)
-    c = (sums[-1] - sums) - (sums - v)
-    # |v_i ^ c_i|^2 = |v_i|^2 |c_i - t_i v_i|^2 with t_i = v_i.c_i / |v_i|^2:
-    # the part of c_i orthogonal to v_i, so no two large products cancel.
-    vv = np.einsum("ij,ij->i", v, v)
-    t = np.divide(
-        np.einsum("ij,ij->i", v, c), vv, out=np.zeros_like(vv), where=vv > 0
-    )
-    perp = c - t[:, None] * v
-    leads = float(np.dot(vv, np.einsum("ij,ij->i", perp, perp)))
-    return (e.n - 4) * _e2_squared_singular_values(v) + leads
+        value = float(np.dot(d, d))
+    else:
+        sums = np.cumsum(v, axis=0)
+        c = (sums[-1] - sums) - (sums - v)
+        # |v_i ^ c_i|^2 = |v_i|^2 |c_i - t_i v_i|^2 with t_i = v_i.c_i / |v_i|^2:
+        # the part of c_i orthogonal to v_i, so no two large products cancel.
+        vv = np.einsum("ij,ij->i", v, v)
+        t = np.divide(
+            np.einsum("ij,ij->i", v, c), vv, out=np.zeros_like(vv), where=vv > 0
+        )
+        perp = c - t[:, None] * v
+        leads = float(np.dot(vv, np.einsum("ij,ij->i", perp, perp)))
+        value = (e.n - 4) * m + leads
+    return _unscaled(value, 4 * (int(k) + g), "I_geom")
 
 
 def planar_pair_wedges(a: AdditiveMatrix) -> np.ndarray:
@@ -210,19 +239,30 @@ def planar_matrix_inconsistency(
     (n - 4) |u|^2 + |X 1|^2 for the symmetric matrix X with X_ij = X_ji =
     u_ij and zero diagonal. At n = 3 the first term would be negative, so
     the one triad's deviation is computed directly.
+
+    The anticyclic sum is taken on the entries divided by
+    ``pc_core._scaled``'s power of two, so no square overflows, and scaled
+    back.
+
+    Raises:
+        OverflowError: if I_alg (cyclic) or I_geom (anticyclic) is beyond
+            the float range.
     """
     _check_convention(convention)
     if a.n < 3:
         return 0.0
     if convention == "cyclic":
         return algebraic_inconsistency(a)
-    u = a.upper
+    u, (k,) = _scaled(a.upper)
     if a.n == 3:
         # One triad, whose deviation is u_12 + u_13 + u_23; the sum below
-        # would subtract.
-        return float(np.sum(u)) ** 2
+        # would subtract. It may be far smaller than the entries, so it is
+        # squared as mantissa and exponent.
+        d, f = math.frexp(float(np.sum(u)))
+        return _unscaled(d * d, 2 * (int(k) + f), "I_geom")
     rows, cols = np.triu_indices(a.n, k=1)
     row_sums = np.bincount(rows, weights=u, minlength=a.n) + np.bincount(
         cols, weights=u, minlength=a.n
     )
-    return (a.n - 4) * float(np.dot(u, u)) + float(np.dot(row_sums, row_sums))
+    value = (a.n - 4) * float(np.dot(u, u)) + float(np.dot(row_sums, row_sums))
+    return _unscaled(value, 2 * int(k), "I_geom")

@@ -30,6 +30,7 @@ from .pc_core import (
     _readonly,
     _scaled,
     _scaled_square_sum,
+    _unscaled,
 )
 
 
@@ -58,10 +59,7 @@ class TwoVector(ReadOnly):
         """Euclidean norm, nonzero for every nonzero 2-vector; raises
         OverflowError naming |p| when it exceeds the float range."""
         unit, (e,) = _scaled(self.coords)
-        try:
-            return math.ldexp(float(np.linalg.norm(unit)), int(e))
-        except OverflowError:
-            raise OverflowError("|p| of the 2-vector is beyond the float range") from None
+        return _unscaled(float(np.linalg.norm(unit)), int(e), "|p| of the 2-vector")
 
     def norm_squared(self) -> float:
         """Squared Euclidean norm; raises OverflowError naming |p|^2 when it

@@ -121,15 +121,21 @@ def _scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(values, -e), e
 
 
+def _unscaled(x: float, e: int, what: str) -> float:
+    """x * 2**e, a result computed on ``_scaled`` values scaled back;
+    OverflowError naming ``what`` when it is beyond the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise OverflowError(f"{what} is beyond the float range") from None
+
+
 def _scaled_square_sum(values: np.ndarray, factor: int, what: str) -> float:
     """factor * |values|^2, summed on ``_scaled`` values so that no square
     overflows or underflows; OverflowError naming ``what`` when the result
     is beyond the float range."""
     unit, (e,) = _scaled(values)
-    try:
-        return math.ldexp(factor * float(np.dot(unit, unit)), 2 * int(e))
-    except OverflowError:
-        raise OverflowError(f"{what} is beyond the float range") from None
+    return _unscaled(factor * float(np.dot(unit, unit)), 2 * int(e), what)
 
 
 def _from_upper(n: int, upper: np.ndarray) -> AdditiveMatrix:

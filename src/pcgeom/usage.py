@@ -7,10 +7,8 @@ input and exact flag-value pairs, are read from the tables below. Any
 other line (help, an abbreviated, repeated or unknown flag,
 ``--flag=value``, ``--``, a value that starts with ``-`` or fails its type
 or choices, a missing or second input) goes to argparse, the one authority
-on help text and usage errors, which is imported only then. A parse by
-argparse builds only the named command's flags: ``build_parser`` registers
-each subcommand by name and help, and a subparser adds its arguments when
-it first parses. ``cli`` holds the handler of each command named here.
+on help text and usage errors; only then is it imported and does it build
+the whole grammar. ``cli`` holds the handler of each command named here.
 """
 
 import sys
@@ -162,19 +160,10 @@ def build_parser():
     """The argparse parser of the whole grammar, for help and usage errors."""
     import argparse
 
-    class Version(argparse.Action):
-        """Prints ``pcgeom <version>`` and exits, as argparse's version
-        action does, but without building a help formatter to lay out one
-        line."""
-
-        def __init__(self, option_strings, dest):
-            super().__init__(
-                option_strings,
-                dest,
-                nargs=0,
-                default=argparse.SUPPRESS,
-                help="show program's version number and exit",
-            )
+    class Version(argparse._VersionAction):
+        """Prints ``pcgeom <version>`` on one line: argparse's own action
+        lays it out with a help formatter, which wraps it when the
+        terminal is narrow."""
 
         def __call__(self, parser, namespace, values, option_string=None):
             _print(f"{parser.prog} {__version__}\n", sys.stdout)
@@ -182,19 +171,7 @@ def build_parser():
 
     class Parser(argparse.ArgumentParser):
         """Reports a usage error in one line and exits 2, as every other
-        failure does; subparsers are built from the same class. A
-        subparser made with ``command`` adds that command's arguments the
-        first time it parses."""
-
-        def __init__(self, *args, command=None, **kwargs):
-            super().__init__(*args, **kwargs)
-            self._command = command
-
-        def parse_known_args(self, args=None, namespace=None):
-            if self._command is not None:
-                _add_arguments(self, self._command)
-                self._command = None
-            return super().parse_known_args(args, namespace)
+        failure does; subparsers are built from the same class."""
 
         def error(self, message: str):
             self.exit(2, f"pcgeom: error: {message}\n")
@@ -211,25 +188,11 @@ def build_parser():
     )
     parser.add_argument("--version", action=Version)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        sub.add_parser(name, help=help_text, add_help=False, command=name)
+    for name, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(**DEFAULTS)
+        p.add_argument("input_path", metavar="input", help="input file")
+        for flag, flag_help in flags:
+            aliases = [alias for alias, long in _ALIASES.items() if long == flag]
+            p.add_argument(*aliases, flag, help=flag_help, **_FLAGS[flag])
     return parser
-
-
-def _add_arguments(p, name: str) -> None:
-    """The arguments of command ``name``, in help order, as argparse's
-    ``add_help`` would lead them with ``-h/--help``."""
-    import argparse
-
-    p.add_argument(
-        "-h",
-        "--help",
-        action="help",
-        default=argparse.SUPPRESS,
-        help="show this help message and exit",
-    )
-    p.set_defaults(**DEFAULTS)
-    p.add_argument("input_path", metavar="input", help="input file")
-    for flag, flag_help in COMMANDS[name][1]:
-        aliases = [alias for alias, long in _ALIASES.items() if long == flag]
-        p.add_argument(*aliases, flag, help=flag_help, **_FLAGS[flag])

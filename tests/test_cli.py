@@ -586,14 +586,3 @@ def test_every_command_parses_to_every_declared_default(command):
     # A handler may read any setting, whether or not its command has the flag.
     args = usage.build_parser().parse_args([command, "in"])
     assert vars(args) == {"command": command, "input_path": "in", **usage.DEFAULTS}
-
-
-def test_parse_builds_only_the_named_command():
-    """A subcommand's flags are added when it parses, so a parse of check
-    leaves the other nine subparsers empty."""
-    parser = usage.build_parser()
-    parser.parse_args(["check", "in"])
-    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
-    built = {name for name, p in subparsers.choices.items() if p._actions}
-    assert built == {"check"}
-    assert set(subparsers.choices) == set(usage.COMMANDS)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import warnings
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +153,38 @@ def test_a_quantity_or_entry_out_of_range_is_one_line_naming_it(
     path = tmp_path / "in.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run_failing(capsys, [command, str(path)]) == f"pcgeom: error: {message}\n"
+
+
+#: A consistent 4x4 matrix: its I_alg is 0 at any scale.
+CONSISTENT_4 = np.subtract.outer([1.0, 2.0, 3.0, 5.0], [1.0, 2.0, 3.0, 5.0])
+#: Matrix of scores 1400, -1400, 0 and 1, whose orthogonal coefficients
+#: e^(s/2) reach e^700.
+SCORES_1400 = np.subtract.outer(*[[1400.0, -1400.0, 0.0, 1.0]] * 2)
+#: Custom embedding vectors scaled by 2^520.
+VECTORS_520 = np.ldexp([[1, 2, 0, 1], [0, 1, 3, 1], [2, 0, 1, 1], [1, 1, 1, 0]], 520)
+
+
+@pytest.mark.parametrize(
+    "entries, flags",
+    [
+        (np.ldexp(CONSISTENT_4, 510), ["--convention", "anticyclic"]),
+        *((CONSISTENT_4, ["--embedding", "custom", "--embedding-file", "v.json",
+                          "--convention", convention])
+          for convention in ("cyclic", "anticyclic")),
+        *((SCORES_1400, ["--embedding", "orthogonal", "--convention", convention])
+          for convention in ("cyclic", "anticyclic")),
+    ],
+    ids=["planar-anticyclic", "custom-cyclic", "custom-anticyclic",
+         "orthogonal-cyclic", "orthogonal-anticyclic"],
+)
+def test_i_geom_past_the_float_range_is_one_line_naming_it(
+    capsys, tmp_path, monkeypatch, entries, flags
+):
+    monkeypatch.chdir(tmp_path)
+    Path("a.json").write_text(json.dumps({"entries": entries.tolist()}))
+    Path("v.json").write_text(json.dumps({"vectors": VECTORS_520.tolist()}))
+    err = run_failing(capsys, ["indices", "a.json", *flags])
+    assert err == "pcgeom: error: I_geom is beyond the float range\n"
 
 
 def test_an_integer_past_the_digit_limit_is_invalid_json_of_its_file(capsys, tmp_path):

@@ -372,3 +372,80 @@ def test_inconsistent_matrix_has_positive_planar_index():
     a = new_additive(INCONSISTENT_3)
     assert max_abs_triad_deviation(a) > 1e-6
     assert planar_matrix_inconsistency(a, "cyclic") > 0.0
+
+
+# ----------------------------------------------------- beyond the float range
+
+#: Vectors of a custom embedding. By 2^520 the squares of their products
+#: are past the float range; by 2^1022 a column sum is too.
+VECTORS_4 = [[1, 2, 0, 1], [0, 1, 3, 1], [2, 0, 1, 1], [1, 1, 1, 0]]
+
+#: Scores whose orthogonal coefficients e^(s/2) reach e^700: one of them
+#: far above the others puts I_geom past the float range.
+SCORES_1400 = [1400.0, -1400.0, 0.0, 1.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: planar_matrix_inconsistency(
+            new_additive(np.ldexp(INCONSISTENT_3, 900)), "anticyclic"),
+        lambda: planar_matrix_inconsistency(
+            from_scores(np.ldexp([1, 2, 3, 5, 8], 510)), "anticyclic"),
+        *(
+            lambda convention=convention, k=k: geometric_inconsistency(
+                custom_embedding(np.ldexp(VECTORS_4, k)), convention)
+            for k in (520, 1022) for convention in ("cyclic", "anticyclic")
+        ),
+        *(
+            lambda convention=convention: geometric_inconsistency(
+                orthogonal_embedding(scores_to_coefficients(SCORES_1400)), convention)
+            for convention in ("cyclic", "anticyclic")
+        ),
+    ],
+    ids=["planar-3", "planar-5", "custom-520-cyclic", "custom-520-anticyclic",
+         "custom-1022-cyclic", "custom-1022-anticyclic", "orthogonal-cyclic",
+         "orthogonal-anticyclic"],
+)
+def test_i_geom_beyond_the_float_range_is_refused_by_name(compute):
+    with pytest.raises(OverflowError, match=r"^I_geom is beyond the float range$"):
+        compute()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scores", [[600, -600, -600], [-1400, -1400, 0, 3], [700, -700, 5, 3, 1]]
+)
+@pytest.mark.parametrize("convention", ["cyclic", "anticyclic"])
+def test_i_geom_of_coefficients_far_apart_keeps_its_value(scores, convention):
+    """For v_i = b_i e_i every pair wedge has its own axis, so both sums
+    are (n - 2) sum_{i<j} b_i^2 b_j^2, here a float though the products of
+    the largest coefficient with the smallest are not."""
+    b = scores_to_coefficients(scores)
+    b2 = [Fraction(float(x)) ** 2 for x in b]
+    want = (len(b) - 2) * sum(
+        b2[i] * b2[j] for i in range(len(b)) for j in range(i + 1, len(b))
+    )
+    got = geometric_inconsistency(orthogonal_embedding(b), convention)
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_three_alternative_planar_anticyclic_index_far_below_the_entries():
+    # u_12 + u_13 + u_23 = 2^300 exactly, whose square is a float; squared
+    # in units of the largest entry it would underflow to zero.
+    u12, u13, u23 = 2.0**900, -(2.0**900), 2.0**300
+    a = new_additive([[0, u12, u13], [-u12, 0, u23], [-u13, -u23, 0]])
+    assert planar_matrix_inconsistency(a, "anticyclic") == 2.0**600
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("convention", ["cyclic", "anticyclic"])
+def test_i_geom_below_the_float_range_is_zero_without_a_warning(n, convention):
+    # I_geom is about 2^-2080. The largest singular value is 2^1040 times
+    # the next, so scaling their product to 1 would overflow the square
+    # of the largest.
+    v = np.diag([1.0] + [2.0**-1040] * (n - 1))
+    assert geometric_inconsistency(custom_embedding(v), convention) == 0.0

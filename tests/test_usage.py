@@ -11,9 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcgeom import usage
+from pcgeom import __version__, usage
 from pcgeom.cli import main
 from test_bench_oracle import workloads
+
+#: argparse's parser of the whole grammar, which no parse changes, built
+#: once for the module.
+PARSER = usage.build_parser()
 
 #: Values of every kind a flag takes, and some none takes: numbers as
 #: argparse's float and int read them, choices, file names, text.
@@ -67,7 +71,7 @@ def same_settings(table: dict, namespace) -> bool:
 def test_the_table_reads_a_line_as_argparse_does(argv):
     table = usage.read_table(argv)
     if table is not None:
-        assert same_settings(table, usage.build_parser().parse_args(argv)), argv
+        assert same_settings(table, PARSER.parse_args(argv)), argv
 
 
 @settings(max_examples=200, deadline=None)
@@ -85,7 +89,7 @@ def test_exact_distinct_flags_with_valid_values_are_read_by_the_table(data):
                  else flag, value]
     table = usage.read_table(argv)
     assert table is not None, argv
-    assert same_settings(table, usage.build_parser().parse_args(argv))
+    assert same_settings(table, PARSER.parse_args(argv))
 
 
 def test_every_benchmark_request_is_read_by_the_table(tmp_path):
@@ -96,7 +100,7 @@ def test_every_benchmark_request_is_read_by_the_table(tmp_path):
         argv = list(req.argv)
         table = usage.read_table(argv)
         assert table is not None, argv
-        assert same_settings(table, usage.build_parser().parse_args(argv))
+        assert same_settings(table, PARSER.parse_args(argv))
 
 
 @pytest.mark.parametrize(
@@ -115,5 +119,19 @@ def test_a_parse_answer_is_argparse_s(capsys, monkeypatch, argv):
         main(argv)
     printed = capsys.readouterr()
     with pytest.raises(SystemExit) as theirs:
-        usage.build_parser().parse_args(argv)
+        PARSER.parse_args(argv)
     assert (ours.value.code, printed) == (theirs.value.code, capsys.readouterr())
+
+
+@pytest.mark.parametrize("columns", ["10", "80"])
+@pytest.mark.parametrize(
+    "argv", [["--vers"], ["--version", "check"], ["--version", "--help"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_argparse_prints_the_version_on_one_line(capsys, monkeypatch, argv, columns):
+    """The lines argparse reads for --version print the table's line,
+    which argparse's own version action would wrap in a narrow terminal."""
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr()) == (0, (f"pcgeom {__version__}\n", ""))
