@@ -26,6 +26,9 @@ from .errors import PCGeomError
 from .pc_core import (
     AdditiveMatrix,
     DEFAULT_TOLERANCE,
+    _check_descent,
+    _check_lambda,
+    _check_tolerance,
     algebraic_inconsistency,
     all_triad_deviations,
     is_consistent,
@@ -46,18 +49,9 @@ ENV_FORMAT = "PCGEOM_FORMAT"
 def _validate(config: SimpleNamespace) -> None:
     if config.command not in _HANDLERS:
         raise PCGeomError(f"unknown command {config.command!r}")
-    if not config.tol > 0:
-        raise PCGeomError("tol must be positive")
-    if config.lam < 0:
-        raise PCGeomError("lambda must be nonnegative")
-    if config.eta is not None and not config.eta > 0:
-        raise PCGeomError("eta must be positive")
-    for name, value in (("tol", config.tol), ("lambda", config.lam),
-                        ("eta", config.eta)):
-        if value is not None and not math.isfinite(value):
-            raise PCGeomError(f"{name} must be finite")
-    if config.max_steps < 1:
-        raise PCGeomError("max-steps must be at least 1")
+    _check_tolerance(config.tol)
+    _check_lambda(config.lam)
+    _check_descent(config.eta, config.max_steps)
     if config.embedding_file is not None and config.embedding_kind != "custom":
         raise PCGeomError("--embedding-file requires --embedding custom")
     if config.embedding_kind == "custom" and not config.embedding_file:

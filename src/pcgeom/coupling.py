@@ -27,8 +27,8 @@ from math import comb
 import numpy as np
 
 from . import indexing
-from .errors import DimensionMismatchError, ReadOnly, TooSmallError
-from .pc_core import _check_lambda
+from .errors import DimensionMismatchError, ReadOnly
+from .pc_core import _check_lambda, _input_n
 
 #: Largest n for which a spectral report listing all T = C(n,3)
 #: eigenvalues is written.
@@ -81,8 +81,7 @@ def coupling_coefficients(n: int) -> CouplingMap:
     positions (i,j), (j,k), (i,k) of every triad, as read-only index
     arrays, so that triad t's deviation reads
     entry[ij] + entry[jk] - entry[ik]."""
-    if n < 3:
-        raise TooSmallError(f"need at least 3 alternatives, got {n}")
+    n = _input_n(n, 3)
     positions = indexing.triad_pairs(n)
     positions.setflags(write=False)
     return CouplingMap(n, *positions)
@@ -99,6 +98,7 @@ def gram_rows(n: int, lam: float = 0.0) -> Callable[[slice], np.ndarray]:
     pair, so no entry is written twice), and 3 + lam on the diagonal.
     A matrix of more than MAX_GRID_NUMBERS entries is refused first.
     """
+    n = _input_n(n, 3)
     t_count = comb(n, 3)
     if t_count**2 > MAX_GRID_NUMBERS:
         raise ValueError(
@@ -138,8 +138,7 @@ def closed_form_diagnosis(n: int, lam: float = 0.0) -> dict:
     entries; the shift adds lam to both. These eigenvalues are exact, so
     the rank is exact too: T when lam > 0, else (n-1)(n-2)/2.
     """
-    if n < 3:
-        raise TooSmallError(f"need at least 3 alternatives, got {n}")
+    n = _input_n(n, 3)
     t_count = comb(n, 3)
     if n > MAX_DENSE_N:
         raise ValueError(

@@ -120,10 +120,11 @@ def scores_to_coefficients(s) -> np.ndarray:
 
 def pair_wedges(vectors) -> np.ndarray:
     """Matrix of all pair wedges: row p holds v_i ^ v_j for the p-th pair
-    i < j, bit-identical to ``wedge(v_i, v_j).coords``."""
+    i < j, bit-identical to ``wedge(v_i, v_j).coords``. The vectors pass the
+    square-array rule of :func:`custom_embedding`."""
     from .exterior import wedge_rows
 
-    v = np.asarray(vectors, dtype=float)
+    v = _input_array(vectors, "vectors")
     i, j = np.triu_indices(v.shape[0], k=1)
     return wedge_rows(v[i], v[j])
 

@@ -27,6 +27,7 @@ from .pc_core import (
     AdditiveMatrix,
     _check_tolerance,
     _input_array,
+    _input_n,
     _readonly,
     _scaled,
     _scaled_square_sum,
@@ -111,10 +112,10 @@ def _new(n: int, coords: np.ndarray) -> TwoVector:
 def new_two_vector(n: int, coords) -> TwoVector:
     """Build a TwoVector of dimension n >= 2 from its C(n, 2) raw
     coordinates, a flat finite vector. Their count is checked against n,
-    not as alternatives: n = 2 has one coordinate."""
+    not as alternatives: n = 2 has one coordinate. n is an integer or an
+    integral float, never a bool, and is stored as an int."""
     arr = _input_array(coords, "coords", "coordinate", least=0)
-    if n < 2:
-        raise DimensionMismatchError("dimension must be at least 2")
+    n = _input_n(n, 2, DimensionMismatchError)
     if arr.size != comb(n, 2):
         raise DimensionMismatchError(
             f"expected {comb(n, 2)} coordinates for n={n}, "
@@ -127,10 +128,6 @@ def wedge(u, v) -> TwoVector:
     """Wedge product u ^ v; coordinate (k, l) is the minor u_k v_l - u_l v_k."""
     uu = _input_array(u, "u", "u component")
     vv = _input_array(v, "v", "v component")
-    if uu.size != vv.size:
-        raise DimensionMismatchError(
-            f"vectors have different dimensions ({uu.size} vs {vv.size})"
-        )
     return _new(uu.size, wedge_rows(uu, vv))
 
 
@@ -139,10 +136,15 @@ def wedge_rows(x, y) -> np.ndarray:
 
     This is the kernel behind :func:`wedge`, so row p is bit-identical to
     ``wedge(x[p], y[p]).coords``. Leading axes broadcast, so a single row
-    is paired with every row of the other argument.
+    is paired with every row of the other argument. Rows of different
+    widths are DimensionMismatchError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.shape[-1] != y.shape[-1]:
+        raise DimensionMismatchError(
+            f"vectors have different dimensions ({x.shape[-1]} vs {y.shape[-1]})"
+        )
     rows, cols = np.triu_indices(x.shape[-1], k=1)
     return x[..., rows] * y[..., cols] - x[..., cols] * y[..., rows]
 

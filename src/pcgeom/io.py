@@ -48,6 +48,7 @@ from .pc_core import (
     AdditiveMatrix,
     DEFAULT_TOLERANCE,
     MultiplicativeMatrix,
+    _integral,
     new_additive,
     new_multiplicative,
 )
@@ -178,12 +179,11 @@ def _load_json_object(path: str | Path, *key_sets: tuple[str, ...]) -> dict:
 
 
 def _integer_n(n: Any, path: str | Path) -> int:
-    """The "n" of a JSON document: an int or an integral float, never a bool."""
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if type(n) is not int:  # bool is a subclass of int
+    """The "n" of a JSON document, by ``pc_core._integral``'s rule."""
+    whole = _integral(n)
+    if whole is None:
         raise FormatError(f"{path}: n is not an integer")
-    return n
+    return whole
 
 
 def _check_n(doc: dict, n: int, path: str | Path, mismatch: str) -> None:

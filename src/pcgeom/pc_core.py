@@ -13,7 +13,10 @@ Every array a constructor takes from outside (a matrix, scores, the
 vectors of a wedge, a 2-vector's coordinates, an embedding, here and in
 ``exterior`` and ``embedding``) passes one gate, ``_input_array``, which
 states the rules of type, shape, size and finiteness once: ``io`` parses
-a document, and the gate alone turns its arrays into floats.
+a document, and the gate alone turns its arrays into floats. Each setting
+has one rule here too, which the library and the CLI both call: tol in
+``_check_tolerance``, lambda in ``_check_lambda``, eta and max-steps in
+``_check_descent``, and the n of a call or a document in ``_integral``.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ from .errors import (
     NonIncreasingTriadError,
     NonPositiveEntryError,
     NonPositiveLambdaError,
+    NonPositiveStepError,
     NonSquareError,
     NotReciprocalError,
     NotSkewSymmetricError,
+    PCGeomError,
     ReadOnly,
     TooSmallError,
 )
@@ -90,17 +95,42 @@ def _check_index(n: int, i: int) -> None:
 
 
 def _check_tolerance(tol: float) -> None:
-    """Refuse a tolerance that is not positive (zero, negative or NaN)."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    """Refuse a tolerance that is not positive and finite."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _check_lambda(lam: float) -> None:
     """Refuse a negative, NaN or infinite regularization weight."""
     if not 0 <= lam < math.inf:
         raise NonPositiveLambdaError(
-            f"regularization weight must be nonnegative and finite, got {lam!r}"
-        )
+            f"lambda must be nonnegative and finite, got {lam!r}")
+
+
+def _check_descent(eta: float | None, max_steps: int) -> None:
+    """Refuse a step size not positive and finite (None is 1/n), or no steps."""
+    if eta is not None and not 0 < eta < math.inf:
+        raise NonPositiveStepError(f"eta must be positive and finite, got {eta!r}")
+    if max_steps < 1:
+        raise ValueError("max-steps must be at least 1")
+
+
+def _integral(n) -> int | None:
+    """n as a Python int if it is an integer or an integral float, never a
+    bool, else None: the rule of every n, in ``io``'s documents and calls."""
+    if isinstance(n, (float, np.floating)) and float(n).is_integer() or (
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool)):
+        return int(n)
+    return None
+
+
+def _input_n(n, least: int, error: type[PCGeomError] = TooSmallError) -> int:
+    """n of a library call as a Python int, by ``_integral``'s rule; anything
+    else, or an n below ``least``, is ``error``."""
+    whole = _integral(n)
+    if whole is None or whole < least:
+        raise error(f"n must be an integer of at least {least}, got {n!r}")
+    return whole
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -21,9 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergentStepError, NonPositiveStepError, ReadOnly
+from .errors import DivergentStepError, ReadOnly
 from .pc_core import (
     AdditiveMatrix,
+    _check_descent,
     _check_lambda,
     _check_tolerance,
     _from_upper,
@@ -118,15 +119,12 @@ def reduce_iterative(
     converge within max_steps is reported through the ``converged`` flag,
     not as an error.
     """
+    _check_descent(eta, max_steps)
+    _check_lambda(lam)
+    _check_tolerance(tol)
     n = a.n
     if eta is None:
         eta = 1.0 / n
-    if not eta > 0:
-        raise NonPositiveStepError(f"step size must be positive, got {eta!r}")
-    _check_lambda(lam)
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    _check_tolerance(tol)
     q = 1.0 - eta * (n + lam)
     if q == 1.0:
         raise DivergentStepError(

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pc_core import AdditiveMatrix, from_scores, recover_scores
+from .pc_core import AdditiveMatrix, _input_n, from_scores, recover_scores
 
 if TYPE_CHECKING:
     from .embedding import Embedding
@@ -33,6 +33,7 @@ def standard_area_form(n: int) -> TwoVector:
     """The coefficients of the form dx_1 ^ dx_2 in dimension n."""
     from .exterior import new_two_vector
 
+    n = _input_n(n, 2, DimensionMismatchError)
     coords = np.zeros(n * (n - 1) // 2)
     coords[0] = 1.0
     return new_two_vector(n, coords)

@@ -319,25 +319,33 @@ def test_out_of_memory_exits_two_and_leaves_no_file(
     [
         (["check"], {"PCGEOM_TOL": "abc"}, "PCGEOM_TOL='abc' is not a number"),
         (["plucker"], {"PCGEOM_TOL": "1e-9x"}, "PCGEOM_TOL='1e-9x' is not a number"),
-        (["check"], {"PCGEOM_TOL": "inf"}, "tol must be finite"),
-        (["check", "--tol", "inf"], {}, "tol must be finite"),
-        (["diagnose", "--lambda", "inf"], {}, "lambda must be finite"),
-        (["reduce", "--lambda", "nan"], {}, "lambda must be finite"),
-        (["reduce", "--lambda", "inf", "--eta", "1e-9"], {}, "lambda must be finite"),
-        (["reduce", "--eta", "inf"], {}, "eta must be finite"),
-        (["check", "--tol=0"], {}, "tol must be positive"),
-        (["diagnose", "--lambda=-1"], {}, "lambda must be nonnegative"),
-        (["reduce", "--eta=0"], {}, "eta must be positive"),
+        (["check"], {"PCGEOM_TOL": "inf"}, "tol must be positive and finite, got inf"),
+        (["check", "--tol", "inf"], {}, "tol must be positive and finite, got inf"),
+        (["diagnose", "--lambda", "inf"], {},
+         "lambda must be nonnegative and finite, got inf"),
+        (["reduce", "--lambda", "nan"], {},
+         "lambda must be nonnegative and finite, got nan"),
+        (["reduce", "--lambda", "inf", "--eta", "1e-9"], {},
+         "lambda must be nonnegative and finite, got inf"),
+        (["reduce", "--eta", "inf"], {}, "eta must be positive and finite, got inf"),
+        (["check", "--tol=0"], {}, "tol must be positive and finite, got 0.0"),
+        (["diagnose", "--lambda=-1"], {},
+         "lambda must be nonnegative and finite, got -1.0"),
+        (["reduce", "--eta=0"], {}, "eta must be positive and finite, got 0.0"),
         (["reduce", "--max-steps", "0"], {}, "max-steps must be at least 1"),
+        (["plucker"], {"PCGEOM_TOL": "0"}, "tol must be positive and finite, got 0.0"),
+        (["reduce", "--eta", "nan"], {}, "eta must be positive and finite, got nan"),
     ],
 )
 def test_bad_tolerance_and_parameters_exit_two_naming_them(
-    capsys, monkeypatch, tmp_path, inconsistent_csv, argv, env, message
+    capsys, monkeypatch, tmp_path, argv, env, message
 ):
+    # Each setting is refused before the input is read: the input is missing.
+    monkeypatch.chdir(tmp_path)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     out = tmp_path / "report.json"
-    err = run_failing(capsys, [argv[0], inconsistent_csv, *argv[1:], "-o", str(out)])
+    err = run_failing(capsys, [argv[0], "missing.csv", *argv[1:], "-o", str(out)])
     assert err == f"pcgeom: error: {message}\n"
     assert not out.exists()
 

@@ -7,6 +7,7 @@ import pytest
 from pcgeom import (
     IndexOutOfRangeError,
     NonFiniteEntryError,
+    NonSquareError,
     TooSmallError,
     ZeroCoefficientError,
     algebraic_inconsistency,
@@ -17,6 +18,7 @@ from pcgeom import (
     new_additive,
     new_two_vector,
     orthogonal_embedding,
+    pair_wedges,
     planar_embedding,
     planar_matrix_inconsistency,
     planar_pair_wedges,
@@ -79,10 +81,17 @@ def test_custom_embedding_shape_validation():
          "embedding needs at least 2 alternatives"),
         (lambda: custom_embedding([[1.0, np.nan], [0.0, 1.0]]),
          NonFiniteEntryError, "entry (1,2) is not finite"),
+        (lambda: pair_wedges([1.0, 2.0, 3.0]), NonSquareError,
+         "vectors must be square, got shape (3,)"),
+        (lambda: pair_wedges([[np.nan, 1], [1, 2]]), NonFiniteEntryError,
+         "entry (1,1) is not finite"),
+        (lambda: pair_wedges([[1.0, 2.0], [3.0]]), NonSquareError,
+         "vectors is not a square array of numbers"),
     ],
     ids=["vector-out-of-range", "orthogonal-too-few", "orthogonal-non-finite",
          "planar-too-few", "planar-non-finite", "custom-too-few",
-         "custom-non-finite"],
+         "custom-non-finite", "pair-wedges-flat", "pair-wedges-non-finite",
+         "pair-wedges-ragged"],
 )
 def test_refusals_name_the_fault(call, error, message):
     with pytest.raises(error) as exc:

@@ -17,7 +17,9 @@ from pcgeom import (
     new_two_vector,
     normalize_grassmann,
     quad_residuals,
+    standard_area_form,
     wedge,
+    wedge_rows,
 )
 
 
@@ -88,7 +90,7 @@ def test_new_two_vector_refuses_nested_coords():
     "call, error, message",
     [
         (lambda: new_two_vector(1, []), DimensionMismatchError,
-         "dimension must be at least 2"),
+         "n must be an integer of at least 2, got 1"),
         (lambda: new_two_vector(3, [1.0, 2.0]), DimensionMismatchError,
          "expected 3 coordinates for n=3, got 2"),
         (lambda: new_two_vector(3, [1.0, np.nan, 0.0]), NonFiniteEntryError,
@@ -100,11 +102,35 @@ def test_new_two_vector_refuses_nested_coords():
         (lambda: wedge([1, 0, 0], [0, 1, 0]).coord(1, 4), DimensionMismatchError,
          "pair (1,4) invalid for dimension 3"),
         (lambda: is_decomposable(wedge([1, 0, 0, 0], [0, 1, 0, 0]), tol=0.0),
-         ValueError, "tolerance must be positive"),
+         ValueError, "tol must be positive and finite, got 0.0"),
+        # An infinite tolerance would call any 2-vector decomposable.
+        (lambda: is_decomposable(new_two_vector(4, [1, 0, 0, 0, 0, 1]), tol=math.inf),
+         ValueError, "tol must be positive and finite, got inf"),
+        (lambda: new_two_vector(2.5, [1.0]), DimensionMismatchError,
+         "n must be an integer of at least 2, got 2.5"),
+        (lambda: new_two_vector(True, []), DimensionMismatchError,
+         "n must be an integer of at least 2, got True"),
+        (lambda: new_two_vector("3", [1.0, 2.0, 3.0]), DimensionMismatchError,
+         "n must be an integer of at least 2, got '3'"),
+        (lambda: standard_area_form(1), DimensionMismatchError,
+         "n must be an integer of at least 2, got 1"),
+        (lambda: standard_area_form(True), DimensionMismatchError,
+         "n must be an integer of at least 2, got True"),
+        (lambda: standard_area_form(-1), DimensionMismatchError,
+         "n must be an integer of at least 2, got -1"),
+        (lambda: standard_area_form(2.5), DimensionMismatchError,
+         "n must be an integer of at least 2, got 2.5"),
+        (lambda: wedge_rows(np.ones((2, 3)), np.ones((2, 4))), DimensionMismatchError,
+         "vectors have different dimensions (3 vs 4)"),
+        (lambda: wedge_rows(np.ones(3), np.ones((5, 2))), DimensionMismatchError,
+         "vectors have different dimensions (3 vs 2)"),
     ],
     ids=["two-vector-n", "two-vector-length", "two-vector-non-finite",
          "wedge-too-short", "wedge-non-finite", "coord-out-of-range",
-         "decomposable-tol"],
+         "decomposable-tol", "decomposable-tol-inf", "two-vector-n-fraction",
+         "two-vector-n-bool", "two-vector-n-text", "area-form-n",
+         "area-form-n-bool", "area-form-n-negative", "area-form-n-fraction",
+         "wedge-rows-widths", "wedge-rows-broadcast-widths"],
 )
 def test_refusals_name_the_fault(call, error, message):
     with pytest.raises(error) as exc:

@@ -1,5 +1,6 @@
 """The one gate every array from outside passes (``pc_core._input_array``):
-its rule holds for each of the nine constructors that take such an array.
+its rule holds for each of the nine constructors that take such an array,
+and for ``pair_wedges``, which takes an embedding's vectors.
 
 A vector is refused nested or 0-d (DimensionMismatchError), a matrix
 unless square (NonSquareError), and either one by that class when it is
@@ -30,6 +31,7 @@ from pcgeom import (
     new_multiplicative,
     new_two_vector,
     orthogonal_embedding,
+    pair_wedges,
     pc_core,
     planar_embedding,
     scores_to_coefficients,
@@ -81,6 +83,7 @@ MATRICES = {
     "new_multiplicative": (new_multiplicative,
                            lambda draw, n: np.exp(_skew(draw, n)).tolist()),
     "custom_embedding": (custom_embedding, _square),
+    "pair_wedges": (pair_wedges, _square),
 }
 CASES = sorted(VECTORS) + sorted(MATRICES)
 #: name: what the gate calls the whole input
@@ -89,7 +92,7 @@ WHAT = {
     "scores_to_coefficients": "scores", "orthogonal_embedding": "coefficients",
     "wedge-u": "u", "wedge-v": "v", "new_two_vector": "coords",
     "new_additive": "additive matrix", "new_multiplicative": "multiplicative matrix",
-    "custom_embedding": "embedding",
+    "custom_embedding": "embedding", "pair_wedges": "vectors",
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from itertools import combinations
@@ -13,18 +14,26 @@ from pcgeom import (
     NonFiniteEntryError,
     NonIncreasingTriadError,
     NonPositiveEntryError,
+    NonPositiveLambdaError,
+    NonPositiveStepError,
     NonSquareError,
     NotReciprocalError,
     NotSkewSymmetricError,
     TooSmallError,
     algebraic_inconsistency,
     all_triad_deviations,
+    closed_form_diagnosis,
+    coupling_coefficients,
     from_scores,
+    gram_rows,
     is_consistent,
     new_additive,
     new_multiplicative,
+    new_two_vector,
     permute,
     recover_scores,
+    reduce_iterative,
+    standard_area_form,
     to_additive,
     to_multiplicative,
     triad_deviation,
@@ -116,22 +125,58 @@ def test_entry_accessor_is_one_based():
         (lambda: new_multiplicative(np.ones((2, 2))).entry(3, 1),
          IndexOutOfRangeError, "index 3 outside 1..2"),
         (lambda: new_additive(np.zeros((2, 2)), tol=0.0), ValueError,
-         "tolerance must be positive"),
+         "tol must be positive and finite, got 0.0"),
         (lambda: new_multiplicative(np.ones((2, 2)), tol=-1.0), ValueError,
-         "tolerance must be positive"),
+         "tol must be positive and finite, got -1.0"),
         (lambda: is_consistent(new_additive(CONSISTENT_3), tol=0.0), ValueError,
-         "tolerance must be positive"),
+         "tol must be positive and finite, got 0.0"),
         (lambda: permute(new_additive(CONSISTENT_3), [1, 1, 2]), ValueError,
          "order must be a permutation of 1..3"),
         (lambda: permute(from_scores([1, 2, 3]), [1.5, 2, 3]), ValueError,
          "order must be a permutation of 1..3"),
         (lambda: permute(from_scores([1, 2, 3]), ["1", "2", "3"]), ValueError,
          "order must be a permutation of 1..3"),
+        # An infinite tolerance would accept any matrix and call it consistent.
+        (lambda: new_additive([[0, 5], [-4, 0]], tol=math.inf), ValueError,
+         "tol must be positive and finite, got inf"),
+        (lambda: new_multiplicative([[1, 5], [0.1, 1]], tol=math.inf), ValueError,
+         "tol must be positive and finite, got inf"),
+        (lambda: is_consistent(new_additive(INCONSISTENT_3), tol=math.inf),
+         ValueError, "tol must be positive and finite, got inf"),
+        (lambda: is_consistent(new_additive(CONSISTENT_3), tol=math.nan),
+         ValueError, "tol must be positive and finite, got nan"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), tol=math.inf),
+         ValueError, "tol must be positive and finite, got inf"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), eta=math.inf),
+         NonPositiveStepError, "eta must be positive and finite, got inf"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), eta=0.0),
+         NonPositiveStepError, "eta must be positive and finite, got 0.0"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), max_steps=0),
+         ValueError, "max-steps must be at least 1"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), lam=math.nan),
+         NonPositiveLambdaError, "lambda must be nonnegative and finite, got nan"),
+        (lambda: closed_form_diagnosis(3, -1.0), NonPositiveLambdaError,
+         "lambda must be nonnegative and finite, got -1.0"),
+        (lambda: coupling_coefficients(2), TooSmallError,
+         "n must be an integer of at least 3, got 2"),
+        (lambda: coupling_coefficients(3.5), TooSmallError,
+         "n must be an integer of at least 3, got 3.5"),
+        (lambda: closed_form_diagnosis(True), TooSmallError,
+         "n must be an integer of at least 3, got True"),
+        (lambda: closed_form_diagnosis("4"), TooSmallError,
+         "n must be an integer of at least 3, got '4'"),
+        (lambda: gram_rows(4.5), TooSmallError,
+         "n must be an integer of at least 3, got 4.5"),
     ],
     ids=["scores-non-finite", "scores-too-few", "scores-overflow",
          "multiplicative-non-finite", "multiplicative-entry", "additive-tol",
          "multiplicative-tol", "consistent-tol", "permute-not-permutation",
-         "permute-fraction", "permute-strings"],
+         "permute-fraction", "permute-strings", "additive-tol-inf",
+         "multiplicative-tol-inf", "consistent-tol-inf", "consistent-tol-nan",
+         "reduce-tol-inf", "reduce-eta-inf", "reduce-eta-zero", "reduce-no-steps",
+         "reduce-lambda-nan", "diagnosis-lambda", "coupling-n-small",
+         "coupling-n-fraction", "diagnosis-n-bool", "diagnosis-n-text",
+         "gram-n-fraction"],
 )
 def test_refusals_name_the_fault(call, error, message):
     with pytest.raises(error) as exc, warnings.catch_warnings():
@@ -139,6 +184,18 @@ def test_refusals_name_the_fault(call, error, message):
         call()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", [3, 3.0, np.int64(3), np.float64(3.0)],
+                         ids=["int", "float", "numpy-int", "numpy-float"])
+def test_an_integral_n_is_taken_as_a_python_int(n):
+    # The rule of a document's "n": an integer or an integral float.
+    p = new_two_vector(n, [1.0, 2.0, 3.0])
+    assert type(p.n) is int and json.dumps(p.n) == "3"
+    assert type(standard_area_form(n).n) is int
+    assert type(coupling_coefficients(n).n) is int
+    assert closed_form_diagnosis(n) == closed_form_diagnosis(3)
+    assert gram_rows(n)(slice(0, 1)).tolist() == [[3.0]]
 
 
 # ------------------------------------------------------------------ conversion

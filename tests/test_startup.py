@@ -303,7 +303,7 @@ def test_module_help_matches_in_process_help(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", list(usage.COMMANDS))
 def test_module_command_help_matches_in_process_help(capsys, monkeypatch, command):
-    # Each subparser adds its flags when it first parses, in both processes.
+    # argparse wraps help at the terminal width; fix it for both processes.
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit):
         main([command, "--help"])
