@@ -21,9 +21,10 @@ import math
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, ReadOnly, ZeroCoefficientError
+from .errors import ReadOnly, ZeroCoefficientError
 from .pc_core import (
     AdditiveMatrix,
+    _check_index,
     _input_array,
     _readonly,
     _scaled,
@@ -45,9 +46,7 @@ class Embedding(ReadOnly):
 
     def vector(self, i: int) -> np.ndarray:
         """Vector of alternative i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRangeError(f"index {i} outside 1..{self.n}")
-        return self.vectors[i - 1]
+        return self.vectors[_check_index(self.n, i)]
 
 
 def _check_convention(convention: str) -> None:

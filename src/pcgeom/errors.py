@@ -60,7 +60,8 @@ class NonPositiveLambdaError(PCGeomError):
 
 
 class NonPositiveStepError(PCGeomError):
-    """Descent step size must be strictly positive."""
+    """Descent step size must be strictly positive, and its step count an
+    integer of at least 1."""
 
 
 class DivergentStepError(PCGeomError):

@@ -28,6 +28,7 @@ from .pc_core import (
     _check_tolerance,
     _input_array,
     _input_n,
+    _integral,
     _readonly,
     _scaled,
     _scaled_square_sum,
@@ -49,12 +50,12 @@ class TwoVector(ReadOnly):
     __array_ufunc__ = None
 
     def coord(self, k: int, l: int) -> float:
-        """Coordinate p_kl for 1-based k < l."""
-        if not (1 <= k < l <= self.n):
+        """Coordinate p_kl for 1-based k < l, integers by ``_integral``'s rule."""
+        k0, l0 = _integral(k), _integral(l)
+        if None in (k0, l0) or not 1 <= k0 < l0 <= self.n:
             raise DimensionMismatchError(
-                f"pair ({k},{l}) invalid for dimension {self.n}"
-            )
-        return float(self.coords[indexing.pair_index(self.n, k - 1, l - 1)])
+                f"pair ({k!r},{l!r}) invalid for dimension {self.n}")
+        return float(self.coords[indexing.pair_index(self.n, k0 - 1, l0 - 1)])
 
     def norm(self) -> float:
         """Euclidean norm, nonzero for every nonzero 2-vector; raises
@@ -137,10 +138,15 @@ def wedge_rows(x, y) -> np.ndarray:
     This is the kernel behind :func:`wedge`, so row p is bit-identical to
     ``wedge(x[p], y[p]).coords``. Leading axes broadcast, so a single row
     is paired with every row of the other argument. Rows of different
-    widths are DimensionMismatchError.
+    widths, and an argument that is not a vector or rows of numbers
+    (integers or floats, not text or booleans), are DimensionMismatchError.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x), np.asarray(y)
+    for name, arr in (("x", x), ("y", y)):
+        if arr.ndim == 0 or arr.dtype.kind not in "iuf":
+            raise DimensionMismatchError(f"{name} must be a vector or rows of "
+                                         f"numbers, got {arr.dtype} of shape {arr.shape}")
+    x, y = x.astype(float, copy=False), y.astype(float, copy=False)
     if x.shape[-1] != y.shape[-1]:
         raise DimensionMismatchError(
             f"vectors have different dimensions ({x.shape[-1]} vs {y.shape[-1]})"

@@ -13,15 +13,21 @@ Every array a constructor takes from outside (a matrix, scores, the
 vectors of a wedge, a 2-vector's coordinates, an embedding, here and in
 ``exterior`` and ``embedding``) passes one gate, ``_input_array``, which
 states the rules of type, shape, size and finiteness once: ``io`` parses
-a document, and the gate alone turns its arrays into floats. Each setting
-has one rule here too, which the library and the CLI both call: tol in
-``_check_tolerance``, lambda in ``_check_lambda``, eta and max-steps in
-``_check_descent``, and the n of a call or a document in ``_integral``.
+a document, and the gate alone turns its arrays into floats. Beside it,
+every integer taken from outside (the n of a call or a document,
+max-steps, and the 1-based indices of ``entry``, ``triad_deviation``,
+``Embedding.vector`` and ``TwoVector.coord``) is read by one rule,
+``_integral``: an int, a numpy integer or an integral float, never a
+bool. Each setting has one rule here too, which the library and the CLI
+both call: tol in ``_check_tolerance``, lambda in ``_check_lambda``, eta
+and max-steps in ``_check_descent``; tol, lambda and eta must be real
+numbers other than bools.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Number, Real
 from typing import Sequence
 
 import numpy as np
@@ -61,13 +67,12 @@ class AdditiveMatrix(ReadOnly):
 
     def entry(self, i: int, j: int) -> float:
         """Entry a_ij for 1-based indices i, j."""
-        _check_index(self.n, i)
-        _check_index(self.n, j)
-        if i == j:
+        i0, j0 = _check_index(self.n, i), _check_index(self.n, j)
+        if i0 == j0:
             return 0.0
-        lo, hi = sorted((i - 1, j - 1))
+        lo, hi = sorted((i0, j0))
         value = float(self.upper[indexing.pair_index(self.n, lo, hi)])
-        return value if i < j else -value
+        return value if i0 < j0 else -value
 
     def to_array(self) -> np.ndarray:
         """Full n-by-n skew-symmetric matrix."""
@@ -84,35 +89,42 @@ class MultiplicativeMatrix(ReadOnly):
     __slots__ = ("n", "entries")
 
     def entry(self, i: int, j: int) -> float:
-        _check_index(self.n, i)
-        _check_index(self.n, j)
-        return float(self.entries[i - 1, j - 1])
+        return float(self.entries[_check_index(self.n, i), _check_index(self.n, j)])
 
 
-def _check_index(n: int, i: int) -> None:
-    if not 1 <= i <= n:
-        raise IndexOutOfRangeError(f"index {i} outside 1..{n}")
+def _check_index(n: int, i: int) -> int:
+    """The 0-based place of the 1-based index i, read by ``_integral``'s rule."""
+    whole = _integral(i)
+    if whole is None or not 1 <= whole <= n:
+        raise IndexOutOfRangeError(
+            f"index {i if isinstance(i, Number) else repr(i)} outside 1..{n}")
+    return whole - 1
+
+
+def _real(x) -> float:
+    """x if it is a real number other than a bool, else NaN, which every
+    range of a real-valued setting refuses."""
+    return x if isinstance(x, Real) and not isinstance(x, bool) else math.nan
 
 
 def _check_tolerance(tol: float) -> None:
     """Refuse a tolerance that is not positive and finite."""
-    if not 0 < tol < math.inf:
+    if not 0 < _real(tol) < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _check_lambda(lam: float) -> None:
     """Refuse a negative, NaN or infinite regularization weight."""
-    if not 0 <= lam < math.inf:
+    if not 0 <= _real(lam) < math.inf:
         raise NonPositiveLambdaError(
             f"lambda must be nonnegative and finite, got {lam!r}")
 
 
 def _check_descent(eta: float | None, max_steps: int) -> None:
     """Refuse a step size not positive and finite (None is 1/n), or no steps."""
-    if eta is not None and not 0 < eta < math.inf:
+    if eta is not None and not 0 < _real(eta) < math.inf:
         raise NonPositiveStepError(f"eta must be positive and finite, got {eta!r}")
-    if max_steps < 1:
-        raise ValueError("max-steps must be at least 1")
+    _input_n(max_steps, 1, NonPositiveStepError, "max-steps")
 
 
 def _integral(n) -> int | None:
@@ -124,12 +136,12 @@ def _integral(n) -> int | None:
     return None
 
 
-def _input_n(n, least: int, error: type[PCGeomError] = TooSmallError) -> int:
-    """n of a library call as a Python int, by ``_integral``'s rule; anything
-    else, or an n below ``least``, is ``error``."""
+def _input_n(n, least: int, error: type[PCGeomError] = TooSmallError, name="n") -> int:
+    """The count ``name`` of a library call as a Python int, by ``_integral``'s
+    rule; anything else, or a count below ``least``, is ``error``."""
     whole = _integral(n)
     if whole is None or whole < least:
-        raise error(f"n must be an integer of at least {least}, got {n!r}")
+        raise error(f"{name} must be an integer of at least {least}, got {n!r}")
     return whole
 
 
@@ -355,13 +367,12 @@ def to_additive(m: MultiplicativeMatrix) -> AdditiveMatrix:
 
 
 def _check_triad(n: int, i: int, j: int, k: int) -> tuple[int, int, int]:
-    for idx in (i, j, k):
-        _check_index(n, idx)
-    if not i < j < k:
+    i0, j0, k0 = (_check_index(n, idx) for idx in (i, j, k))
+    if not i0 < j0 < k0:
         raise NonIncreasingTriadError(
             f"triad ({i},{j},{k}) must satisfy i < j < k"
         )
-    return i - 1, j - 1, k - 1
+    return i0, j0, k0
 
 
 def triad_deviation(a: AdditiveMatrix, i: int, j: int, k: int) -> float:
@@ -426,7 +437,7 @@ def algebraic_inconsistency(a: AdditiveMatrix) -> float:
 def is_consistent(a: AdditiveMatrix, tol: float = DEFAULT_TOLERANCE) -> bool:
     """True when every triad deviation is within ``tol`` in magnitude."""
     _check_tolerance(tol)
-    return max_abs_triad_deviation(a) <= tol
+    return bool(max_abs_triad_deviation(a) <= tol)
 
 
 def recover_scores(a: AdditiveMatrix) -> tuple[np.ndarray, AdditiveMatrix]:

@@ -41,15 +41,15 @@ workloads = _bench_module("workloads")
 #: Factor kept between the oracle's bound and the largest deviation or residual.
 MARGIN = 10.0
 #: The CLI flag of an oracle param whose name differs from it.
-FLAGS = {"lam": "lambda"}
+FLAGS = {"lam": "lambda", "embedding_file": "embedding-file"}
 
 
 def run_checked(workdir: Path, kind: str, name: str, doc, ext: str = "json",
                 **params) -> list[str]:
     """Write doc to workdir/name, run `pcgeom kind name --key value ... -o
-    out.ext` in process, a flag for each of params that is not None, and
-    return the oracle's problems with the outcome; the oracle reads the
-    same params."""
+    out.ext` in process from workdir, a flag for each of params that is not
+    None, and return the oracle's problems with the outcome; the oracle
+    reads the same params, and a file they name, beside the input."""
     path = workdir / name
     if name.endswith(".csv"):
         path.write_text("".join(",".join(map(repr, row)) + "\n" for row in doc.tolist()))
@@ -65,6 +65,7 @@ def run_checked(workdir: Path, kind: str, name: str, doc, ext: str = "json",
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("PCGEOM_TOL", raising=False)
         mp.delenv("PCGEOM_FORMAT", raising=False)
+        mp.chdir(workdir)
         with redirect_stdout(out), redirect_stderr(err):
             code = main([kind, str(path), *flags, "-o", str(workdir / output)])
     return oracle.verify(req, expected, workdir, code, out.getvalue(), err.getvalue())
@@ -100,22 +101,33 @@ def test_check_and_twoform_agree_with_the_bench_oracle(a):
             assert run_checked(Path(tmp), kind, "a.csv", a) == [], kind
 
 
+#: The params naming each embedding: planar, orthogonal, and custom with
+#: the embedding file the test writes beside the matrix.
+EMBEDDINGS = [{"embedding": "planar"}, {"embedding": "orthogonal"},
+              {"embedding": "custom", "embedding_file": "e.json"}]
+
 #: The reports of a matrix whose values do not hang on a verdict, with the
 #: params of each: flags to the CLI and the oracle's reading of them.
 VALUE_REPORTS = [
     ("deviations", {}),
-    ("indices", {"embedding": "planar", "convention": "cyclic"}),
-    ("indices", {"embedding": "planar", "convention": "anticyclic"}),
-    ("embed", {"embedding": "planar"}),
+    *(("indices", {**embedding, "convention": convention})
+      for embedding in EMBEDDINGS for convention in ("cyclic", "anticyclic")),
+    *(("embed", embedding) for embedding in EMBEDDINGS),
 ]
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices())
-def test_value_reports_agree_with_the_bench_oracle(a):
+@given(matrices(), matrices(largest_scale=3), st.integers(0, 2**32 - 1))
+def test_value_reports_agree_with_the_bench_oracle(a, small, seed):
+    """The orthogonal embedding's coefficients exp(s_i / 2) are finite only
+    for moderate scores s, so its reports read ``small``; the custom
+    embedding is n Gaussian vectors at the matrix's largest entry."""
     with tempfile.TemporaryDirectory() as tmp:
+        vectors = np.random.default_rng(seed).standard_normal(a.shape) * np.max(np.abs(a))
+        (Path(tmp) / "e.json").write_text(json.dumps({"vectors": vectors.tolist()}))
         for kind, params in VALUE_REPORTS:
-            assert run_checked(Path(tmp), kind, "a.csv", a, **params) == [], (kind, params)
+            m = small if params.get("embedding") == "orthogonal" else a
+            assert run_checked(Path(tmp), kind, "a.csv", m, **params) == [], (kind, params)
 
 
 @settings(max_examples=20, deadline=None)

@@ -332,7 +332,8 @@ def test_out_of_memory_exits_two_and_leaves_no_file(
         (["diagnose", "--lambda=-1"], {},
          "lambda must be nonnegative and finite, got -1.0"),
         (["reduce", "--eta=0"], {}, "eta must be positive and finite, got 0.0"),
-        (["reduce", "--max-steps", "0"], {}, "max-steps must be at least 1"),
+        (["reduce", "--max-steps", "0"], {},
+         "max-steps must be an integer of at least 1, got 0"),
         (["plucker"], {"PCGEOM_TOL": "0"}, "tol must be positive and finite, got 0.0"),
         (["reduce", "--eta", "nan"], {}, "eta must be positive and finite, got nan"),
     ],

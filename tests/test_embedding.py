@@ -69,6 +69,12 @@ def test_custom_embedding_shape_validation():
     [
         (lambda: orthogonal_embedding([1.0, 2.0, 3.0]).vector(4),
          IndexOutOfRangeError, "index 4 outside 1..3"),
+        (lambda: planar_embedding([1, 2, 3]).vector(1.5), IndexOutOfRangeError,
+         "index 1.5 outside 1..3"),
+        (lambda: planar_embedding([1, 2, 3]).vector(True), IndexOutOfRangeError,
+         "index True outside 1..3"),
+        (lambda: planar_embedding([1, 2, 3]).vector("1"), IndexOutOfRangeError,
+         "index '1' outside 1..3"),
         (lambda: orthogonal_embedding([1.0]), TooSmallError,
          "need at least 2 coefficients"),
         (lambda: orthogonal_embedding([1.0, np.inf]), NonFiniteEntryError,
@@ -88,7 +94,8 @@ def test_custom_embedding_shape_validation():
         (lambda: pair_wedges([[1.0, 2.0], [3.0]]), NonSquareError,
          "vectors is not a square array of numbers"),
     ],
-    ids=["vector-out-of-range", "orthogonal-too-few", "orthogonal-non-finite",
+    ids=["vector-out-of-range", "vector-fraction", "vector-bool", "vector-text",
+         "orthogonal-too-few", "orthogonal-non-finite",
          "planar-too-few", "planar-non-finite", "custom-too-few",
          "custom-non-finite", "pair-wedges-flat", "pair-wedges-non-finite",
          "pair-wedges-ragged"],

@@ -101,6 +101,12 @@ def test_new_two_vector_refuses_nested_coords():
          "v component 1 is not finite"),
         (lambda: wedge([1, 0, 0], [0, 1, 0]).coord(1, 4), DimensionMismatchError,
          "pair (1,4) invalid for dimension 3"),
+        (lambda: new_two_vector(3, [1, 2, 3]).coord(1, 2.5), DimensionMismatchError,
+         "pair (1,2.5) invalid for dimension 3"),
+        (lambda: new_two_vector(3, [1, 2, 3]).coord(True, 2), DimensionMismatchError,
+         "pair (True,2) invalid for dimension 3"),
+        (lambda: new_two_vector(3, [1, 2, 3]).coord(1, "2"), DimensionMismatchError,
+         "pair (1,'2') invalid for dimension 3"),
         (lambda: is_decomposable(wedge([1, 0, 0, 0], [0, 1, 0, 0]), tol=0.0),
          ValueError, "tol must be positive and finite, got 0.0"),
         # An infinite tolerance would call any 2-vector decomposable.
@@ -124,13 +130,23 @@ def test_new_two_vector_refuses_nested_coords():
          "vectors have different dimensions (3 vs 4)"),
         (lambda: wedge_rows(np.ones(3), np.ones((5, 2))), DimensionMismatchError,
          "vectors have different dimensions (3 vs 2)"),
+        (lambda: wedge_rows(1.0, [1.0, 2.0]), DimensionMismatchError,
+         "x must be a vector or rows of numbers, got float64 of shape ()"),
+        (lambda: wedge_rows([[1, 2], [3, 4]], 5.0), DimensionMismatchError,
+         "y must be a vector or rows of numbers, got float64 of shape ()"),
+        (lambda: wedge_rows(["1", "2"], [3, 4]), DimensionMismatchError,
+         "x must be a vector or rows of numbers, got <U1 of shape (2,)"),
+        (lambda: wedge_rows([3, 4], [True, False]), DimensionMismatchError,
+         "y must be a vector or rows of numbers, got bool of shape (2,)"),
     ],
     ids=["two-vector-n", "two-vector-length", "two-vector-non-finite",
          "wedge-too-short", "wedge-non-finite", "coord-out-of-range",
+         "coord-fraction", "coord-bool", "coord-text",
          "decomposable-tol", "decomposable-tol-inf", "two-vector-n-fraction",
          "two-vector-n-bool", "two-vector-n-text", "area-form-n",
          "area-form-n-bool", "area-form-n-negative", "area-form-n-fraction",
-         "wedge-rows-widths", "wedge-rows-broadcast-widths"],
+         "wedge-rows-widths", "wedge-rows-broadcast-widths", "wedge-rows-scalar-x",
+         "wedge-rows-scalar-y", "wedge-rows-text", "wedge-rows-bool"],
 )
 def test_refusals_name_the_fault(call, error, message):
     with pytest.raises(error) as exc:

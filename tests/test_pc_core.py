@@ -31,6 +31,7 @@ from pcgeom import (
     new_multiplicative,
     new_two_vector,
     permute,
+    planar_embedding,
     recover_scores,
     reduce_iterative,
     standard_area_form,
@@ -152,7 +153,7 @@ def test_entry_accessor_is_one_based():
         (lambda: reduce_iterative(new_additive(INCONSISTENT_3), eta=0.0),
          NonPositiveStepError, "eta must be positive and finite, got 0.0"),
         (lambda: reduce_iterative(new_additive(INCONSISTENT_3), max_steps=0),
-         ValueError, "max-steps must be at least 1"),
+         NonPositiveStepError, "max-steps must be an integer of at least 1, got 0"),
         (lambda: reduce_iterative(new_additive(INCONSISTENT_3), lam=math.nan),
          NonPositiveLambdaError, "lambda must be nonnegative and finite, got nan"),
         (lambda: closed_form_diagnosis(3, -1.0), NonPositiveLambdaError,
@@ -167,6 +168,51 @@ def test_entry_accessor_is_one_based():
          "n must be an integer of at least 3, got '4'"),
         (lambda: gram_rows(4.5), TooSmallError,
          "n must be an integer of at least 3, got 4.5"),
+        # Every 1-based index and count is an integer by the rule of n.
+        (lambda: new_additive(INCONSISTENT_3).entry(1.5, 2), IndexOutOfRangeError,
+         "index 1.5 outside 1..3"),
+        (lambda: new_additive(INCONSISTENT_3).entry(True, 2), IndexOutOfRangeError,
+         "index True outside 1..3"),
+        (lambda: new_additive(INCONSISTENT_3).entry("1", 2), IndexOutOfRangeError,
+         "index '1' outside 1..3"),
+        (lambda: new_multiplicative([[1, 2], [0.5, 1]]).entry(1.5, 1),
+         IndexOutOfRangeError, "index 1.5 outside 1..2"),
+        (lambda: new_multiplicative([[1, 2], [0.5, 1]]).entry(1, True),
+         IndexOutOfRangeError, "index True outside 1..2"),
+        (lambda: new_multiplicative([[1, 2], [0.5, 1]]).entry("2", 1),
+         IndexOutOfRangeError, "index '2' outside 1..2"),
+        (lambda: triad_deviation(new_additive(INCONSISTENT_3), 1, 2.5, 3),
+         IndexOutOfRangeError, "index 2.5 outside 1..3"),
+        (lambda: triad_deviation(new_additive(INCONSISTENT_3), True, 2, 3),
+         IndexOutOfRangeError, "index True outside 1..3"),
+        (lambda: triad_deviation(new_additive(INCONSISTENT_3), 1, 2, "3"),
+         IndexOutOfRangeError, "index '3' outside 1..3"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), max_steps=math.nan),
+         NonPositiveStepError, "max-steps must be an integer of at least 1, got nan"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), max_steps=2.5),
+         NonPositiveStepError, "max-steps must be an integer of at least 1, got 2.5"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), max_steps=True),
+         NonPositiveStepError, "max-steps must be an integer of at least 1, got True"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), max_steps="3"),
+         NonPositiveStepError, "max-steps must be an integer of at least 1, got '3'"),
+        # A real-valued setting is a real number, not text, None, an array or
+        # a bool.
+        (lambda: is_consistent(new_additive(CONSISTENT_3), "1e-3"), ValueError,
+         "tol must be positive and finite, got '1e-3'"),
+        (lambda: is_consistent(new_additive(CONSISTENT_3), None), ValueError,
+         "tol must be positive and finite, got None"),
+        (lambda: is_consistent(new_additive(CONSISTENT_3), np.array([1e-3, 1.0])),
+         ValueError, "tol must be positive and finite, got array([0.001, 1.   ])"),
+        (lambda: is_consistent(new_additive(CONSISTENT_3), True), ValueError,
+         "tol must be positive and finite, got True"),
+        (lambda: new_additive(CONSISTENT_3, tol="x"), ValueError,
+         "tol must be positive and finite, got 'x'"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), lam=None),
+         NonPositiveLambdaError, "lambda must be nonnegative and finite, got None"),
+        (lambda: closed_form_diagnosis(4, True), NonPositiveLambdaError,
+         "lambda must be nonnegative and finite, got True"),
+        (lambda: reduce_iterative(new_additive(INCONSISTENT_3), eta="0.1"),
+         NonPositiveStepError, "eta must be positive and finite, got '0.1'"),
     ],
     ids=["scores-non-finite", "scores-too-few", "scores-overflow",
          "multiplicative-non-finite", "multiplicative-entry", "additive-tol",
@@ -176,7 +222,14 @@ def test_entry_accessor_is_one_based():
          "reduce-tol-inf", "reduce-eta-inf", "reduce-eta-zero", "reduce-no-steps",
          "reduce-lambda-nan", "diagnosis-lambda", "coupling-n-small",
          "coupling-n-fraction", "diagnosis-n-bool", "diagnosis-n-text",
-         "gram-n-fraction"],
+         "gram-n-fraction", "additive-entry-fraction", "additive-entry-bool",
+         "additive-entry-text", "multiplicative-entry-fraction",
+         "multiplicative-entry-bool", "multiplicative-entry-text",
+         "triad-fraction", "triad-bool", "triad-text", "reduce-steps-nan",
+         "reduce-steps-fraction", "reduce-steps-bool", "reduce-steps-text",
+         "consistent-tol-text", "consistent-tol-none", "consistent-tol-array",
+         "consistent-tol-bool", "additive-tol-text", "reduce-lambda-none",
+         "diagnosis-lambda-bool", "reduce-eta-text"],
 )
 def test_refusals_name_the_fault(call, error, message):
     with pytest.raises(error) as exc, warnings.catch_warnings():
@@ -196,6 +249,23 @@ def test_an_integral_n_is_taken_as_a_python_int(n):
     assert type(coupling_coefficients(n).n) is int
     assert closed_form_diagnosis(n) == closed_form_diagnosis(3)
     assert gram_rows(n)(slice(0, 1)).tolist() == [[3.0]]
+
+
+@pytest.mark.parametrize("i", [2, 2.0, np.int64(2), np.float64(2.0)],
+                         ids=["int", "float", "numpy-int", "numpy-float"])
+def test_an_integral_index_is_read_as_that_integer(i):
+    # The rule of n, in each accessor that takes a 1-based index.
+    a = new_additive(INCONSISTENT_3)
+    assert a.entry(i, 3) == 1.0 and a.entry(3, i) == -1.0
+    assert to_multiplicative(a).entry(i, 3) == math.exp(1.0)
+    assert triad_deviation(a, 1, i, 3) == -1.0
+    assert planar_embedding([1.0, 2.0, 3.0]).vector(i).tolist() == [2.0, 1.0, 0.0]
+    assert new_two_vector(3, [1.0, 2.0, 3.0]).coord(1, i) == 1.0
+
+
+def test_is_consistent_answers_a_python_bool():
+    assert is_consistent(new_additive(CONSISTENT_3), np.float32(10.0)) is True
+    assert is_consistent(new_additive(INCONSISTENT_3), np.float64(1e-9)) is False
 
 
 # ------------------------------------------------------------------ conversion
