@@ -141,12 +141,18 @@ def wedge_rows(x, y) -> np.ndarray:
     widths, and an argument that is not a vector or rows of numbers
     (integers or floats, not text or booleans), are DimensionMismatchError.
     """
-    x, y = np.asarray(x), np.asarray(y)
-    for name, arr in (("x", x), ("y", y)):
-        if arr.ndim == 0 or arr.dtype.kind not in "iuf":
-            raise DimensionMismatchError(f"{name} must be a vector or rows of "
-                                         f"numbers, got {arr.dtype} of shape {arr.shape}")
-    x, y = x.astype(float, copy=False), y.astype(float, copy=False)
+    arrays = []
+    for name, raw in (("x", x), ("y", y)):
+        try:
+            arr = np.asarray(raw)
+            got = f"{arr.dtype} of shape {arr.shape}"
+        except ValueError:  # rows of different lengths
+            arr, got = None, "ragged rows"
+        if arr is None or arr.ndim == 0 or arr.dtype.kind not in "iuf":
+            raise DimensionMismatchError(
+                f"{name} must be a vector or rows of numbers, got {got}")
+        arrays.append(arr.astype(float, copy=False))
+    x, y = arrays
     if x.shape[-1] != y.shape[-1]:
         raise DimensionMismatchError(
             f"vectors have different dimensions ({x.shape[-1]} vs {y.shape[-1]})"

@@ -16,17 +16,18 @@ states the rules of type, shape, size and finiteness once: ``io`` parses
 a document, and the gate alone turns its arrays into floats. Beside it,
 every integer taken from outside (the n of a call or a document,
 max-steps, and the 1-based indices of ``entry``, ``triad_deviation``,
-``Embedding.vector`` and ``TwoVector.coord``) is read by one rule,
-``_integral``: an int, a numpy integer or an integral float, never a
-bool. Each setting has one rule here too, which the library and the CLI
-both call: tol in ``_check_tolerance``, lambda in ``_check_lambda``, eta
-and max-steps in ``_check_descent``; tol, lambda and eta must be real
-numbers other than bools.
+``permute``, ``Embedding.vector`` and ``TwoVector.coord``) is read by
+one rule, ``_integral``: an int, a numpy integer or an integral float,
+never a bool. Each setting has one rule here too, which the library and
+the CLI both call: tol in ``_check_tolerance``, lambda in
+``_check_lambda``, eta and max-steps in ``_check_descent``; tol, lambda
+and eta must be real numbers other than bools.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from numbers import Number, Real
 from typing import Sequence
 
@@ -63,7 +64,12 @@ class AdditiveMatrix(ReadOnly):
     therefore structural, not a runtime check.
     """
 
-    __slots__ = ("n", "upper")
+    # __dict__ holds the cached split.
+    __slots__ = ("n", "upper", "__dict__")
+
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, AdditiveMatrix]:
+        return _row_mean_split(self)
 
     def entry(self, i: int, j: int) -> float:
         """Entry a_ij for 1-based indices i, j."""
@@ -449,9 +455,16 @@ def recover_scores(a: AdditiveMatrix) -> tuple[np.ndarray, AdditiveMatrix]:
     when the matrix is consistent, in which case ``from_scores(s)``
     rebuilds the input.
 
+    The pair is computed once per matrix, on the first call, and kept
+    with it: every later call returns the same read-only objects.
+
     Raises:
         OverflowError: if an entry of r is beyond the float range.
     """
+    return a._split
+
+
+def _row_mean_split(a: AdditiveMatrix) -> tuple[np.ndarray, AdditiveMatrix]:
     # Each row's mean is taken in units of its largest magnitude, so no
     # sum of finite entries overflows.
     unit, e = _scaled(a.to_array())
@@ -476,12 +489,13 @@ def recover_scores(a: AdditiveMatrix) -> tuple[np.ndarray, AdditiveMatrix]:
 def permute(a: AdditiveMatrix, order: Sequence[int]) -> AdditiveMatrix:
     """Relabel alternatives: entry (i, j) of the result is a[order_i, order_j].
 
-    ``order`` is a 1-based permutation of 1..n, given as integers.
+    ``order`` is a 1-based permutation of 1..n, each label read by
+    ``_integral``'s rule; anything else is IndexOutOfRangeError.
     """
-    perm = np.asarray(order)
-    labels = sorted(perm.tolist()) if perm.dtype.kind in "iu" else None
-    if labels != list(range(1, a.n + 1)):
-        raise ValueError(f"order must be a permutation of 1..{a.n}")
-    full = a.to_array()[np.ix_(perm - 1, perm - 1)]
+    labels = [_integral(label) for label in order]
+    if None in labels or sorted(labels) != list(range(1, a.n + 1)):
+        raise IndexOutOfRangeError(f"order must be a permutation of 1..{a.n}")
+    perm = np.array(labels) - 1
+    full = a.to_array()[np.ix_(perm, perm)]
     rows, cols = np.triu_indices(a.n, k=1)
     return _from_upper(a.n, full[rows, cols])

@@ -28,7 +28,7 @@ from .pc_core import (
     _check_lambda,
     _check_tolerance,
     _from_upper,
-    _scaled_square_sum,
+    algebraic_inconsistency,
     from_scores,
     recover_scores,
 )
@@ -138,7 +138,7 @@ def reduce_iterative(
         )
 
     _, residual = recover_scores(a)
-    i_alg = [_scaled_square_sum(residual.upper, n, "I_alg")]
+    i_alg = [algebraic_inconsistency(a)]
     while i_alg[-1] > tol and len(i_alg) <= max_steps:
         i_alg.append(i_alg[-1] * (q * q))
     i_geom = tuple(n * v for v in i_alg)

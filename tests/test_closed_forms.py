@@ -40,7 +40,7 @@ from pcgeom import (
     reduce_iterative,
     wedge,
 )
-from pcgeom import coupling, indexing
+from pcgeom import coupling, indexing, pc_core, usage
 from pcgeom import io as pio
 from pcgeom.cli import _labels, main
 from pcgeom.exterior import _within_plucker_bound
@@ -153,21 +153,29 @@ def test_descent_matches_sparse_incidence_update(a, lam, eta_scale):
         )
 
 
-def test_descent_splits_the_input_once(monkeypatch):
-    from pcgeom import reduction
-
+def count_splits(monkeypatch) -> list[int]:
+    """The n of each matrix split from now on, by the one function that
+    computes a split."""
     calls = []
+    compute = pc_core._row_mean_split
 
     def counted(a):
         calls.append(a.n)
-        return recover_scores(a)
+        return compute(a)
 
-    monkeypatch.setattr(reduction, "recover_scores", counted)
+    monkeypatch.setattr(pc_core, "_row_mean_split", counted)
+    return calls
+
+
+def test_descent_splits_the_input_once(monkeypatch):
+    calls = count_splits(monkeypatch)
     rng = np.random.default_rng(11)
     raw = np.triu(rng.normal(size=(20, 20)), 1)
-    trajectory = reduce_iterative(
-        new_additive(raw - raw.T), eta=1e-3, max_steps=500
-    )
+    a = new_additive(raw - raw.T)
+    i_alg = algebraic_inconsistency(a)
+    trajectory = reduce_iterative(a, eta=1e-3, max_steps=500)
+    assert trajectory.i_alg[0] == i_alg
+    assert trajectory.residual is recover_scores(a)[1]
     assert len(records(trajectory)) == len(trajectory.steps) == 501
     assert trajectory.final.n == trajectory.steps[250].matrix.n == 20
     assert calls == [20]
@@ -859,6 +867,30 @@ def run_cli(capsys, argv):
     assert captured.err == ""
     assert code in (0, 1)
     return captured.out
+
+
+EMBEDDINGS = [
+    ["--embedding", "planar"],
+    ["--embedding", "orthogonal"],
+    ["--embedding", "custom", "--embedding-file", "e.json"],
+]
+MATRIX_COMMANDS = [
+    *([name, "a.csv"] for name, (_, flags) in usage.COMMANDS.items()
+      if "--mode" in dict(flags)),
+    *(["indices", "a.csv", *embedding, "--convention", convention]
+      for embedding in EMBEDDINGS for convention in ("cyclic", "anticyclic")),
+    *(["embed", "a.csv", *embedding] for embedding in EMBEDDINGS),
+]
+
+
+@pytest.mark.parametrize("argv", MATRIX_COMMANDS, ids=" ".join)
+def test_every_matrix_command_splits_its_input_at_most_once(
+    capsys, monkeypatch, cli_inputs, argv
+):
+    monkeypatch.chdir(cli_inputs)
+    calls = count_splits(monkeypatch)
+    run_cli(capsys, argv)
+    assert calls in ([], [6])
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=" ".join)

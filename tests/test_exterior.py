@@ -138,6 +138,8 @@ def test_new_two_vector_refuses_nested_coords():
          "x must be a vector or rows of numbers, got <U1 of shape (2,)"),
         (lambda: wedge_rows([3, 4], [True, False]), DimensionMismatchError,
          "y must be a vector or rows of numbers, got bool of shape (2,)"),
+        (lambda: wedge_rows([[1, 2], [3]], [1, 2]), DimensionMismatchError,
+         "x must be a vector or rows of numbers, got ragged rows"),
     ],
     ids=["two-vector-n", "two-vector-length", "two-vector-non-finite",
          "wedge-too-short", "wedge-non-finite", "coord-out-of-range",
@@ -146,7 +148,8 @@ def test_new_two_vector_refuses_nested_coords():
          "two-vector-n-bool", "two-vector-n-text", "area-form-n",
          "area-form-n-bool", "area-form-n-negative", "area-form-n-fraction",
          "wedge-rows-widths", "wedge-rows-broadcast-widths", "wedge-rows-scalar-x",
-         "wedge-rows-scalar-y", "wedge-rows-text", "wedge-rows-bool"],
+         "wedge-rows-scalar-y", "wedge-rows-text", "wedge-rows-bool",
+         "wedge-rows-ragged"],
 )
 def test_refusals_name_the_fault(call, error, message):
     with pytest.raises(error) as exc:

@@ -131,11 +131,13 @@ def test_entry_accessor_is_one_based():
          "tol must be positive and finite, got -1.0"),
         (lambda: is_consistent(new_additive(CONSISTENT_3), tol=0.0), ValueError,
          "tol must be positive and finite, got 0.0"),
-        (lambda: permute(new_additive(CONSISTENT_3), [1, 1, 2]), ValueError,
+        (lambda: permute(new_additive(CONSISTENT_3), [1, 1, 2]), IndexOutOfRangeError,
          "order must be a permutation of 1..3"),
-        (lambda: permute(from_scores([1, 2, 3]), [1.5, 2, 3]), ValueError,
+        (lambda: permute(from_scores([1, 2, 3]), [1.5, 2, 3]), IndexOutOfRangeError,
          "order must be a permutation of 1..3"),
-        (lambda: permute(from_scores([1, 2, 3]), ["1", "2", "3"]), ValueError,
+        (lambda: permute(from_scores([1, 2, 3]), ["1", "2", "3"]), IndexOutOfRangeError,
+         "order must be a permutation of 1..3"),
+        (lambda: permute(from_scores([1, 2, 3]), [True, 2, 3]), IndexOutOfRangeError,
          "order must be a permutation of 1..3"),
         # An infinite tolerance would accept any matrix and call it consistent.
         (lambda: new_additive([[0, 5], [-4, 0]], tol=math.inf), ValueError,
@@ -217,7 +219,7 @@ def test_entry_accessor_is_one_based():
     ids=["scores-non-finite", "scores-too-few", "scores-overflow",
          "multiplicative-non-finite", "multiplicative-entry", "additive-tol",
          "multiplicative-tol", "consistent-tol", "permute-not-permutation",
-         "permute-fraction", "permute-strings", "additive-tol-inf",
+         "permute-fraction", "permute-strings", "permute-bool", "additive-tol-inf",
          "multiplicative-tol-inf", "consistent-tol-inf", "consistent-tol-nan",
          "reduce-tol-inf", "reduce-eta-inf", "reduce-eta-zero", "reduce-no-steps",
          "reduce-lambda-nan", "diagnosis-lambda", "coupling-n-small",
@@ -261,6 +263,8 @@ def test_an_integral_index_is_read_as_that_integer(i):
     assert triad_deviation(a, 1, i, 3) == -1.0
     assert planar_embedding([1.0, 2.0, 3.0]).vector(i).tolist() == [2.0, 1.0, 0.0]
     assert new_two_vector(3, [1.0, 2.0, 3.0]).coord(1, i) == 1.0
+    assert permute(a, [3, i, 1]).upper.tolist() == [-1.0, -3.0, -1.0]
+    assert np.array_equal(permute(a, [1.0, 2.0, 3.0]).upper, permute(a, [1, 2, 3]).upper)
 
 
 def test_is_consistent_answers_a_python_bool():
@@ -475,6 +479,14 @@ def test_recover_scores_hand_example():
     np.testing.assert_allclose(r.upper, [-1 / 3, 1 / 3, -1 / 3], atol=1e-15)
 
 
+def test_recover_scores_returns_one_read_only_pair_per_matrix():
+    a = new_additive(INCONSISTENT_3)
+    s, r = recover_scores(a)
+    again = recover_scores(a)
+    assert again[0] is s and again[1] is r
+    assert not s.flags.writeable and not r.upper.flags.writeable
+
+
 NEAR_MAX = [[0, 1.7e308, 1.7e308], [-1.7e308, 0, 0], [-1.7e308, 0, 0]]
 
 
@@ -504,8 +516,9 @@ def test_residual_beyond_the_float_range_is_refused_by_name():
     # s_1 = M/4 and s_2 = -M/4 are in range, r_12 = -M - M/2 is not.
     m = 1.7e308
     a = new_additive([[0, -m, m, m], [m, 0, -m, -m], [-m, m, 0, 0], [-m, m, 0, 0]])
-    with pytest.raises(OverflowError, match=r"residual at entry \(1,2\) overflows"):
-        recover_scores(a)
+    for _ in range(2):  # a failed split is not kept: it fails again
+        with pytest.raises(OverflowError, match=r"residual at entry \(1,2\) overflows"):
+            recover_scores(a)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
