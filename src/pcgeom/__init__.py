@@ -33,7 +33,6 @@ _EXPORTS = {
     # exterior algebra
     "TwoVector": "exterior",
     "wedge": "exterior",
-    "wedge_rows": "exterior",
     "new_two_vector": "exterior",
     "quad_residuals": "exterior",
     "is_decomposable": "exterior",

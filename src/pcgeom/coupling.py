@@ -28,7 +28,7 @@ import numpy as np
 
 from . import indexing
 from .errors import DimensionMismatchError, ReadOnly
-from .pc_core import _check_lambda, _input_n
+from .pc_core import _check_lambda, _input_array, _input_n
 
 #: Largest n for which a spectral report listing all T = C(n,3)
 #: eigenvalues is written.
@@ -53,7 +53,7 @@ class CouplingMap(ReadOnly):
 
     def apply(self, d) -> np.ndarray:
         """Pair-space image of a deviation vector (the map C applied to d)."""
-        values = np.asarray(d, dtype=float).ravel()
+        values = _input_array(d, "deviations", "deviation", least=0)
         if values.size != self.triad_count:
             raise DimensionMismatchError(
                 f"expected {self.triad_count} deviations for n={self.n}, "
@@ -68,7 +68,7 @@ class CouplingMap(ReadOnly):
 
     def apply_transpose(self, pair_values) -> np.ndarray:
         """Triad deviations induced by a pair-space vector (C^T applied)."""
-        a = np.asarray(pair_values, dtype=float).ravel()
+        a = _input_array(pair_values, "pair values", "pair value", least=0)
         if a.size != self.pair_count:
             raise DimensionMismatchError(
                 f"expected {self.pair_count} pair values, got {a.size}"

@@ -37,6 +37,9 @@ PLANAR = "planar"
 CUSTOM = "custom"
 
 CONVENTIONS = ("cyclic", "anticyclic")
+#: Most wedge coordinates :func:`pair_wedges` and
+#: :func:`planar_pair_wedges` compute at a time.
+_BLOCK = 1 << 16
 
 
 class Embedding(ReadOnly):
@@ -117,15 +120,32 @@ def scores_to_coefficients(s) -> np.ndarray:
     return b
 
 
+def _pair_rows(rows: int, n: int, operands) -> np.ndarray:
+    """A (rows, C(n, 2)) array of wedges, allocated before any operand is
+    built: ``operands(s)`` gives the rows (x, y) whose wedges fill the
+    slice s of rows, a block of about _BLOCK coordinates at a time."""
+    from .exterior import _wedge_rows
+
+    out = np.empty((rows, math.comb(n, 2)))
+    step = max(1, _BLOCK // out.shape[1])
+    for start in range(0, rows, step):
+        s = slice(start, start + step)
+        out[s] = _wedge_rows(*operands(s))
+    return out
+
+
 def pair_wedges(vectors) -> np.ndarray:
     """Matrix of all pair wedges: row p holds v_i ^ v_j for the p-th pair
     i < j, bit-identical to ``wedge(v_i, v_j).coords``. The vectors pass the
-    square-array rule of :func:`custom_embedding`."""
-    from .exterior import wedge_rows
+    square-array rule of :func:`custom_embedding`.
 
+    Raises:
+        OverflowError: if a coordinate is beyond the float range.
+    """
     v = _input_array(vectors, "vectors")
-    i, j = np.triu_indices(v.shape[0], k=1)
-    return wedge_rows(v[i], v[j])
+    n = v.shape[0]
+    i, j = np.triu_indices(n, k=1)
+    return _pair_rows(i.size, n, lambda s: (v[i[s]], v[j[s]]))
 
 
 def _e2_squared_singular_values(x: np.ndarray) -> tuple[float, int]:
@@ -214,14 +234,16 @@ def planar_pair_wedges(a: AdditiveMatrix) -> np.ndarray:
     (1, 2). Unlike a single global embedding, this pairwise family
     represents an inconsistent matrix faithfully.
     """
-    from .exterior import wedge_rows
-
     base = np.zeros(a.n)
     base[1] = 1.0
-    u = np.zeros((a.upper.size, a.n))
-    u[:, 0] = a.upper
-    u[:, 1] = 1.0
-    return wedge_rows(u, base)
+
+    def operands(s: slice) -> tuple[np.ndarray, np.ndarray]:
+        u = np.zeros((a.upper[s].size, a.n))
+        u[:, 0] = a.upper[s]
+        u[:, 1] = 1.0
+        return u, base
+
+    return _pair_rows(a.upper.size, a.n, operands)
 
 
 def planar_matrix_inconsistency(

@@ -10,6 +10,13 @@ satisfying every quadratic relation
 
 over the 4-sets {k < l < m < o}, and the nonzero ones are in bijection
 with 2-dimensional subspaces of R^n.
+
+One private kernel, ``_wedge_rows``, takes the minors of every wedge in
+pcgeom, here and in ``embedding``'s pair wedges. Its callers pass it
+arrays that passed the gate or that pcgeom built, so it checks nothing.
+Minors and residuals that leave the float range as products are taken
+again on the inputs divided by powers of two (``pc_core._rescued``); a
+coordinate or residual beyond the float range is OverflowError.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .pc_core import (
     _input_n,
     _integral,
     _readonly,
+    _rescued,
     _scaled,
     _scaled_square_sum,
     _unscaled,
@@ -126,59 +134,65 @@ def new_two_vector(n: int, coords) -> TwoVector:
 
 
 def wedge(u, v) -> TwoVector:
-    """Wedge product u ^ v; coordinate (k, l) is the minor u_k v_l - u_l v_k."""
+    """Wedge product u ^ v; coordinate (k, l) is the minor u_k v_l - u_l v_k.
+
+    Raises:
+        OverflowError: if a coordinate is beyond the float range.
+    """
     uu = _input_array(u, "u", "u component")
     vv = _input_array(v, "v", "v component")
-    return _new(uu.size, wedge_rows(uu, vv))
-
-
-def wedge_rows(x, y) -> np.ndarray:
-    """Wedge products row by row: row p holds the coordinates of x[p] ^ y[p].
-
-    This is the kernel behind :func:`wedge`, so row p is bit-identical to
-    ``wedge(x[p], y[p]).coords``. Leading axes broadcast, so a single row
-    is paired with every row of the other argument. Rows of different
-    widths, and an argument that is not a vector or rows of numbers
-    (integers or floats, not text or booleans), are DimensionMismatchError.
-    """
-    arrays = []
-    for name, raw in (("x", x), ("y", y)):
-        try:
-            arr = np.asarray(raw)
-            got = f"{arr.dtype} of shape {arr.shape}"
-        except ValueError:  # rows of different lengths
-            arr, got = None, "ragged rows"
-        if arr is None or arr.ndim == 0 or arr.dtype.kind not in "iuf":
-            raise DimensionMismatchError(
-                f"{name} must be a vector or rows of numbers, got {got}")
-        arrays.append(arr.astype(float, copy=False))
-    x, y = arrays
-    if x.shape[-1] != y.shape[-1]:
+    if uu.size != vv.size:
         raise DimensionMismatchError(
-            f"vectors have different dimensions ({x.shape[-1]} vs {y.shape[-1]})"
-        )
+            f"vectors have different dimensions ({uu.size} vs {vv.size})")
+    return _new(uu.size, _wedge_rows(uu, vv))
+
+
+def _wedge_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Wedge products row by row: row p holds the coordinates of
+    x[p] ^ y[p], and a single row is paired with every row of the other
+    argument. x and y are float rows of one width, as the gate or pcgeom
+    itself made them. The minors are taken by ``pc_core._rescued``, so a
+    coordinate in the float range is finite.
+
+    Raises:
+        OverflowError: if a coordinate is beyond the float range.
+    """
     rows, cols = np.triu_indices(x.shape[-1], k=1)
-    return x[..., rows] * y[..., cols] - x[..., cols] * y[..., rows]
+
+    def minors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x[..., rows] * y[..., cols] - x[..., cols] * y[..., rows]
+
+    return _rescued(minors, "a wedge coordinate", x, y)
 
 
-def _residuals_by_lead(p: TwoVector):
-    """Yield the residuals of the quads led by k = 0, 1, ..., n-4: k and a
-    slice of the triad list (:func:`~pcgeom.indexing.by_lead`), so one block
-    is one slice of the triad columns (l, m, o) and of their pair positions,
-    and only O(n^3) memory is live at a time."""
-    q = p.coords
-    rows, cols = np.triu_indices(p.n, k=1)
-    lm, mo, lo = indexing.triad_pairs(p.n)
+def _residuals_by_lead(n: int, q: np.ndarray, r: np.ndarray):
+    """Yield the residuals q_kl r_mo - q_km r_lo + q_ko r_lm of the quads
+    led by k = 0, 1, ..., n-4, for coordinate vectors q and r; with r = q
+    they are the quadratic relations of q. Each block is k's slice of the
+    triad list (:func:`~pcgeom.indexing.by_lead`): one slice of the triad
+    columns (l, m, o) and of their pair positions, so only O(n^3) memory
+    is live at a time."""
+    rows, cols = np.triu_indices(n, k=1)
+    lm, mo, lo = indexing.triad_pairs(n)
     l, m, o = rows[lm], rows[mo], cols[mo]
-    for _, base, lmo in indexing.by_lead(p.n, 4)():
-        yield (q[base + l[lmo]] * q[mo[lmo]]
-               - q[base + m[lmo]] * q[lo[lmo]]
-               + q[base + o[lmo]] * q[lm[lmo]])
+    for _, base, lmo in indexing.by_lead(n, 4)():
+        yield (q[base + l[lmo]] * r[mo[lmo]]
+               - q[base + m[lmo]] * r[lo[lmo]]
+               + q[base + o[lmo]] * r[lm[lmo]])
 
 
 def quad_residual_values(p: TwoVector) -> np.ndarray:
-    """The residuals of :func:`quad_residuals`, without their quads."""
-    return indexing.collect(_residuals_by_lead(p), comb(p.n, 4))
+    """The residuals of :func:`quad_residuals`, without their quads,
+    taken by ``pc_core._rescued``: a residual in the float range is
+    finite.
+
+    Raises:
+        OverflowError: if a residual is beyond the float range.
+    """
+    def residuals(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return indexing.collect(_residuals_by_lead(p.n, q, r), comb(p.n, 4))
+
+    return _rescued(residuals, "a Plücker residual", p.coords, p.coords)
 
 
 def quad_residuals(p: TwoVector) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +243,7 @@ def is_decomposable(p: TwoVector, tol: float = DEFAULT_TOLERANCE) -> bool:
     """
     _check_tolerance(tol)
     unit, (e,) = _scaled(p.coords)
-    blocks = _residuals_by_lead(_new(p.n, unit))
+    blocks = _residuals_by_lead(p.n, unit, unit)
     largest = float(max((np.max(np.abs(block)) for block in blocks), default=0.0))
     return _within_plucker_bound(p, largest, int(e), tol)
 

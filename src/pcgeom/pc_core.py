@@ -9,11 +9,13 @@ differences of a single score vector.
 Alternative indices in the public API are 1-based, matching the usual
 notation for comparison matrices; array layouts are plain 0-based numpy.
 
-Every array a constructor takes from outside (a matrix, scores, the
-vectors of a wedge, a 2-vector's coordinates, an embedding, here and in
-``exterior`` and ``embedding``) passes one gate, ``_input_array``, which
-states the rules of type, shape, size and finiteness once: ``io`` parses
-a document, and the gate alone turns its arrays into floats. Beside it,
+Every array a public function takes from its caller (a matrix, scores,
+the vectors of a wedge, a 2-vector's coordinates, an embedding, the
+vector a ``CouplingMap`` maps, here and in ``exterior``, ``embedding``
+and ``coupling``) passes one gate, ``_input_array``, which states the
+rules of type, shape, size and finiteness once: ``io`` parses a
+document, and the gate alone turns its arrays into floats; the code
+behind the gate takes its floats as they are. Beside it,
 every integer taken from outside (the n of a call or a document,
 max-steps, and the 1-based indices of ``entry``, ``triad_deviation``,
 ``permute``, ``Embedding.vector`` and ``TwoVector.coord``) is read by
@@ -176,6 +178,29 @@ def _unscaled(x: float, e: int, what: str) -> float:
         return math.ldexp(x, e)
     except OverflowError:
         raise OverflowError(f"{what} is beyond the float range") from None
+
+
+def _rescued(compute, what: str, *operands: np.ndarray) -> np.ndarray:
+    """compute(*operands), a new array each entry of which sums products
+    of one entry of each operand, such as the minors of two vectors.
+
+    It is computed directly, and the entries that this leaves outside the
+    float range are computed again on the operands divided by
+    ``_scaled``'s powers of two and scaled back: every entry the direct
+    computation gives finite keeps its bits, and no product overflows.
+    OverflowError naming ``what`` when an entry is beyond the float range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute(*operands)
+        lost = ~np.isfinite(out)
+        if not lost.any():
+            return out
+        scaled = [_scaled(x) for x in operands]
+        again = compute(*(unit for unit, _ in scaled))
+        out[lost] = np.ldexp(again, sum(e for _, e in scaled))[lost]
+    if not np.isfinite(out).all():
+        raise OverflowError(f"{what} is beyond the float range")
+    return out
 
 
 def _scaled_square_sum(values: np.ndarray, factor: int, what: str) -> float:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pc_core import AdditiveMatrix, _input_n, from_scores, recover_scores
+from .pc_core import AdditiveMatrix, _input_n, _rescued, from_scores, recover_scores
 
 if TYPE_CHECKING:
     from .embedding import Embedding
@@ -43,6 +43,12 @@ def evaluate(p: TwoVector, u, v) -> float:
     """Evaluate the form p on (u, v): sum of p_kl (u_k v_l - u_l v_k).
 
     Bilinear and antisymmetric; equals u^T P v for P = ``p.matrix_view``.
+    The sum is taken by ``pc_core._rescued``, so a value in the float
+    range is finite.
+
+    Raises:
+        OverflowError: if a coordinate of u ^ v, or the value, is beyond
+            the float range.
     """
     from .exterior import wedge
 
@@ -51,7 +57,9 @@ def evaluate(p: TwoVector, u, v) -> float:
         raise DimensionMismatchError(
             f"form lives in dimension {p.n}, vectors in {w.n}"
         )
-    return float(np.dot(p.coords, w.coords))
+    value = _rescued(lambda x, y: np.atleast_1d(np.dot(x, y)), "the form's value",
+                     p.coords, w.coords)
+    return float(value[0])
 
 
 def matrix_form(a: AdditiveMatrix) -> tuple[TwoVector, Embedding]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from pcgeom import io as pio
 from pcgeom.embedding import _check_convention, pair_wedges
-from pcgeom.exterior import wedge, wedge_rows
+from pcgeom.exterior import wedge
 from pcgeom.errors import IndexOutOfRangeError, NonFiniteResultError
 from pcgeom.pc_core import AdditiveMatrix, from_scores, recover_scores
 
@@ -165,6 +165,13 @@ WRITERS = {
 # ------------------------------------------------------------------ geometry
 
 
+def minors(x, y):
+    """Row p: the 2x2 minors x[p, k] y[p, l] - x[p, l] y[p, k] over k < l,
+    the coordinates of x[p] ^ y[p]."""
+    k, l = np.triu_indices(x.shape[1], k=1)
+    return x[:, k] * y[:, l] - x[:, l] * y[:, k]
+
+
 def geometric_index_w(vectors, convention):
     """Sum of squared triad deviation norms from the C(n,2) x C(n,2) matrix
     W of pair wedges: n |W(v - m)|^2 for the cyclic convention (m the mean
@@ -180,7 +187,7 @@ def geometric_index_w(vectors, convention):
         return n * float(np.vdot(r, r))
     w = pair_wedges(v)
     sums = np.cumsum(v, axis=0)
-    bw = wedge_rows(v, (sums[-1] - sums) - (sums - v))
+    bw = minors(v, (sums[-1] - sums) - (sums - v))
     return max((n - 4) * float(np.vdot(w, w)) + float(np.vdot(bw, bw)), 0.0)
 
 

@@ -131,6 +131,11 @@ def test_overflowing_results_exit_two(capsys, huge_csv, argv):
 SCALED_3 = (np.ldexp([[0, 1, 3], [-1, 0, 1], [-3, -1, 0]], 900)).tolist()
 SCALED_PAIR = {"u": np.ldexp([1, 2, 3, 4], 255).tolist(),
                "v": np.ldexp([0.5, -1, 2, 1], 255).tolist()}
+#: The same pair scaled by 2^600, whose wedge is past the float range, and
+#: a 2-vector scaled by 2^600, whose residual 8 * 4^600 is.
+PAIR_600 = {"u": np.ldexp([1, 2, 3, 4], 600).tolist(),
+            "v": np.ldexp([0.5, -1, 2, 1], 600).tolist()}
+COORDS_600 = {"n": 4, "coords": np.ldexp([1, 2, 3, 4, 5, 6], 600).tolist()}
 
 
 @pytest.mark.parametrize(
@@ -140,12 +145,16 @@ SCALED_PAIR = {"u": np.ldexp([1, 2, 3, 4], 255).tolist(),
         ("indices", {"entries": SCALED_3}, "I_alg is beyond the float range"),
         ("reduce", {"entries": SCALED_3}, "I_alg is beyond the float range"),
         ("plucker", SCALED_PAIR, "|p|^2 of the 2-vector is beyond the float range"),
+        ("wedge", PAIR_600, "a wedge coordinate is beyond the float range"),
+        ("plucker", PAIR_600, "a wedge coordinate is beyond the float range"),
+        ("plucker", COORDS_600, "a Plücker residual is beyond the float range"),
         ("wedge", '{"u": [111111111111111111111111111111, "1"], "v": [1, 2]}',
          "u is not a flat vector of numbers"),
         ("wedge", '{"u": [1, -' + "9" * 400 + '], "v": [1, 2]}',
          "u component 2 is not finite"),
     ],
-    ids=["check", "indices", "reduce", "plucker", "text", "huge-integer"],
+    ids=["check", "indices", "reduce", "plucker", "wedge-600", "plucker-pair-600",
+         "plucker-coords-600", "text", "huge-integer"],
 )
 def test_a_quantity_or_entry_out_of_range_is_one_line_naming_it(
     capsys, tmp_path, command, doc, message
@@ -185,6 +194,17 @@ def test_i_geom_past_the_float_range_is_one_line_naming_it(
     Path("v.json").write_text(json.dumps({"vectors": VECTORS_520.tolist()}))
     err = run_failing(capsys, ["indices", "a.json", *flags])
     assert err == "pcgeom: error: I_geom is beyond the float range\n"
+
+
+def test_pair_wedges_past_the_float_range_are_one_line_naming_them(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    Path("a.json").write_text(json.dumps({"entries": CONSISTENT_4.tolist()}))
+    Path("v.json").write_text(json.dumps({"vectors": VECTORS_520.tolist()}))
+    err = run_failing(capsys, ["embed", "a.json", "--embedding", "custom",
+                               "--embedding-file", "v.json"])
+    assert err == "pcgeom: error: a wedge coordinate is beyond the float range\n"
 
 
 def test_an_integer_past_the_digit_limit_is_invalid_json_of_its_file(capsys, tmp_path):

@@ -504,24 +504,35 @@ def two_vectors(draw, max_n=12):
 @settings(max_examples=200, deadline=None)
 @given(two_vectors(), st.sampled_from([1.0, 1e154, 1e307]))
 def test_quad_walk_is_bit_identical_to_quad_table(p, scale):
-    # At the largest scales some products overflow to inf and some
-    # residuals to nan; the walk must still agree bit for bit. The verdict
-    # walks p scaled to its largest coordinate, so it is the table's verdict
-    # on p scaled by a power of two into range (q is p when it is in range).
+    # Where the table's residuals are finite the walk's agree bit for bit.
+    # At the largest scales some of the table's products overflow to inf
+    # and some residuals to nan; the walk takes those residuals again on p
+    # scaled to its largest coordinate and scales them back, so they are
+    # the table's residuals of that p scaled back, and one beyond the float
+    # range is OverflowError. The verdict walks p scaled to its largest
+    # coordinate, so it is the table's verdict on p scaled by a power of
+    # two into range (q is p when it is in range).
     p = new_two_vector(p.n, p.coords * scale)
     e = math.frexp(np.max(np.abs(p.coords)))[1]
     q = new_two_vector(p.n, np.ldexp(p.coords, -max(0, e - 500)))
     with np.errstate(over="ignore", invalid="ignore"):
-        quads, values = quad_residuals(p)
         want_quads, want_values = oracle_quad_residuals(p)
+        unit = new_two_vector(p.n, np.ldexp(p.coords, -e))
+        want_values = np.where(np.isfinite(want_values), want_values,
+                               np.ldexp(oracle_quad_residuals(unit)[1], 2 * e))
+    if np.all(np.isfinite(want_values)):
+        quads, values = quad_residuals(p)
+        assert quads.tolist() == want_quads
+        assert bits(values) == bits(want_values)
+    else:
+        with pytest.raises(OverflowError, match="^a Plücker residual is beyond the float range$"):
+            quad_residuals(p)
     verdicts = []
     for tol in (1e-15, 1e-9, 1e-3, 10.0):
         want, largest = oracle_decomposable(q, tol)
         verdicts.append((is_decomposable(p, tol), want))
         # plucker's verdict, on the maximum it already holds.
         verdicts.append((_within_plucker_bound(q, largest, 0, tol), want))
-    assert quads.tolist() == want_quads
-    assert bits(values) == bits(want_values)
     for got, want in verdicts:
         assert got == want
 

@@ -19,7 +19,6 @@ from pcgeom import (
     quad_residuals,
     standard_area_form,
     wedge,
-    wedge_rows,
 )
 
 
@@ -126,20 +125,8 @@ def test_new_two_vector_refuses_nested_coords():
          "n must be an integer of at least 2, got -1"),
         (lambda: standard_area_form(2.5), DimensionMismatchError,
          "n must be an integer of at least 2, got 2.5"),
-        (lambda: wedge_rows(np.ones((2, 3)), np.ones((2, 4))), DimensionMismatchError,
+        (lambda: wedge(np.ones(3), np.ones(4)), DimensionMismatchError,
          "vectors have different dimensions (3 vs 4)"),
-        (lambda: wedge_rows(np.ones(3), np.ones((5, 2))), DimensionMismatchError,
-         "vectors have different dimensions (3 vs 2)"),
-        (lambda: wedge_rows(1.0, [1.0, 2.0]), DimensionMismatchError,
-         "x must be a vector or rows of numbers, got float64 of shape ()"),
-        (lambda: wedge_rows([[1, 2], [3, 4]], 5.0), DimensionMismatchError,
-         "y must be a vector or rows of numbers, got float64 of shape ()"),
-        (lambda: wedge_rows(["1", "2"], [3, 4]), DimensionMismatchError,
-         "x must be a vector or rows of numbers, got <U1 of shape (2,)"),
-        (lambda: wedge_rows([3, 4], [True, False]), DimensionMismatchError,
-         "y must be a vector or rows of numbers, got bool of shape (2,)"),
-        (lambda: wedge_rows([[1, 2], [3]], [1, 2]), DimensionMismatchError,
-         "x must be a vector or rows of numbers, got ragged rows"),
     ],
     ids=["two-vector-n", "two-vector-length", "two-vector-non-finite",
          "wedge-too-short", "wedge-non-finite", "coord-out-of-range",
@@ -147,9 +134,7 @@ def test_new_two_vector_refuses_nested_coords():
          "decomposable-tol", "decomposable-tol-inf", "two-vector-n-fraction",
          "two-vector-n-bool", "two-vector-n-text", "area-form-n",
          "area-form-n-bool", "area-form-n-negative", "area-form-n-fraction",
-         "wedge-rows-widths", "wedge-rows-broadcast-widths", "wedge-rows-scalar-x",
-         "wedge-rows-scalar-y", "wedge-rows-text", "wedge-rows-bool",
-         "wedge-rows-ragged"],
+         "wedge-widths"],
 )
 def test_refusals_name_the_fault(call, error, message):
     with pytest.raises(error) as exc:

@@ -5,7 +5,8 @@ Whatever the file holds, the child ends by the CLI's contract: exit 0, 1
 or 2, with a strict JSON report on stdout for 0 and 1, and exactly one
 stderr line, starting ``pcgeom: error:``, for 2. Every file here is one
 the CLI must refuse, so each child exits 2: no traceback, no exit code
-above 2, no report.
+above 2, no report. So is a request whose result cannot be held: it is
+refused before any of the work that leads up to it.
 """
 
 import json
@@ -14,6 +15,7 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 #: Address-space cap of each child, in bytes.
@@ -68,3 +70,22 @@ def test_a_hostile_file_ends_by_the_cli_contract(tmp_path, case):
     assert proc.returncode == 2, (proc.returncode, proc.stdout[:200], proc.stderr[-2000:])
     assert len(lines) == 1 and lines[0].startswith("pcgeom: error: "), proc.stderr[-2000:]
     assert proc.stdout == ""
+
+
+def test_orthogonal_embed_at_n_1000_is_refused_before_any_gather(tmp_path):
+    # The matrix of all pair wedges is C(n,2) x C(n,2), 1.82 TiB at n = 1000.
+    # It is allocated before v_i and v_j are gathered for every pair (two
+    # (499500, 1000) arrays of 3.7 GiB each), so it is what numpy refuses.
+    s = np.arange(1000.0)
+    path = tmp_path / "a.csv"
+    np.savetxt(path, np.subtract.outer(s, s), delimiter=",", fmt="%d")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgeom", "embed", str(path), "--embedding", "orthogonal"],
+        capture_output=True, text=True, errors="replace", timeout=60,
+        preexec_fn=_capped, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2, (proc.returncode, proc.stdout[:200], proc.stderr[-2000:])
+    assert proc.stdout == ""
+    assert len(lines) == 1 and lines[0].startswith("pcgeom: error: out of memory ("), lines
+    assert "(499500, 499500)" in lines[0], lines

@@ -1,6 +1,8 @@
 """The one gate every array from outside passes (``pc_core._input_array``):
 its rule holds for each of the nine constructors that take such an array,
-and for ``pair_wedges``, which takes an embedding's vectors.
+and for ``pair_wedges``, which takes an embedding's vectors; and every
+public callable that takes an array from its caller, ``CouplingMap``'s
+maps and ``evaluate`` too, refuses a faulty one there.
 
 A vector is refused nested or 0-d (DimensionMismatchError), a matrix
 unless square (NonSquareError), and either one by that class when it is
@@ -18,13 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcgeom
 from pcgeom import (
     DimensionMismatchError,
     NonFiniteEntryError,
     NonSquareError,
+    PCGeomError,
     TooSmallError,
+    coupling_coefficients,
     custom_embedding,
     embedding,
+    evaluate,
     exterior,
     from_scores,
     new_additive,
@@ -35,6 +41,7 @@ from pcgeom import (
     pc_core,
     planar_embedding,
     scores_to_coefficients,
+    standard_area_form,
     wedge,
 )
 
@@ -235,3 +242,64 @@ def test_an_integer_past_the_float_range_is_named_by_its_place():
     assert str(exc.value) == "u component 2 is not finite"
     # An integer past int64 but within the float range converts as before.
     assert wedge([10**30, 1], [1, 2]).coords.tolist() == [2 * 10.0**30 - 1]
+
+
+#: Every public callable that takes an array from its caller, as a call of
+#: that array, and whether the array is a vector or a square matrix.
+TAKERS = {
+    "new_additive": (new_additive, "square"),
+    "new_multiplicative": (new_multiplicative, "square"),
+    "from_scores": (from_scores, "vector"),
+    "wedge (u)": (lambda x: wedge(x, [1.0, 2.0]), "vector"),
+    "wedge (v)": (lambda x: wedge([1.0, 2.0], x), "vector"),
+    "new_two_vector": (lambda x: new_two_vector(2, x), "vector"),
+    "orthogonal_embedding": (orthogonal_embedding, "vector"),
+    "planar_embedding": (planar_embedding, "vector"),
+    "custom_embedding": (custom_embedding, "square"),
+    "scores_to_coefficients": (scores_to_coefficients, "vector"),
+    "pair_wedges": (pair_wedges, "square"),
+    "CouplingMap.apply": (lambda x: coupling_coefficients(3).apply(x), "vector"),
+    "CouplingMap.apply_transpose": (
+        lambda x: coupling_coefficients(3).apply_transpose(x), "vector"),
+    "evaluate (u)": (lambda x: evaluate(standard_area_form(2), x, [1.0, 2.0]), "vector"),
+    "evaluate (v)": (lambda x: evaluate(standard_area_form(2), [1.0, 2.0], x), "vector"),
+}
+#: The other public names: value types, which the callables above build
+#: from gated arrays; a constant; and functions of pcgeom's own values,
+#: counts, 1-based indices and settings. Error classes are not listed.
+NO_ARRAY = {
+    "AdditiveMatrix", "MultiplicativeMatrix", "TwoVector", "Embedding",
+    "ReductionStep", "ReductionTrajectory", "DEFAULT_TOLERANCE",
+    "to_additive", "to_multiplicative", "triad_deviation", "all_triad_deviations",
+    "max_abs_triad_deviation", "algebraic_inconsistency", "is_consistent",
+    "recover_scores", "permute", "quad_residuals", "is_decomposable",
+    "normalize_grassmann", "chordal_distance", "geometric_inconsistency",
+    "planar_pair_wedges", "planar_matrix_inconsistency", "coupling_coefficients",
+    "gram_rows", "closed_form_diagnosis", "project_consistent", "reduce_iterative",
+    "standard_area_form", "evaluation_columns", "matrix_form",
+}
+#: kind of array: fault: (input with that fault)
+FAULTY = {
+    "vector": {"text": ["1", "2"], "nan": [math.nan, 1.0], "nested": [[1.0, 2.0]],
+               "ragged": [[1.0], [2.0, 3.0]]},
+    "square": {"text": [["0", "1"], ["-1", "0"]], "nan": [[0.0, math.nan], [1.0, 0.0]],
+               "nested": [[[0.0, 1.0], [-1.0, 0.0]]], "ragged": [[0.0, 1.0], [-1.0]]},
+}
+
+
+def test_the_taker_table_covers_every_public_name():
+    errors = {name for name in pcgeom.__all__
+              if isinstance(getattr(pcgeom, name), type)
+              and issubclass(getattr(pcgeom, name), Exception)}
+    takers = {name.split(" ")[0].split(".")[0] for name in TAKERS}
+    assert not takers & NO_ARRAY
+    assert set(pcgeom.__all__) - {"__version__"} - errors == takers | NO_ARRAY
+
+
+@pytest.mark.parametrize("fault", ["text", "nan", "nested", "ragged"])
+@pytest.mark.parametrize("taker", TAKERS)
+def test_every_array_taker_refuses_a_faulty_array_at_the_gate(taker, fault):
+    call, kind = TAKERS[taker]
+    with pytest.raises(PCGeomError) as exc:
+        call(FAULTY[kind][fault])
+    assert exc.traceback[-1].name == "_input_array", exc.value

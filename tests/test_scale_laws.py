@@ -4,7 +4,10 @@ to the power m, to the bit, or names itself when it leaves the float range.
 Multiplying by 2**k is exact in binary, so max|d| of 2**k a is 2**k times
 that of a; I_alg, both planar I_geom conventions and |p|^2 are 4**k
 times theirs; and I_geom of the custom embedding 2**k V is 16**k times
-that of V. Where that product is past the float range the call raises
+that of V. Each wedge coordinate of 2**k-scaled vectors is 4**k times
+theirs (2**k for the planar pair wedges, whose matrix entries are the
+scaled input), and so is each Plücker residual of a 2**k-scaled
+2-vector. Where that product is past the float range the call raises
 the OverflowError that names its quantity, and no call warns.
 
 Relabelling and negation laws, on the same integer inputs: the triad
@@ -30,12 +33,17 @@ from pcgeom import (
     algebraic_inconsistency,
     all_triad_deviations,
     custom_embedding,
+    evaluate,
     geometric_inconsistency,
     max_abs_triad_deviation,
     new_additive,
     new_two_vector,
+    pair_wedges,
     permute,
     planar_matrix_inconsistency,
+    planar_pair_wedges,
+    quad_residuals,
+    wedge,
 )
 
 #: name: (degree, quantity named by its OverflowError, function of the
@@ -90,6 +98,39 @@ def test_power_of_two_scaling_scales_each_quantity_by_its_degree(drawn, k):
                 assert str(exc.value) == f"{quantity} is beyond the float range", name
             else:
                 assert compute(*scaled) == want, (name, want)
+
+
+#: name: (degree, quantity named by its OverflowError, array-valued
+#: function of the scaled inputs), for the wedge kernel's callers and the
+#: Plücker residuals. evaluate takes the scaled 2-vector and first vector
+#: with a fixed second one, so its value has degree 2.
+ARRAY_LAWS = {
+    "wedge": (2, "a wedge coordinate", lambda a, v, p: wedge(v[0], v[1]).coords),
+    "pair_wedges": (2, "a wedge coordinate", lambda a, v, p: pair_wedges(v)),
+    "planar_pair_wedges": (1, "a wedge coordinate", lambda a, v, p: planar_pair_wedges(a)),
+    "evaluate": (2, "the form's value", lambda a, v, p: np.array(
+        [evaluate(p, v[0], np.arange(1.0, len(v) + 1))])),
+    "quad_residuals": (2, "a Plücker residual", lambda a, v, p: quad_residuals(p)[1]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs(), st.integers(-500, 600))
+def test_power_of_two_scaling_scales_each_wedge_and_residual_by_its_degree(drawn, k):
+    # Past 2**511 the products leave the float range; the results are then
+    # taken on the inputs scaled back into it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base, scaled = at_scale(*drawn, 0), at_scale(*drawn, k)
+        for name, (degree, quantity, compute) in ARRAY_LAWS.items():
+            with np.errstate(over="ignore"):
+                want = np.ldexp(compute(*base), degree * k)
+            if np.all(np.isfinite(want)):
+                assert compute(*scaled).tobytes() == want.tobytes(), name
+            else:
+                with pytest.raises(OverflowError) as exc:
+                    compute(*scaled)
+                assert str(exc.value) == f"{quantity} is beyond the float range", name
 
 
 #: Largest relative gap allowed between I_alg of a matrix and of a
